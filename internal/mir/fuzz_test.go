@@ -1,14 +1,19 @@
 package mir
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
-// FuzzParse checks the parser never panics and that Parse/Print reach a
-// fixed point: anything that parses must print to text that re-parses to
-// the identical printout. Seeded from the checked-in testdata programs.
+// FuzzParse checks the parser never panics, agrees with the reference
+// parser it replaced (the same error, or deeply equal modules), and that
+// Parse/Print reach a fixed point: anything that parses must print to
+// text that re-parses to the identical printout, which the reference
+// printer reproduces byte for byte. Seeded from the checked-in testdata
+// programs.
 func FuzzParse(f *testing.F) {
 	for _, pattern := range []string{
 		filepath.Join("..", "..", "testdata", "*.mir"),
@@ -41,13 +46,26 @@ func FuzzParse(f *testing.F) {
 	f.Add("global n = 2\nfunc main() {\nentry:\n  %p = addrg @n\n  %old = cas %p, 2, 0\n  ret %old\n}\n")
 	f.Add("wait %c")
 	f.Add("func main() {\nentry:\n  cas $\n}\n")
+	// Comment markers inside quoted text are text, not comments.
+	f.Add("func main() {\nentry:\n  output \"a;b // c\", 1 ; note\n  assert 1, \"x\\\";y\" // note\n  ret 0\n}\n")
+	f.Add("func main() {\nentry:\n  fail assert, \"end;\" !site 3\n}\n")
 
 	f.Fuzz(func(t *testing.T, src string) {
 		m, err := Parse(src)
+		ref, refErr := refParse(src)
+		if fmt.Sprint(err) != fmt.Sprint(refErr) {
+			t.Fatalf("Parse error %v, reference %v", err, refErr)
+		}
 		if err != nil {
-			return // rejected input: only panics are failures here
+			return // rejected input
+		}
+		if !reflect.DeepEqual(m, ref) {
+			t.Fatalf("Parse and the reference parser build different modules")
 		}
 		text := Print(m)
+		if want := refPrint(m); text != want {
+			t.Fatalf("Print differs from the reference printer\ngot:\n%s\nwant:\n%s", text, want)
+		}
 		m2, err := Parse(text)
 		if err != nil {
 			t.Fatalf("printed module does not re-parse: %v\n%s", err, text)

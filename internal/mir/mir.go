@@ -330,10 +330,39 @@ func bool2w(b bool) Word {
 
 // ParseBinOp maps a mnemonic back to its operator.
 func ParseBinOp(s string) (BinOp, bool) {
-	for i, n := range binNames {
-		if n == s {
-			return BinOp(i), true
-		}
+	switch s {
+	case "add":
+		return BinAdd, true
+	case "sub":
+		return BinSub, true
+	case "mul":
+		return BinMul, true
+	case "div":
+		return BinDiv, true
+	case "mod":
+		return BinMod, true
+	case "and":
+		return BinAnd, true
+	case "or":
+		return BinOr, true
+	case "xor":
+		return BinXor, true
+	case "shl":
+		return BinShl, true
+	case "shr":
+		return BinShr, true
+	case "eq":
+		return BinEq, true
+	case "ne":
+		return BinNe, true
+	case "lt":
+		return BinLt, true
+	case "le":
+		return BinLe, true
+	case "gt":
+		return BinGt, true
+	case "ge":
+		return BinGe, true
 	}
 	return 0, false
 }

@@ -17,28 +17,51 @@ import (
 //	  OP ...
 //	}
 //
-// Comments run from ';' or '//' to end of line. Operands are registers
-// (%name) or integer immediates; globals are @name, stack slots $name,
-// branch targets are block labels. Parse verifies the module before
-// returning it.
+// Comments run from ';' or '//' to end of line; inside a quoted string
+// both are text. Operands are registers (%name) or integer immediates;
+// globals are @name, stack slots $name, branch targets are block labels.
+// Parse verifies the module before returning it.
+//
+// The parser reads src once, line by line. Lines and their fields are
+// substrings of src, names resolve through maps, and instructions are
+// parsed in place into large chunks that blocks then share, so its
+// allocations grow with the number of functions and chunks, not with
+// every line and operand.
 func Parse(src string) (*Module, error) {
-	p := &parser{m: &Module{Name: "module"}}
-	lines := strings.Split(src, "\n")
-	for ln, raw := range lines {
-		line := stripComment(raw)
-		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
+	p := &parser{
+		m:         &Module{Name: "module"},
+		globals:   map[string]int{},
+		funcs:     map[string]int{},
+		regs:      map[string]int{},
+		slots:     map[string]int{},
+		blocks:    map[string]int{},
+		linesLeft: strings.Count(src, "\n") + 1,
+	}
+	sc := lineScanner{src: src, marks: [3]int{-1, -1, -1}}
+	for ln := 1; ; ln++ {
+		line, more := sc.next()
+		if line = strings.TrimSpace(line); line != "" {
+			if err := p.line(line); err != nil {
+				return nil, fmt.Errorf("mir parse: line %d: %w", ln, err)
+			}
 		}
-		if err := p.line(line); err != nil {
-			return nil, fmt.Errorf("mir parse: line %d: %w", ln+1, err)
+		p.linesLeft--
+		if !more {
+			break
 		}
 	}
 	if p.f != nil {
 		return nil, fmt.Errorf("mir parse: unterminated function %q", p.f.Name)
 	}
-	if err := p.resolve(); err != nil {
-		return nil, err
+	if p.jumpErr != nil {
+		return nil, p.jumpErr
+	}
+	for _, fx := range p.calls {
+		ci, ok := p.funcs[fx.name]
+		if !ok {
+			return nil, fmt.Errorf("mir parse: call to unknown function %q", fx.name)
+		}
+		p.m.Functions[fx.fn].Blocks[fx.blk].Instrs[fx.idx].Callee = ci
 	}
 	if err := Verify(p.m); err != nil {
 		return nil, err
@@ -75,36 +98,110 @@ func validIdent(s string) bool {
 	return true
 }
 
-func stripComment(s string) string {
-	if i := strings.Index(s, ";"); i >= 0 {
-		s = s[:i]
+// lineScanner cuts the source into lines. It keeps the offset of the
+// next ';', '/' and '"' in the source, so a line is searched for a
+// comment only when one of them falls inside it: each search runs on to
+// the next occurrence, and the three searches together pass over the
+// source once.
+type lineScanner struct {
+	src string
+	pos int // offset of the next line
+	// marks[k] is the offset of the first commentBytes[k] at or after the
+	// line start it was last searched from, len(src) if there is none.
+	marks [3]int
+}
+
+var commentBytes = [3]byte{';', '/', '"'}
+
+// next returns the next line without its comment, which runs from the
+// first ';' or "//" outside a quoted string, and whether more lines
+// follow.
+func (s *lineScanner) next() (line string, more bool) {
+	start, end := s.pos, len(s.src)
+	if i := strings.IndexByte(s.src[start:], '\n'); i >= 0 {
+		end, more = start+i, true
 	}
-	if i := strings.Index(s, "//"); i >= 0 {
-		s = s[:i]
+	s.pos = end + 1
+	line = s.src[start:end]
+	marked := false
+	for k, c := range commentBytes {
+		if s.marks[k] < start {
+			s.marks[k] = len(s.src)
+			if i := strings.IndexByte(s.src[start:], c); i >= 0 {
+				s.marks[k] = start + i
+			}
+		}
+		marked = marked || s.marks[k] < end
+	}
+	if marked {
+		line = stripComment(line)
+	}
+	return line, more
+}
+
+// stripComment cuts s at the first ';' or "//" outside a quoted string.
+func stripComment(s string) string {
+	inStr := false
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case inStr:
+			if c == '\\' {
+				i++
+			} else if c == '"' {
+				inStr = false
+			}
+		case c == '"':
+			inStr = true
+		case c == ';', c == '/' && i+1 < len(s) && s[i+1] == '/':
+			return s[:i]
+		}
 	}
 	return s
 }
 
-type blockFixup struct {
-	fn, blk, idx int
-	then, els    string // block names; els empty for jmp
+// argByte marks the bytes splitArgs acts on.
+var argByte = [256]bool{',': true, '(': true, ')': true, '"': true, '\\': true}
+
+// jumpFixup is a br or jmp of the open function whose targets resolve
+// when the function closes; els is empty for jmp.
+type jumpFixup struct {
+	blk, idx  int
+	then, els string
 }
 
-type calleeFixupP struct {
+// callFixup is a call or spawn whose callee resolves after the last line.
+type callFixup struct {
 	fn, blk, idx int
 	name         string
 }
 
+// maxChunk caps the instructions of one storage chunk (about 750 KB),
+// unless a single block is longer.
+const maxChunk = 4096
+
 type parser struct {
-	m   *Module
-	f   *Function // open function, nil at top level
-	fi  int
-	cur int // open block index
-	// register and slot name tables for the open function
-	regs  map[string]int
-	bfix  []blockFixup
-	cfix  []calleeFixupP
-	sawBr bool
+	m  *Module
+	f  *Function // open function, nil at top level
+	fi int
+
+	// Name tables: module-wide, then for the open function.
+	globals, funcs, regs, slots, blocks map[string]int
+	// regNames collects the open function's register names, which it
+	// receives in one exactly sized slice when it closes.
+	regNames []string
+
+	// instrs is the current storage chunk; the open block's instructions
+	// are instrs[open:]. A block's Instrs become a capacity-limited view
+	// of its chunk when the block ends, so appending to them later
+	// copies rather than overwriting a neighbour.
+	instrs    []Instr
+	open      int
+	linesLeft int // lines not yet finished: an upper bound on instructions to come
+
+	jumps   []jumpFixup // of the open function
+	calls   []callFixup
+	jumpErr error    // first unresolved block reference, reported after the last line
+	parts   []string // the current line's operand fields
 }
 
 func (p *parser) line(line string) error {
@@ -112,50 +209,103 @@ func (p *parser) line(line string) error {
 		return p.topLevel(line)
 	}
 	if line == "}" {
-		if len(p.f.Blocks) == 0 {
-			return fmt.Errorf("function %q has no blocks", p.f.Name)
-		}
-		p.m.Functions[p.fi] = *p.f
-		p.f = nil
-		return nil
+		return p.endFunc()
 	}
-	if strings.HasSuffix(line, ":") && !strings.ContainsAny(line, " \t") {
-		name := strings.TrimSuffix(line, ":")
+	if line[len(line)-1] == ':' && strings.IndexByte(line, ' ') < 0 && strings.IndexByte(line, '\t') < 0 {
+		name := line[:len(line)-1]
 		if !validIdent(name) {
 			return fmt.Errorf("bad block label %q", name)
 		}
-		for _, b := range p.f.Blocks {
-			if b.Name == name {
-				return fmt.Errorf("block %q redeclared", name)
-			}
+		if _, dup := p.blocks[name]; dup {
+			return fmt.Errorf("block %q redeclared", name)
 		}
+		p.endBlock()
+		p.blocks[name] = len(p.f.Blocks)
 		p.f.Blocks = append(p.f.Blocks, Block{Name: name})
-		p.cur = len(p.f.Blocks) - 1
 		return nil
 	}
 	if len(p.f.Blocks) == 0 {
 		return fmt.Errorf("instruction before first block label")
 	}
-	in, err := p.instr(line)
-	if err != nil {
-		return err
+	if len(p.instrs) == cap(p.instrs) {
+		p.newChunk()
 	}
-	p.f.Blocks[p.cur].Instrs = append(p.f.Blocks[p.cur].Instrs, in)
+	// Parse straight into the next chunk slot. Chunk memory is fresh
+	// and zeroed, and a line that fails to parse ends the parse.
+	p.instrs = p.instrs[:len(p.instrs)+1]
+	in := &p.instrs[len(p.instrs)-1]
+	in.Dst = -1
+	return p.instr(in, line)
+}
+
+// newChunk starts a storage chunk sized to the instructions that can
+// still come, and moves the open block's instructions into it so every
+// block stays contiguous. A block longer than maxChunk at least doubles
+// its chunk, so moving it costs amortized constant time per instruction.
+func (p *parser) newChunk() {
+	n := len(p.instrs) - p.open
+	chunk := make([]Instr, n, n+min(p.linesLeft, max(n, maxChunk)))
+	copy(chunk, p.instrs[p.open:])
+	p.instrs, p.open = chunk, 0
+}
+
+// endBlock hands the open block its instructions.
+func (p *parser) endBlock() {
+	if len(p.f.Blocks) == 0 {
+		return
+	}
+	if n := len(p.instrs); n > p.open {
+		p.f.Blocks[len(p.f.Blocks)-1].Instrs = p.instrs[p.open:n:n]
+		p.open = n
+	}
+}
+
+// endFunc closes the open function and resolves its branch targets. An
+// unknown target is kept to report once every line has parsed, as a
+// syntax error on a later line takes precedence.
+func (p *parser) endFunc() error {
+	f := p.f
+	if len(f.Blocks) == 0 {
+		return fmt.Errorf("function %q has no blocks", f.Name)
+	}
+	p.endBlock()
+	f.RegNames = append([]string(nil), p.regNames...)
+	for _, fx := range p.jumps {
+		in := &f.Blocks[fx.blk].Instrs[fx.idx]
+		var ok bool
+		if in.Then, ok = p.blocks[fx.then]; !ok {
+			p.unknownBlock(fx.then)
+			break
+		}
+		if fx.els != "" {
+			if in.Else, ok = p.blocks[fx.els]; !ok {
+				p.unknownBlock(fx.els)
+				break
+			}
+		}
+	}
+	p.m.Functions[p.fi] = *f
+	p.f = nil
 	return nil
+}
+
+func (p *parser) unknownBlock(name string) {
+	if p.jumpErr == nil {
+		p.jumpErr = fmt.Errorf("mir parse: %s: unknown block %q", p.f.Name, name)
+	}
 }
 
 func (p *parser) topLevel(line string) error {
 	switch {
 	case strings.HasPrefix(line, "module "):
-		name := strings.TrimSpace(strings.TrimPrefix(line, "module "))
+		name := strings.TrimSpace(line[len("module "):])
 		if !validIdent(name) {
 			return fmt.Errorf("bad module name %q", name)
 		}
 		p.m.Name = name
 		return nil
 	case strings.HasPrefix(line, "global "):
-		rest := strings.TrimPrefix(line, "global ")
-		name, val, ok := strings.Cut(rest, "=")
+		name, val, ok := strings.Cut(line[len("global "):], "=")
 		if !ok {
 			return fmt.Errorf("global needs '= value'")
 		}
@@ -167,19 +317,20 @@ func (p *parser) topLevel(line string) error {
 		if err != nil {
 			return fmt.Errorf("global %s: %w", name, err)
 		}
-		if p.m.GlobalIndex(name) >= 0 {
+		if _, dup := p.globals[name]; dup {
 			return fmt.Errorf("global %q redeclared", name)
 		}
+		p.globals[name] = len(p.m.Globals)
 		p.m.Globals = append(p.m.Globals, Global{Name: name, Init: v})
 		return nil
 	case strings.HasPrefix(line, "func "):
-		rest := strings.TrimPrefix(line, "func ")
+		rest := line[len("func "):]
 		if !strings.HasSuffix(rest, "{") {
 			return fmt.Errorf("func line must end with '{'")
 		}
-		rest = strings.TrimSpace(strings.TrimSuffix(rest, "{"))
-		open := strings.Index(rest, "(")
-		close := strings.LastIndex(rest, ")")
+		rest = strings.TrimSpace(rest[:len(rest)-1])
+		open := strings.IndexByte(rest, '(')
+		close := strings.LastIndexByte(rest, ')')
 		if open < 0 || close < open {
 			return fmt.Errorf("malformed func header")
 		}
@@ -187,14 +338,19 @@ func (p *parser) topLevel(line string) error {
 		if !validIdent(name) {
 			return fmt.Errorf("bad function name %q", name)
 		}
-		if p.m.FuncIndex(name) >= 0 {
+		if _, dup := p.funcs[name]; dup {
 			return fmt.Errorf("function %q redeclared", name)
 		}
 		f := Function{Name: name}
-		p.regs = map[string]int{}
-		params := strings.TrimSpace(rest[open+1 : close])
-		if params != "" {
-			for _, prm := range strings.Split(params, ",") {
+		clear(p.regs)
+		p.regNames = p.regNames[:0]
+		clear(p.slots)
+		clear(p.blocks)
+		p.jumps = p.jumps[:0]
+		if params := strings.TrimSpace(rest[open+1 : close]); params != "" {
+			for more := true; more; {
+				var prm string
+				prm, params, more = strings.Cut(params, ",")
 				prm = strings.TrimSpace(prm)
 				if !strings.HasPrefix(prm, "%") {
 					return fmt.Errorf("parameter %q must start with %%", prm)
@@ -206,11 +362,12 @@ func (p *parser) topLevel(line string) error {
 				if _, dup := p.regs[rn]; dup {
 					return fmt.Errorf("duplicate parameter %q", rn)
 				}
-				p.regs[rn] = len(f.RegNames)
-				f.RegNames = append(f.RegNames, rn)
+				p.regs[rn] = len(p.regNames)
+				p.regNames = append(p.regNames, rn)
 			}
 		}
-		f.NumParams = len(f.RegNames)
+		f.NumParams = len(p.regNames)
+		p.funcs[name] = len(p.m.Functions)
 		p.m.Functions = append(p.m.Functions, Function{Name: name})
 		p.fi = len(p.m.Functions) - 1
 		p.f = &f
@@ -224,28 +381,29 @@ func (p *parser) reg(name string) int {
 	if i, ok := p.regs[name]; ok {
 		return i
 	}
-	i := len(p.f.RegNames)
-	p.f.RegNames = append(p.f.RegNames, name)
+	i := len(p.regNames)
+	p.regNames = append(p.regNames, name)
 	p.regs[name] = i
 	return i
 }
 
+// slot returns the index of stack slot name, declaring it on first use.
 func (p *parser) slot(name string) int {
-	for i, n := range p.f.SlotNames {
-		if n == name {
-			return i
-		}
+	if i, ok := p.slots[name]; ok {
+		return i
 	}
+	i := len(p.f.SlotNames)
 	p.f.SlotNames = append(p.f.SlotNames, name)
-	return len(p.f.SlotNames) - 1
+	p.slots[name] = i
+	return i
 }
 
+// operand parses a register or immediate field; fields come trimmed.
 func (p *parser) operand(tok string) (Operand, error) {
-	tok = strings.TrimSpace(tok)
 	if tok == "" || tok == "_" {
 		return None, nil
 	}
-	if strings.HasPrefix(tok, "%") {
+	if tok[0] == '%' {
 		if !validIdent(tok[1:]) {
 			return None, fmt.Errorf("bad register name %q", tok[1:])
 		}
@@ -259,25 +417,30 @@ func (p *parser) operand(tok string) (Operand, error) {
 }
 
 func (p *parser) global(tok string) (int, error) {
-	tok = strings.TrimSpace(tok)
 	if !strings.HasPrefix(tok, "@") {
 		return 0, fmt.Errorf("expected @global, got %q", tok)
 	}
-	i := p.m.GlobalIndex(tok[1:])
-	if i < 0 {
+	i, ok := p.globals[tok[1:]]
+	if !ok {
 		return 0, fmt.Errorf("unknown global %q", tok[1:])
 	}
 	return i, nil
 }
 
-// splitArgs splits on top-level commas, leaving quoted strings intact.
-func splitArgs(s string) []string {
-	var out []string
+// splitArgs cuts s at top-level commas, leaving quoted strings and
+// parenthesized lists intact, into p.parts: trimmed substrings of s, none
+// for an empty s.
+func (p *parser) splitArgs(s string) []string {
+	out := p.parts[:0]
 	depth := 0
 	inStr := false
 	start := 0
 	for i := 0; i < len(s); i++ {
-		switch c := s[i]; {
+		c := s[i]
+		if !argByte[c] {
+			continue
+		}
+		switch {
 		case inStr:
 			if c == '\\' {
 				i++
@@ -299,81 +462,97 @@ func splitArgs(s string) []string {
 	if tail != "" || len(out) > 0 {
 		out = append(out, tail)
 	}
+	p.parts = out
 	return out
 }
 
 // cutSiteTag strips a trailing " !site N" recovery-site annotation as
 // emitted by FormatInstr. A "!site" not followed by a bare integer to the
 // end of the line (e.g. inside a quoted string, which always closes with
-// a quote) is left alone.
+// a quote) is left alone. The line comes trimmed, so the integer is its
+// tail and the tag is found scanning back from the end.
 func cutSiteTag(line string) (body string, site int, ok bool) {
-	i := strings.LastIndex(line, "!site")
-	if i < 0 {
+	j := len(line)
+	for j > 0 && line[j-1] >= '0' && line[j-1] <= '9' {
+		j--
+	}
+	if j == len(line) {
 		return line, 0, false
 	}
-	n, err := strconv.Atoi(strings.TrimSpace(line[i+len("!site"):]))
+	num := line[j:]
+	if j > 0 && (line[j-1] == '+' || line[j-1] == '-') {
+		num = line[j-1:]
+		j--
+	}
+	head := strings.TrimSpace(line[:j])
+	if len(head) < len("!site") || head[len(head)-len("!site"):] != "!site" {
+		return line, 0, false
+	}
+	n, err := strconv.Atoi(num)
 	if err != nil {
 		return line, 0, false
 	}
-	return strings.TrimSpace(line[:i]), n, true
+	return strings.TrimSpace(head[:len(head)-len("!site")]), n, true
 }
 
-func (p *parser) instr(line string) (Instr, error) {
+func (p *parser) instr(in *Instr, line string) error {
 	body, site, tagged := cutSiteTag(line)
-	in, err := p.instrBody(body)
+	err := p.instrBody(in, body)
 	if err == nil && tagged {
 		in.Site = site
 	}
-	return in, err
+	return err
 }
 
-func (p *parser) instrBody(line string) (Instr, error) {
-	in := Instr{Dst: -1}
+// need checks an instruction's operand count.
+func need(op string, parts []string, n int) error {
+	if len(parts) != n {
+		return fmt.Errorf("%s expects %d operand(s), got %d", op, n, len(parts))
+	}
+	return nil
+}
+
+// instrBody parses one instruction into in, whose Dst is preset to -1.
+func (p *parser) instrBody(in *Instr, line string) error {
 	rest := line
 	if strings.HasPrefix(line, "%") {
 		dst, r, ok := strings.Cut(line, "=")
 		if !ok {
-			return in, fmt.Errorf("register line without '='")
+			return fmt.Errorf("register line without '='")
 		}
 		dst = strings.TrimSpace(dst)
 		rn := strings.TrimPrefix(dst, "%")
 		if !validIdent(rn) {
-			return in, fmt.Errorf("bad register name %q", rn)
+			return fmt.Errorf("bad register name %q", rn)
 		}
 		in.Dst = p.reg(rn)
 		rest = strings.TrimSpace(r)
 	}
 	op, args, _ := strings.Cut(rest, " ")
 	args = strings.TrimSpace(args)
-	parts := splitArgs(args)
-	need := func(n int) error {
-		if len(parts) != n {
-			return fmt.Errorf("%s expects %d operand(s), got %d", op, n, len(parts))
-		}
-		return nil
-	}
+	parts := p.splitArgs(args)
 	switch op {
 	case "const":
-		if err := need(1); err != nil {
-			return in, err
+		if err := need(op, parts, 1); err != nil {
+			return err
 		}
 		v, err := strconv.ParseInt(parts[0], 10, 64)
 		if err != nil {
-			return in, err
+			return err
 		}
 		in.Op, in.Imm = OpConst, v
-		return in, nil
+		return nil
 	case "loadg", "storeg", "addrg":
 		want := 1
 		if op == "storeg" {
 			want = 2
 		}
-		if err := need(want); err != nil {
-			return in, err
+		if err := need(op, parts, want); err != nil {
+			return err
 		}
 		g, err := p.global(parts[0])
 		if err != nil {
-			return in, err
+			return err
 		}
 		in.Global = g
 		switch op {
@@ -385,14 +564,14 @@ func (p *parser) instrBody(line string) (Instr, error) {
 			in.Op = OpStoreG
 			in.A, err = p.operand(parts[1])
 		}
-		return in, err
+		return err
 	case "load", "free", "lock", "unlock", "join", "sleep", "sleeprand", "alloc":
-		if err := need(1); err != nil {
-			return in, err
+		if err := need(op, parts, 1); err != nil {
+			return err
 		}
 		a, err := p.operand(parts[0])
 		if err != nil {
-			return in, err
+			return err
 		}
 		in.A = a
 		switch op {
@@ -413,49 +592,49 @@ func (p *parser) instrBody(line string) (Instr, error) {
 		case "alloc":
 			in.Op = OpAlloc
 		}
-		return in, nil
+		return nil
 	case "store":
-		if err := need(2); err != nil {
-			return in, err
+		if err := need(op, parts, 2); err != nil {
+			return err
 		}
 		var err error
 		if in.A, err = p.operand(parts[0]); err != nil {
-			return in, err
+			return err
 		}
 		in.B, err = p.operand(parts[1])
 		in.Op = OpStore
-		return in, err
+		return err
 	case "loads", "stores":
 		want := 1
 		if op == "stores" {
 			want = 2
 		}
-		if err := need(want); err != nil {
-			return in, err
+		if err := need(op, parts, want); err != nil {
+			return err
 		}
 		if !strings.HasPrefix(parts[0], "$") {
-			return in, fmt.Errorf("expected $slot, got %q", parts[0])
+			return fmt.Errorf("expected $slot, got %q", parts[0])
 		}
 		sn := parts[0][1:]
 		if !validIdent(sn) {
-			return in, fmt.Errorf("bad slot name %q", sn)
+			return fmt.Errorf("bad slot name %q", sn)
 		}
 		in.Slot = p.slot(sn)
 		if op == "loads" {
 			in.Op = OpLoadS
-			return in, nil
+			return nil
 		}
 		in.Op = OpStoreS
 		var err error
 		in.A, err = p.operand(parts[1])
-		return in, err
+		return err
 	case "signal", "broadcast", "chrecv", "chclose":
-		if err := need(1); err != nil {
-			return in, err
+		if err := need(op, parts, 1); err != nil {
+			return err
 		}
 		a, err := p.operand(parts[0])
 		if err != nil {
-			return in, err
+			return err
 		}
 		in.A = a
 		switch op {
@@ -468,25 +647,25 @@ func (p *parser) instrBody(line string) (Instr, error) {
 		case "chclose":
 			in.Op = OpChClose
 		}
-		return in, nil
+		return nil
 	case "wait", "chsend":
 		// Two operands, plus an optional trailing timeout integer for the
 		// transformer's timed forms.
 		if len(parts) != 2 && len(parts) != 3 {
-			return in, fmt.Errorf("%s expects 2 or 3 operand(s), got %d", op, len(parts))
+			return fmt.Errorf("%s expects 2 or 3 operand(s), got %d", op, len(parts))
 		}
 		a, err := p.operand(parts[0])
 		if err != nil {
-			return in, err
+			return err
 		}
 		b, err := p.operand(parts[1])
 		if err != nil {
-			return in, err
+			return err
 		}
 		if len(parts) == 3 {
 			t, err := strconv.Atoi(parts[2])
 			if err != nil {
-				return in, err
+				return err
 			}
 			in.Timeout = t
 		}
@@ -496,55 +675,65 @@ func (p *parser) instrBody(line string) (Instr, error) {
 		} else {
 			in.Op = OpChSend
 		}
-		return in, nil
+		return nil
 	case "cas":
-		if err := need(3); err != nil {
-			return in, err
+		if err := need(op, parts, 3); err != nil {
+			return err
 		}
 		a, err := p.operand(parts[0])
 		if err != nil {
-			return in, err
+			return err
 		}
 		b, err := p.operand(parts[1])
 		if err != nil {
-			return in, err
+			return err
 		}
 		c, err := p.operand(parts[2])
 		if err != nil {
-			return in, err
+			return err
 		}
 		in.Op, in.A, in.B, in.Args = OpCAS, a, b, []Operand{c}
-		return in, nil
+		return nil
 	case "timedlock":
-		if err := need(2); err != nil {
-			return in, err
+		if err := need(op, parts, 2); err != nil {
+			return err
 		}
 		a, err := p.operand(parts[0])
 		if err != nil {
-			return in, err
+			return err
 		}
 		t, err := strconv.Atoi(parts[1])
 		if err != nil {
-			return in, err
+			return err
 		}
 		in.Op, in.A, in.Timeout = OpTimedLock, a, t
-		return in, nil
+		return nil
 	case "call", "spawn":
 		open := strings.Index(args, "(")
 		close := strings.LastIndex(args, ")")
 		if open < 0 || close < open {
-			return in, fmt.Errorf("%s needs callee(args)", op)
+			return fmt.Errorf("%s needs callee(args)", op)
 		}
 		name := strings.TrimSpace(args[:open])
 		in.Callee = -1
-		p.cfix = append(p.cfix, calleeFixupP{p.fi, p.cur, len(p.f.Blocks[p.cur].Instrs), name})
-		for _, atok := range splitArgs(args[open+1 : close]) {
+		p.calls = append(p.calls, callFixup{p.fi, len(p.f.Blocks) - 1, len(p.instrs) - 1 - p.open, name})
+		parts = p.splitArgs(args[open+1 : close])
+		n := 0
+		for _, atok := range parts {
+			if atok != "" {
+				n++
+			}
+		}
+		if n > 0 {
+			in.Args = make([]Operand, 0, n)
+		}
+		for _, atok := range parts {
 			if atok == "" {
 				continue
 			}
 			a, err := p.operand(atok)
 			if err != nil {
-				return in, err
+				return err
 			}
 			in.Args = append(in.Args, a)
 		}
@@ -553,124 +742,124 @@ func (p *parser) instrBody(line string) (Instr, error) {
 		} else {
 			in.Op = OpSpawn
 		}
-		return in, nil
+		return nil
 	case "output", "assert", "oracle", "fail":
-		if err := need(2); err != nil {
-			return in, err
+		if err := need(op, parts, 2); err != nil {
+			return err
 		}
 		switch op {
 		case "output":
 			s, err := strconv.Unquote(parts[0])
 			if err != nil {
-				return in, fmt.Errorf("output text: %w", err)
+				return fmt.Errorf("output text: %w", err)
 			}
 			in.Text = s
 			in.Op = OpOutput
 			in.A, err = p.operand(parts[1])
-			return in, err
+			return err
 		case "fail":
 			kind, ok := parseFailKind(parts[0])
 			if !ok {
-				return in, fmt.Errorf("unknown failure kind %q", parts[0])
+				return fmt.Errorf("unknown failure kind %q", parts[0])
 			}
 			s, err := strconv.Unquote(parts[1])
 			if err != nil {
-				return in, fmt.Errorf("fail text: %w", err)
+				return fmt.Errorf("fail text: %w", err)
 			}
 			in.Op, in.FailKind, in.Text = OpFail, kind, s
-			return in, nil
+			return nil
 		default:
 			a, err := p.operand(parts[0])
 			if err != nil {
-				return in, err
+				return err
 			}
 			s, err := strconv.Unquote(parts[1])
 			if err != nil {
-				return in, fmt.Errorf("%s text: %w", op, err)
+				return fmt.Errorf("%s text: %w", op, err)
 			}
 			in.Op, in.A, in.Text = OpAssert, a, s
 			if op == "oracle" {
 				in.AssertKind = AssertOracle
 			}
-			return in, nil
+			return nil
 		}
 	case "yield":
 		in.Op = OpYield
-		return in, need(0)
+		return need(op, parts, 0)
 	case "nop":
 		in.Op = OpNop
-		return in, need(0)
+		return need(op, parts, 0)
 	case "checkpoint":
-		if err := need(1); err != nil {
-			return in, err
+		if err := need(op, parts, 1); err != nil {
+			return err
 		}
 		site, err := strconv.Atoi(parts[0])
 		if err != nil {
-			return in, err
+			return err
 		}
 		in.Op, in.Site = OpCheckpoint, site
-		return in, nil
+		return nil
 	case "rollback":
-		if err := need(2); err != nil {
-			return in, err
+		if err := need(op, parts, 2); err != nil {
+			return err
 		}
 		site, err := strconv.Atoi(parts[0])
 		if err != nil {
-			return in, err
+			return err
 		}
 		maxRetry, err := strconv.ParseInt(parts[1], 10, 64)
 		if err != nil {
-			return in, err
+			return err
 		}
 		in.Op, in.Site, in.MaxRetry = OpRollback, site, maxRetry
-		return in, nil
+		return nil
 	case "br":
-		if err := need(3); err != nil {
-			return in, err
+		if err := need(op, parts, 3); err != nil {
+			return err
 		}
 		a, err := p.operand(parts[0])
 		if err != nil {
-			return in, err
+			return err
 		}
 		in.Op, in.A = OpBr, a
-		p.bfix = append(p.bfix, blockFixup{p.fi, p.cur, len(p.f.Blocks[p.cur].Instrs), parts[1], parts[2]})
-		return in, nil
+		p.jumps = append(p.jumps, jumpFixup{len(p.f.Blocks) - 1, len(p.instrs) - 1 - p.open, parts[1], parts[2]})
+		return nil
 	case "jmp":
-		if err := need(1); err != nil {
-			return in, err
+		if err := need(op, parts, 1); err != nil {
+			return err
 		}
 		in.Op = OpJmp
-		p.bfix = append(p.bfix, blockFixup{p.fi, p.cur, len(p.f.Blocks[p.cur].Instrs), parts[0], ""})
-		return in, nil
+		p.jumps = append(p.jumps, jumpFixup{len(p.f.Blocks) - 1, len(p.instrs) - 1 - p.open, parts[0], ""})
+		return nil
 	case "ret":
 		in.Op = OpRet
 		if len(parts) == 0 {
 			in.A = None
-			return in, nil
+			return nil
 		}
-		if err := need(1); err != nil {
-			return in, err
+		if err := need(op, parts, 1); err != nil {
+			return err
 		}
 		var err error
 		in.A, err = p.operand(parts[0])
-		return in, err
+		return err
 	}
 	if bop, ok := ParseBinOp(op); ok {
-		if err := need(2); err != nil {
-			return in, err
+		if err := need(op, parts, 2); err != nil {
+			return err
 		}
 		a, err := p.operand(parts[0])
 		if err != nil {
-			return in, err
+			return err
 		}
 		b, err := p.operand(parts[1])
 		if err != nil {
-			return in, err
+			return err
 		}
 		in.Op, in.Bin, in.A, in.B = OpBin, bop, a, b
-		return in, nil
+		return nil
 	}
-	return in, fmt.Errorf("unknown instruction %q", op)
+	return fmt.Errorf("unknown instruction %q", op)
 }
 
 func parseFailKind(s string) (FailKind, bool) {
@@ -680,31 +869,4 @@ func parseFailKind(s string) (FailKind, bool) {
 		}
 	}
 	return 0, false
-}
-
-func (p *parser) resolve() error {
-	for _, fx := range p.bfix {
-		f := &p.m.Functions[fx.fn]
-		in := &f.Blocks[fx.blk].Instrs[fx.idx]
-		ti := f.BlockIndex(fx.then)
-		if ti < 0 {
-			return fmt.Errorf("mir parse: %s: unknown block %q", f.Name, fx.then)
-		}
-		in.Then = ti
-		if fx.els != "" {
-			ei := f.BlockIndex(fx.els)
-			if ei < 0 {
-				return fmt.Errorf("mir parse: %s: unknown block %q", f.Name, fx.els)
-			}
-			in.Else = ei
-		}
-	}
-	for _, fx := range p.cfix {
-		ci := p.m.FuncIndex(fx.name)
-		if ci < 0 {
-			return fmt.Errorf("mir parse: call to unknown function %q", fx.name)
-		}
-		p.m.Functions[fx.fn].Blocks[fx.blk].Instrs[fx.idx].Callee = ci
-	}
-	return nil
 }

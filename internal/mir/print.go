@@ -1,44 +1,145 @@
 package mir
 
 import (
-	"fmt"
+	"math/bits"
 	"strconv"
 	"strings"
 )
 
 // Print renders a module in the textual MIR syntax accepted by Parse. The
 // round trip Parse(Print(m)) reproduces m up to register numbering.
+//
+// Each line is appended into one reused scratch buffer and copied into a
+// builder presized from the module's shape, so printing allocates a
+// constant number of times per module rather than per instruction.
 func Print(m *Module) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "module %s\n", m.Name)
+	sb.Grow(printSize(m))
+	line := append(make([]byte, 0, 256), "module "...)
+	line = append(append(line, m.Name...), '\n')
+	sb.Write(line)
 	for _, g := range m.Globals {
-		fmt.Fprintf(&sb, "global %s = %d\n", g.Name, g.Init)
+		line = append(append(line[:0], "global "...), g.Name...)
+		line = strconv.AppendInt(append(line, " = "...), g.Init, 10)
+		line = append(line, '\n')
+		sb.Write(line)
 	}
 	for fi := range m.Functions {
 		f := &m.Functions[fi]
-		sb.WriteString("\nfunc ")
-		sb.WriteString(f.Name)
-		sb.WriteByte('(')
+		line = append(append(line[:0], "\nfunc "...), f.Name...)
+		line = append(line, '(')
 		for i := 0; i < f.NumParams; i++ {
 			if i > 0 {
-				sb.WriteString(", ")
+				line = append(line, ", "...)
 			}
-			sb.WriteByte('%')
-			sb.WriteString(f.RegNames[i])
+			line = append(append(line, '%'), f.RegNames[i]...)
 		}
-		sb.WriteString(") {\n")
+		line = append(line, ") {\n"...)
+		sb.Write(line)
 		for bi := range f.Blocks {
 			blk := &f.Blocks[bi]
-			fmt.Fprintf(&sb, "%s:\n", blk.Name)
+			sb.WriteString(blk.Name)
+			sb.WriteString(":\n")
 			for ii := range blk.Instrs {
-				sb.WriteString("  ")
-				sb.WriteString(FormatInstr(m, f, &blk.Instrs[ii]))
-				sb.WriteByte('\n')
+				line = appendInstr(append(line[:0], "  "...), m, f, &blk.Instrs[ii])
+				line = append(line, '\n')
+				sb.Write(line)
 			}
 		}
 		sb.WriteString("}\n")
 	}
 	return sb.String()
+}
+
+// printSize estimates Print's output length: names and texts are
+// counted exactly, numbers and the layout around them approximately. An
+// estimate a little above the final length means the builder never
+// regrows, so the text is one allocation of about its own size.
+func printSize(m *Module) int {
+	n := len("module \n") + len(m.Name)
+	for _, g := range m.Globals {
+		n += len("global  = \n") + len(g.Name) + numSize(g.Init)
+	}
+	for fi := range m.Functions {
+		f := &m.Functions[fi]
+		n += len("\nfunc () {\n}\n") + len(f.Name)
+		for i := 0; i < f.NumParams && i < len(f.RegNames); i++ {
+			n += len(", %") + len(f.RegNames[i])
+		}
+		for bi := range f.Blocks {
+			blk := &f.Blocks[bi]
+			n += len(blk.Name) + len(":\n")
+			for ii := range blk.Instrs {
+				n += instrSize(m, f, &blk.Instrs[ii])
+			}
+		}
+	}
+	return n
+}
+
+// instrSize estimates the printed length of one instruction line. It
+// reads only indices in range, so it never panics where the printer
+// would not.
+func instrSize(m *Module, f *Function, in *Instr) int {
+	n := len("   \n") + operandSize(f, in.A) + operandSize(f, in.B)
+	if int(in.Op) < len(opNames) {
+		n += len(opNames[in.Op])
+	}
+	if in.Dst >= 0 && in.Dst < len(f.RegNames) {
+		n += len("% = ") + len(f.RegNames[in.Dst])
+	}
+	for _, a := range in.Args {
+		n += operandSize(f, a)
+	}
+	if in.Text != "" {
+		n += len(`, ""`) + len(in.Text)
+	}
+	if in.Site != 0 || in.Timeout != 0 || in.MaxRetry != 0 || in.Imm != 0 {
+		n += len(" !site ") + numSize(int64(in.Site))
+	}
+	switch in.Op {
+	case OpLoadG, OpStoreG, OpAddrG:
+		if in.Global >= 0 && in.Global < len(m.Globals) {
+			n += len(" @") + len(m.Globals[in.Global].Name)
+		}
+	case OpLoadS, OpStoreS:
+		if in.Slot >= 0 && in.Slot < len(f.SlotNames) {
+			n += len(" $") + len(f.SlotNames[in.Slot])
+		}
+	case OpCall, OpSpawn:
+		if in.Callee >= 0 && in.Callee < len(m.Functions) {
+			n += len("()") + len(m.Functions[in.Callee].Name)
+		}
+	case OpBr, OpJmp:
+		for _, b := range [2]int{in.Then, in.Else} {
+			if b >= 0 && b < len(f.Blocks) {
+				n += len(", ") + len(f.Blocks[b].Name)
+			}
+		}
+	}
+	return n
+}
+
+// operandSize estimates an operand's printed length with its separator.
+func operandSize(f *Function, o Operand) int {
+	switch o.Kind {
+	case OperandReg:
+		if o.Reg >= 0 && o.Reg < len(f.RegNames) {
+			return len(", %") + len(f.RegNames[o.Reg])
+		}
+	case OperandImm:
+		return len(", ") + numSize(o.Imm)
+	}
+	return 0
+}
+
+// numSize bounds the number of digits and sign of v from its bit
+// length, overestimating by at most one.
+func numSize(v int64) int {
+	if v < 0 {
+		return 2 + bits.Len64(uint64(-v))*1233>>12
+	}
+	return 1 + bits.Len64(uint64(v))*1233>>12
 }
 
 // FormatInstr renders one instruction in textual syntax. Instructions
@@ -47,126 +148,132 @@ func Print(m *Module) string {
 // trailing "!site N" annotation, except checkpoint/rollback whose syntax
 // already encodes the site.
 func FormatInstr(m *Module, f *Function, in *Instr) string {
-	s := formatInstrBody(m, f, in)
-	if in.Site != 0 && in.Op != OpCheckpoint && in.Op != OpRollback {
-		s += " !site " + strconv.Itoa(in.Site)
-	}
-	return s
+	return string(appendInstr(make([]byte, 0, 64), m, f, in))
 }
 
-func formatInstrBody(m *Module, f *Function, in *Instr) string {
-	opnd := func(o Operand) string {
-		switch o.Kind {
-		case OperandReg:
-			return "%" + f.RegNames[o.Reg]
-		case OperandImm:
-			return strconv.FormatInt(o.Imm, 10)
-		}
-		return "_"
+// appendInstr appends FormatInstr's rendering of in to b.
+func appendInstr(b []byte, m *Module, f *Function, in *Instr) []byte {
+	b = appendInstrBody(b, m, f, in)
+	if in.Site != 0 && in.Op != OpCheckpoint && in.Op != OpRollback {
+		b = strconv.AppendInt(append(b, " !site "...), int64(in.Site), 10)
 	}
-	dst := func() string {
-		return "%" + f.RegNames[in.Dst] + " = "
-	}
-	gname := func() string { return "@" + m.Globals[in.Global].Name }
-	sname := func() string { return "$" + f.SlotNames[in.Slot] }
-	callArgs := func() string {
-		parts := make([]string, len(in.Args))
-		for i, a := range in.Args {
-			parts[i] = opnd(a)
-		}
-		return m.Functions[in.Callee].Name + "(" + strings.Join(parts, ", ") + ")"
-	}
-	blk := func(i int) string { return f.Blocks[i].Name }
+	return b
+}
 
+func appendInstrBody(b []byte, m *Module, f *Function, in *Instr) []byte {
 	switch in.Op {
 	case OpConst:
-		return fmt.Sprintf("%sconst %d", dst(), in.Imm)
+		return strconv.AppendInt(appendDst(b, f, in, "const "), in.Imm, 10)
 	case OpBin:
-		return fmt.Sprintf("%s%s %s, %s", dst(), in.Bin, opnd(in.A), opnd(in.B))
-	case OpLoadG:
-		return fmt.Sprintf("%sloadg %s", dst(), gname())
+		b = append(appendDst(b, f, in, in.Bin.String()), ' ')
+		return appendOperands(b, f, in.A, in.B)
+	case OpLoadG, OpAddrG:
+		b = append(appendDst(b, f, in, opNames[in.Op]), " @"...)
+		return append(b, m.Globals[in.Global].Name...)
 	case OpStoreG:
-		return fmt.Sprintf("storeg %s, %s", gname(), opnd(in.A))
-	case OpAddrG:
-		return fmt.Sprintf("%saddrg %s", dst(), gname())
-	case OpLoad:
-		return fmt.Sprintf("%sload %s", dst(), opnd(in.A))
+		b = append(append(b, "storeg @"...), m.Globals[in.Global].Name...)
+		return appendOperand(append(b, ", "...), f, in.A)
+	case OpLoad, OpAlloc, OpChRecv:
+		b = append(appendDst(b, f, in, opNames[in.Op]), ' ')
+		return appendOperand(b, f, in.A)
 	case OpStore:
-		return fmt.Sprintf("store %s, %s", opnd(in.A), opnd(in.B))
+		return appendOperands(append(b, "store "...), f, in.A, in.B)
 	case OpLoadS:
-		return fmt.Sprintf("%sloads %s", dst(), sname())
+		b = append(appendDst(b, f, in, "loads $"), f.SlotNames[in.Slot]...)
+		return b
 	case OpStoreS:
-		return fmt.Sprintf("stores %s, %s", sname(), opnd(in.A))
-	case OpAlloc:
-		return fmt.Sprintf("%salloc %s", dst(), opnd(in.A))
-	case OpFree:
-		return fmt.Sprintf("free %s", opnd(in.A))
-	case OpLock:
-		return fmt.Sprintf("lock %s", opnd(in.A))
+		b = append(append(b, "stores $"...), f.SlotNames[in.Slot]...)
+		return appendOperand(append(b, ", "...), f, in.A)
+	case OpFree, OpLock, OpUnlock, OpJoin, OpSleep, OpSignal, OpBroadcast,
+		OpChClose, OpSleepRand:
+		b = append(append(b, opNames[in.Op]...), ' ')
+		return appendOperand(b, f, in.A)
 	case OpTimedLock:
-		return fmt.Sprintf("%stimedlock %s, %d", dst(), opnd(in.A), in.Timeout)
-	case OpUnlock:
-		return fmt.Sprintf("unlock %s", opnd(in.A))
+		b = appendOperand(appendDst(b, f, in, "timedlock "), f, in.A)
+		return strconv.AppendInt(append(b, ", "...), int64(in.Timeout), 10)
 	case OpCall:
 		if in.HasDst() {
-			return dst() + "call " + callArgs()
+			return appendCall(appendDst(b, f, in, "call "), m, f, in)
 		}
-		return "call " + callArgs()
+		return appendCall(append(b, "call "...), m, f, in)
 	case OpSpawn:
-		return dst() + "spawn " + callArgs()
-	case OpJoin:
-		return fmt.Sprintf("join %s", opnd(in.A))
+		return appendCall(appendDst(b, f, in, "spawn "), m, f, in)
 	case OpOutput:
-		return fmt.Sprintf("output %q, %s", in.Text, opnd(in.A))
+		b = strconv.AppendQuote(append(b, "output "...), in.Text)
+		return appendOperand(append(b, ", "...), f, in.A)
 	case OpAssert:
-		kw := "assert"
 		if in.AssertKind == AssertOracle {
-			kw = "oracle"
+			b = append(b, "oracle "...)
+		} else {
+			b = append(b, "assert "...)
 		}
-		return fmt.Sprintf("%s %s, %q", kw, opnd(in.A), in.Text)
-	case OpYield:
-		return "yield"
-	case OpSleep:
-		return fmt.Sprintf("sleep %s", opnd(in.A))
-	case OpNop:
-		return "nop"
-	case OpWait:
+		b = appendOperand(b, f, in.A)
+		return strconv.AppendQuote(append(b, ", "...), in.Text)
+	case OpYield, OpNop:
+		return append(b, opNames[in.Op]...)
+	case OpWait, OpChSend:
 		if in.Timeout > 0 {
-			return fmt.Sprintf("%swait %s, %s, %d", dst(), opnd(in.A), opnd(in.B), in.Timeout)
+			b = append(appendDst(b, f, in, opNames[in.Op]), ' ')
+			b = appendOperands(b, f, in.A, in.B)
+			return strconv.AppendInt(append(b, ", "...), int64(in.Timeout), 10)
 		}
-		return fmt.Sprintf("wait %s, %s", opnd(in.A), opnd(in.B))
-	case OpSignal:
-		return fmt.Sprintf("signal %s", opnd(in.A))
-	case OpBroadcast:
-		return fmt.Sprintf("broadcast %s", opnd(in.A))
-	case OpChSend:
-		if in.Timeout > 0 {
-			return fmt.Sprintf("%schsend %s, %s, %d", dst(), opnd(in.A), opnd(in.B), in.Timeout)
-		}
-		return fmt.Sprintf("chsend %s, %s", opnd(in.A), opnd(in.B))
-	case OpChRecv:
-		return fmt.Sprintf("%schrecv %s", dst(), opnd(in.A))
-	case OpChClose:
-		return fmt.Sprintf("chclose %s", opnd(in.A))
+		b = append(append(b, opNames[in.Op]...), ' ')
+		return appendOperands(b, f, in.A, in.B)
 	case OpCAS:
-		return fmt.Sprintf("%scas %s, %s, %s", dst(), opnd(in.A), opnd(in.B), opnd(in.Args[0]))
+		b = appendOperands(appendDst(b, f, in, "cas "), f, in.A, in.B)
+		return appendOperand(append(b, ", "...), f, in.Args[0])
 	case OpCheckpoint:
-		return fmt.Sprintf("checkpoint %d", in.Site)
+		return strconv.AppendInt(append(b, "checkpoint "...), int64(in.Site), 10)
 	case OpRollback:
-		return fmt.Sprintf("rollback %d, %d", in.Site, in.MaxRetry)
+		b = strconv.AppendInt(append(b, "rollback "...), int64(in.Site), 10)
+		return strconv.AppendInt(append(b, ", "...), in.MaxRetry, 10)
 	case OpFail:
-		return fmt.Sprintf("fail %s, %q", in.FailKind, in.Text)
-	case OpSleepRand:
-		return fmt.Sprintf("sleeprand %s", opnd(in.A))
+		b = append(append(b, "fail "...), in.FailKind.String()...)
+		return strconv.AppendQuote(append(b, ", "...), in.Text)
 	case OpBr:
-		return fmt.Sprintf("br %s, %s, %s", opnd(in.A), blk(in.Then), blk(in.Else))
+		b = appendOperand(append(b, "br "...), f, in.A)
+		b = append(append(b, ", "...), f.Blocks[in.Then].Name...)
+		return append(append(b, ", "...), f.Blocks[in.Else].Name...)
 	case OpJmp:
-		return fmt.Sprintf("jmp %s", blk(in.Then))
+		return append(append(b, "jmp "...), f.Blocks[in.Then].Name...)
 	case OpRet:
 		if in.A.Kind == OperandNone {
-			return "ret"
+			return append(b, "ret"...)
 		}
-		return fmt.Sprintf("ret %s", opnd(in.A))
+		return appendOperand(append(b, "ret "...), f, in.A)
 	}
-	return fmt.Sprintf("<%s?>", in.Op)
+	return append(append(append(b, '<'), in.Op.String()...), "?>"...)
+}
+
+// appendDst appends "%dst = " and the mnemonic text that follows it.
+func appendDst(b []byte, f *Function, in *Instr, op string) []byte {
+	b = append(append(b, '%'), f.RegNames[in.Dst]...)
+	return append(append(b, " = "...), op...)
+}
+
+func appendOperand(b []byte, f *Function, o Operand) []byte {
+	switch o.Kind {
+	case OperandReg:
+		return append(append(b, '%'), f.RegNames[o.Reg]...)
+	case OperandImm:
+		return strconv.AppendInt(b, o.Imm, 10)
+	}
+	return append(b, '_')
+}
+
+// appendOperands appends "a, b".
+func appendOperands(b []byte, f *Function, a, c Operand) []byte {
+	return appendOperand(append(appendOperand(b, f, a), ", "...), f, c)
+}
+
+// appendCall appends "callee(arg, ...)".
+func appendCall(b []byte, m *Module, f *Function, in *Instr) []byte {
+	b = append(append(b, m.Functions[in.Callee].Name...), '(')
+	for i, a := range in.Args {
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		b = appendOperand(b, f, a)
+	}
+	return append(b, ')')
 }

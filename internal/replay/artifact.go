@@ -1,13 +1,16 @@
 package replay
 
 // Per-module artifact cache. Every Recording embeds the module's
-// canonical printed text plus its hash, and a sweep builds one recording
-// per job — thousands of jobs over the same handful of modules. Printing
-// and hashing a module is by far the most expensive part of building a
-// recording (profiles of a flight-recorded sweep showed mir.Print at
-// ~60% of CPU), so the text/hash pair is computed once per module and
-// reused. Correctness rests on the same invariant the interpreter
-// already requires: a module is immutable once runs of it have started.
+// canonical printed text plus its hash, a sweep builds one recording per
+// job — thousands of jobs over the same handful of modules — and every
+// Verify or Minimize checks the module against a recording's hash.
+// Printing and hashing cost time linear in the module's text (several
+// milliseconds for the largest hardened programs), while the rest of
+// building a recording copies a few slices and a check replays a run of
+// a few milliseconds, so the text/hash pair is computed once per module
+// and reused by recordings, HashModule and CheckModule alike.
+// Correctness rests on the same invariant the interpreter already
+// requires: a module is immutable once runs of it have started.
 //
 // The cache is keyed by pointer identity and bounded: generator-driven
 // soaks mint a fresh module per seed, and an unbounded map would pin

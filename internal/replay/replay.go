@@ -164,10 +164,12 @@ func (r *Recording) Picks() int64 {
 func (r *Recording) Switches() int { return sched.Switches(r.Segments) }
 
 // HashModule returns the artifact hash of a module: hex sha256 of its
-// canonical printed text.
+// canonical printed text. The hash is memoized per module pointer along
+// with the text recordings embed (see artifactOf), so the module must
+// not be mutated after the first call.
 func HashModule(mod *mir.Module) string {
-	sum := sha256.Sum256([]byte(mir.Print(mod)))
-	return hex.EncodeToString(sum[:])
+	_, hash := artifactOf(mod)
+	return hash
 }
 
 // Module materializes the embedded program, verifying it against the
@@ -188,7 +190,8 @@ func (r *Recording) Module() (*mir.Module, error) {
 }
 
 // CheckModule verifies that mod is the program this recording was
-// captured from.
+// captured from, by HashModule: a module already recorded, verified or
+// hashed is not printed again.
 func (r *Recording) CheckModule(mod *mir.Module) error {
 	if got := HashModule(mod); got != r.ModuleHash {
 		return fmt.Errorf("replay: module hash %s does not match recording %s (program changed?)",

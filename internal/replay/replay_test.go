@@ -217,3 +217,39 @@ func TestVerifyDetectsWrongModule(t *testing.T) {
 		t.Fatal("Verify accepted a recording against the wrong module")
 	}
 }
+
+// TestModuleHashesPinned pins HashModule on three modules, raw and
+// hardened, to the hashes of their canonical text, and checks that a
+// recording and a repeated call agree: the memoized hash must stay the
+// hash of exactly the printed text.
+func TestModuleHashesPinned(t *testing.T) {
+	light := bugs.ByName("MySQL2").Program(bugs.Config{Light: true, ForceBug: true})
+	h, err := core.Harden(light, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := mirgen.Gen(mirgen.Config{Seed: 7, Threads: 2, Bug: mirgen.BugAtomicity})
+	for _, c := range []struct {
+		name string
+		mod  *mir.Module
+		want string
+	}{
+		{"MySQL2 light", light, "06d6de4b14780a641e9f4525300c7566cf10773279657749c828751b7d15a1ed"},
+		{"MySQL2 survival", h.Module, "03db3340e9414696453c188cd82057c355eda21cb2c2f73c5ee371932ec130ee"},
+		{"mirgen atomicity", gen, "2133225b13ba70c8d9a8d780e22c26da3a23fd6afb632f9c8df402da81a2c6aa"},
+	} {
+		if got := replay.HashModule(c.mod); got != c.want {
+			t.Errorf("%s: hash %s, want %s", c.name, got, c.want)
+		}
+		if got := replay.HashModule(c.mod); got != c.want {
+			t.Errorf("%s: repeated hash %s, want %s", c.name, got, c.want)
+		}
+	}
+	_, rec := replay.Record(gen, randCfg(1), replay.Meta{})
+	if rec.ModuleHash != replay.HashModule(gen) {
+		t.Errorf("recording hash %s, HashModule %s", rec.ModuleHash, replay.HashModule(gen))
+	}
+	if err := rec.CheckModule(gen); err != nil {
+		t.Error(err)
+	}
+}
