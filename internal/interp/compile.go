@@ -27,13 +27,14 @@ import (
 //     sweep are fused into super-instructions (bin+br-at-site, loadg+br)
 //     that the run loop executes without re-entering the dispatch path.
 //
-// Fusion never changes observable behaviour: the scheduler consumes one
-// decision per executed instruction (sched.Random draws its RNG on every
-// Pick), so a fused pair still performs the full inter-instruction
-// scheduling step between its two micro-ops, and bails out to the unfused
-// second instruction — which always exists at pc+1, because lowering maps
-// source instructions 1:1 onto code slots and fusion only rewrites the
-// first slot of a pair — whenever the scheduler picks another thread.
+// Neither changes observable behaviour: the scheduler's stream advances
+// one decision per executed instruction (a one-thread superblock quantum
+// advances it in bulk with sched.Random.Skip; see runLoop), so a fused
+// pair still performs the full inter-instruction scheduling step between
+// its two micro-ops, and bails out to the unfused second instruction —
+// which always exists at pc+1, because lowering maps source instructions
+// 1:1 onto code slots and fusion only rewrites the first slot of a pair —
+// whenever the scheduler picks another thread.
 
 // cop enumerates compiled opcodes. cBin* split by operand shape so the hot
 // arithmetic path loads registers without per-operand branches; a bin with
@@ -75,8 +76,8 @@ const (
 	// Synchronization extensions: all scheduling-relevant (they block,
 	// wake threads, fail, or touch shared state), so none are superblock-
 	// eligible and all dispatch through the central switch.
-	cWait    // a=condvar, b=mutex, aux=timeout (0 = untimed)
-	cSignal  // a=condvar
+	cWait   // a=condvar, b=mutex, aux=timeout (0 = untimed)
+	cSignal // a=condvar
 	cBroadcast
 	cChSend  // a=channel, b=value, aux=timeout (0 = untimed)
 	cChRecv  // a=channel
@@ -190,6 +191,9 @@ type fcode struct {
 type Program struct {
 	mod   *mir.Module
 	funcs []fcode
+	// arenaWords sizes a VM's first frame-arena chunk: one frame of every
+	// function (pools reuse frames), capped at arenaChunk.
+	arenaWords int
 }
 
 var (
@@ -225,7 +229,10 @@ func compileModule(mod *mir.Module) *Program {
 	p := &Program{mod: mod, funcs: make([]fcode, len(mod.Functions))}
 	for fi := range mod.Functions {
 		p.funcs[fi] = compileFunc(mod, fi)
+		f := &mod.Functions[fi]
+		p.arenaWords += f.NumRegs() + len(f.SlotNames)
 	}
+	p.arenaWords = min(p.arenaWords, arenaChunk)
 	return p
 }
 

@@ -68,7 +68,7 @@ type VM struct {
 	// then draws from the inner Random and reports each decision to the
 	// ring via Note/NoteRun, keeping the always-on flight recorder off the
 	// interface-dispatch slow path. Every vm.rnd pick site must pair its
-	// draw with a note, or the recorded stream would miss picks.
+	// draw (or Skip) with a note, or the recorded stream would miss picks.
 	flight *sched.FlightRecorder
 
 	// live lists the ids of non-done threads in ascending id order, and
@@ -232,15 +232,17 @@ func (vm *VM) newFrame(fi, retDst int) frame {
 }
 
 // arenaAlloc carves an n-word array out of the VM's frame arena, growing it
-// by fixed chunks. Fresh chunks are zeroed by make, and every span is
+// by chunks: the first sized to the program's frames (Program.arenaWords),
+// later ones fixed. Fresh chunks are zeroed by make, and every span is
 // handed out exactly once (recycling goes through the per-function pools,
 // which zero on reuse), so callers always see zeroed memory.
 func (vm *VM) arenaAlloc(n int) []mir.Word {
 	if vm.arenaOff+n > len(vm.arena) {
 		c := arenaChunk
-		if n > c {
-			c = n
+		if vm.arena == nil {
+			c = vm.prog.arenaWords
 		}
+		c = max(c, n)
 		vm.arena = make([]mir.Word, c)
 		vm.arenaOff = 0
 	}
@@ -289,26 +291,32 @@ func (vm *VM) closeEpisode(t *thread, site int) {
 // and rollback. It executes until the run ends or (in single mode) one
 // instruction retires, and reports whether any instruction executed.
 //
-// Determinism contract: exactly one scheduler Pick (and one KindSchedPick
-// sink event) precedes every executed instruction — sched.Random consumes
-// an RNG draw per Pick, so schedules would shift if fusion elided one.
-// Fused super-instructions therefore run the full inter-instruction
-// sequence (step++, limit check, Pick, sink) between their two micro-ops,
-// and jump back to dispatch when the scheduler picks another thread: the
-// unfused tail at pc+1 executes later, exactly as if never fused. Fusion
-// is disabled in single mode (StepOnce means one instruction) and under
+// Determinism contract: every executed instruction advances the
+// scheduler's stream by exactly one decision — one Pick, hence one
+// sched.Random draw — and a sink sees exactly one KindSchedPick for it,
+// so schedules would shift if fusion or batching elided one. Fused
+// super-instructions therefore run the full inter-instruction sequence
+// (step++, limit check, Pick, sink) between their two micro-ops, and jump
+// back to dispatch when the scheduler picks another thread: the unfused
+// tail at pc+1 executes later, exactly as if never fused. Fusion is
+// disabled in single mode (StepOnce means one instruction) and under
 // Trace (one trace line per instruction).
 //
 // Superblock quanta obey the same contract. When the current instruction
 // is scheduling-irrelevant (in.run != nil — see sbEligible), the loop
-// enters a quantum: it chains the compiled closures directly, performing
-// the identical step++/limit/Pick/sink sequence between instructions but
-// never re-entering the dispatch switch until it reaches a scheduling-
-// relevant instruction or the scheduler picks another thread. Because
-// eligible instructions cannot fail, block, wake, spawn or finish threads,
-// the runnable set — and with it every scheduler decision and its RNG draw
-// — is bit-identical to unbatched execution; batching changes only how
-// many times the dispatch switch runs. Superblocks are disabled in single
+// enters a quantum: it chains the compiled closures directly, never
+// re-entering the dispatch switch until it reaches a scheduling-relevant
+// instruction or the scheduler picks another thread. Eligible
+// instructions cannot fail, block, wake, spawn or finish threads, so the
+// runnable set is fixed for the whole quantum. With one live thread and
+// none waiting under sched.Random — the overwhelmingly common quantum —
+// every decision in it is that thread, so the loop draws nothing per
+// instruction and advances the stream in bulk at the exit
+// (Random.Skip(stay)), with one flight-ring note for the same stay; the
+// stream is left exactly where per-instruction draws would leave it.
+// Every other quantum takes pickThread per instruction. Either way the
+// schedule is bit-identical to unbatched execution; batching changes only
+// how the decisions are paid for. Superblocks are disabled in single
 // mode, under Trace, and by Config.NoSuperblocks (the parity tests'
 // reference).
 func (vm *VM) runLoop(max int64, single bool) bool {
@@ -365,71 +373,53 @@ func (vm *VM) runLoop(max int64, single bool) bool {
 		if batch && in.run != nil {
 			// Superblock quantum: chain closures until the superblock ends or
 			// the scheduler switches threads. The pick for the current
-			// instruction was already consumed (and sink-recorded) above; the
-			// loop consumes exactly one further pick per retired instruction,
-			// so the RNG stream is positioned exactly as unbatched execution
-			// would leave it.
+			// instruction was already consumed (and sink-recorded) above;
+			// every further retired instruction owns exactly one more.
 			executed = true
 			vm.sbQuanta++
-			if vm.rnd != nil && vm.waiting == 0 {
-				// No eligible instruction can change the live set or wake a
-				// waiter, so the runnable count n — and the fast-pick
-				// precondition itself — is invariant across the quantum. The
-				// step counters stay in locals for the quantum's duration
-				// (closures never read them) and are flushed back on every
-				// exit path.
-				n := int32(len(vm.live))
-				rnd, live := vm.rnd, vm.live
-				step, instrs := vm.step, vm.sbInstrs
-				// Flight picks inside the quantum are all of the current
-				// thread until the exit draw; count them in a register and
-				// flush one RLE note per quantum instead of one per step.
+			if vm.rnd != nil && vm.waiting == 0 && len(vm.live) == 1 {
+				// One live thread, none waiting, and no eligible instruction
+				// can spawn, wake or end a thread: every pick in the quantum
+				// is tid. Draw nothing per instruction; advance the stream
+				// and the flight ring by the whole stay at the exit.
+				step := vm.step
 				var stay int64
+				hang := ""
 				for {
 					in.run(fr)
 					step++
-					instrs++
 					if step >= max {
-						vm.step, vm.sbInstrs = step, instrs
-						vm.noteFlightRun(tid, stay)
-						vm.fail(mir.FailHang, mir.Pos{}, 0, -1, "step limit exceeded (hang)")
-						return true
+						hang = "step limit exceeded (hang)"
+						break
 					}
 					if vm.interrupted(step) {
-						vm.step, vm.sbInstrs = step, instrs
-						vm.noteFlightRun(tid, stay)
-						vm.fail(mir.FailHang, mir.Pos{}, 0, -1, "interrupted by watchdog")
-						return true
-					}
-					nt := live[rnd.ReduceDraw(rnd.Int31(), n)]
-					if vm.sink != nil {
-						vm.sink.Record(obs.Event{
-							Step: step, Kind: obs.KindSchedPick, TID: int32(nt),
-						})
-					}
-					if nt != tid {
-						vm.step, vm.sbInstrs = step, instrs
-						vm.noteFlightRun(tid, stay)
-						vm.noteFlight(nt)
-						tid = nt
-						t = vm.threads[tid]
-						fr = t.top()
-						code = vm.prog.funcs[fr.fn].code
-						goto dispatch
+						hang = "interrupted by watchdog"
+						break
 					}
 					stay++
+					if vm.sink != nil {
+						vm.sink.Record(obs.Event{
+							Step: step, Kind: obs.KindSchedPick, TID: int32(tid),
+						})
+					}
 					in = &code[fr.pc]
 					if in.run == nil {
-						vm.step, vm.sbInstrs = step, instrs
-						vm.noteFlightRun(tid, stay)
 						break
 					}
 				}
+				vm.sbInstrs += step - vm.step
+				vm.step = step
+				vm.rnd.Skip(stay)
+				vm.noteFlightRun(tid, stay)
+				if hang != "" {
+					vm.fail(mir.FailHang, mir.Pos{}, 0, -1, hang)
+					return true
+				}
 			} else {
-				// Non-Random scheduler (PCT, round-robin, scripted) or some
-				// thread waiting: take the full pickThread per instruction so
-				// wake-ups, timeouts and scheduler state advance exactly as
-				// they would unbatched.
+				// More than one live thread, some thread waiting, or a
+				// scheduler other than Random: take the full pickThread
+				// per instruction so draws, wake-ups, timeouts and
+				// scheduler state advance exactly as they would unbatched.
 				for {
 					in.run(fr)
 					vm.step++

@@ -1,16 +1,21 @@
 package interp_test
 
 import (
+	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
+	"conair/internal/bugs"
 	"conair/internal/core"
 	"conair/internal/interp"
 	"conair/internal/mir"
 	"conair/internal/mirgen"
 	"conair/internal/obs"
+	"conair/internal/sanitizer"
 	"conair/internal/sched"
 )
 
@@ -110,12 +115,14 @@ func TestSuperblockParityTestdata(t *testing.T) {
 		}
 		name := filepath.Base(path)
 		parityCompare(t, name, m, seeds)
+		sinkFreeCompare(t, name, m, seeds, plainCase{maxSteps: parityMaxSteps})
 
 		h, err := core.Harden(m, core.DefaultOptions())
 		if err != nil {
 			t.Fatalf("%s: harden: %v", path, err)
 		}
 		parityCompare(t, name+"+hardened", h.Module, seeds)
+		sinkFreeCompare(t, name+"+hardened", h.Module, seeds, plainCase{maxSteps: parityMaxSteps})
 	}
 }
 
@@ -140,11 +147,182 @@ func TestSuperblockParityMirgen(t *testing.T) {
 		m := mirgen.Gen(cfg)
 		name := cfg.Bug.String()
 		parityCompare(t, name, m, seeds)
+		sinkFreeCompare(t, name, m, seeds, plainCase{maxSteps: parityMaxSteps})
 
 		h, err := core.Harden(m, core.DefaultOptions())
 		if err != nil {
 			t.Fatalf("seed %d: harden: %v", i, err)
 		}
 		parityCompare(t, name+"+hardened", h.Module, seeds)
+		sinkFreeCompare(t, name+"+hardened", h.Module, seeds, plainCase{maxSteps: parityMaxSteps})
+	}
+}
+
+// The sink-free leg pins the path the traced tests above cannot reach:
+// without a Sink, a quantum with one live thread skips its draws and
+// advances the scheduler's stream in bulk at the exit. Batched and
+// NoSuperblocks runs must still agree on the Result, on the stream
+// position after the run (the next draw), and — with a FlightRecorder
+// wrapping the Random — on the recorded segment and Intn streams.
+
+// plainRun is the observable outcome of one sink-free run.
+type plainRun struct {
+	res   *interp.Result
+	next  int // the scheduler's next Intn(1<<30) after the run
+	segs  []sched.Segment
+	intns []int64
+}
+
+// plainCase configures a sink-free run: its step cutoff and whether a
+// watchdog trips (see tripSan).
+type plainCase struct {
+	maxSteps int64
+	watchdog bool
+}
+
+// tripSan is a real race detector that also arms the run's watchdog
+// flag on the first shared-memory access, so the watchdog fires at the
+// next poll point (step 65536) at the same virtual time in every run.
+type tripSan struct {
+	interp.Sanitizer
+	flag *atomic.Bool
+}
+
+func (s *tripSan) Access(tid int, addr mir.Word, write bool, pos mir.Pos) {
+	s.flag.Store(true)
+	s.Sanitizer.Access(tid, addr, write, pos)
+}
+
+func runPlain(t *testing.T, m *mir.Module, seed int64, c plainCase, noSuperblocks, flight bool) plainRun {
+	t.Helper()
+	rnd := sched.NewRandom(seed)
+	cfg := interp.Config{
+		Sched:         rnd,
+		MaxSteps:      c.maxSteps,
+		CollectOutput: true,
+		NoSuperblocks: noSuperblocks,
+	}
+	var fr *sched.FlightRecorder
+	if flight {
+		fr = sched.NewFlightRecorder(rnd, 1<<20)
+		cfg.Sched = fr
+	}
+	if c.watchdog {
+		var flag atomic.Bool
+		cfg.Interrupt = &flag
+		cfg.Sanitizer = &tripSan{Sanitizer: sanitizer.New(m), flag: &flag}
+	}
+	r := plainRun{res: interp.RunModule(m, cfg)}
+	r.next = rnd.Intn(1 << 30)
+	if fr != nil {
+		if fr.Truncated() {
+			t.Fatalf("flight ring truncated after %d picks; raise its limit", fr.Picks())
+		}
+		r.segs, r.intns = fr.Segments(), fr.Intns()
+	}
+	return r
+}
+
+// sinkFreeCompare runs m batched and unbatched, with and without a
+// flight recorder, across seeds, and fails on the first divergence.
+func sinkFreeCompare(t *testing.T, name string, m *mir.Module, seeds []int64, c plainCase) {
+	t.Helper()
+	for _, seed := range seeds {
+		for _, flight := range []bool{false, true} {
+			batched := runPlain(t, m, seed, c, false, flight)
+			plain := runPlain(t, m, seed, c, true, flight)
+			where := fmt.Sprintf("%s seed %d flight=%v", name, seed, flight)
+			if !reflect.DeepEqual(batched.res, plain.res) {
+				t.Errorf("%s: batched and unbatched results differ\nbatched:   %+v\nunbatched: %+v",
+					where, batched.res, plain.res)
+				return
+			}
+			if batched.next != plain.next {
+				t.Errorf("%s: stream position differs after the run: next draw %d batched, %d unbatched",
+					where, batched.next, plain.next)
+				return
+			}
+			if !reflect.DeepEqual(batched.segs, plain.segs) || !reflect.DeepEqual(batched.intns, plain.intns) {
+				t.Errorf("%s: flight streams differ\nbatched:   %v %v\nunbatched: %v %v",
+					where, batched.segs, batched.intns, plain.segs, plain.intns)
+				return
+			}
+		}
+	}
+}
+
+// TestSuperblockParitySinkFreeBugs covers the recovery traffic: the 13
+// programs' light forced builds, raw and survival-hardened.
+func TestSuperblockParitySinkFreeBugs(t *testing.T) {
+	for _, b := range append(bugs.All(), bugs.Corpus()...) {
+		m := b.Program(bugs.Config{Light: true, ForceBug: true})
+		sinkFreeCompare(t, b.Name, m, []int64{1, 17}, plainCase{maxSteps: parityMaxSteps})
+		h, err := core.Harden(m, core.DefaultOptions())
+		if err != nil {
+			t.Fatalf("%s: harden: %v", b.Name, err)
+		}
+		sinkFreeCompare(t, b.Name+"+hardened", h.Module, []int64{1, 17}, plainCase{maxSteps: parityMaxSteps})
+	}
+}
+
+// spinSrc runs one thread through a 20000-iteration slot-counter loop:
+// every instruction from the first stores to the output is superblock-
+// eligible, so the whole loop (100005 instructions) is one quantum
+// that crosses 165 generator refill blocks. The loadg before it
+// is the first shared access, which arms tripSan's watchdog.
+const spinSrc = `module spin
+global g = 0
+
+func main() {
+entry:
+  %g = loadg @g
+  stores $i, %g
+  jmp loop
+loop:
+  %i = loads $i
+  %n = add %i, 1
+  stores $i, %n
+  %c = lt %n, 20000
+  br %c, loop, done
+done:
+  output "i", %n
+  ret 0
+}
+`
+
+// TestSuperblockParitySinkFreeLongQuantum runs the one-thread spin loop
+// to completion, cut by MaxSteps inside the quantum (around refill
+// boundaries too), and stopped by the watchdog inside the quantum. With
+// one thread every executed instruction owns exactly one draw, so beyond
+// parity the stream must sit exactly Steps draws into math/rand's.
+func TestSuperblockParitySinkFreeLongQuantum(t *testing.T) {
+	m, err := mir.Parse(spinSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []plainCase{{maxSteps: parityMaxSteps}, {maxSteps: parityMaxSteps, watchdog: true}}
+	for _, max := range []int64{3, 606, 607, 608, 609, 1000, 3*607 + 5, 100_003} {
+		cases = append(cases, plainCase{maxSteps: max})
+	}
+	for _, c := range cases {
+		name := fmt.Sprintf("spin max=%d watchdog=%v", c.maxSteps, c.watchdog)
+		sinkFreeCompare(t, name, m, []int64{0, 5}, c)
+
+		r := runPlain(t, m, 5, c, false, false)
+		switch {
+		case c.watchdog && (r.res.Failure == nil || r.res.Stats.Steps != 1<<16):
+			t.Fatalf("%s: want a watchdog stop at step 65536, got steps=%d failure=%v", name, r.res.Stats.Steps, r.res.Failure)
+		case !c.watchdog && c.maxSteps < parityMaxSteps && r.res.Stats.Steps != c.maxSteps:
+			t.Fatalf("%s: stopped at step %d", name, r.res.Stats.Steps)
+		case c.maxSteps == parityMaxSteps && !c.watchdog && !r.res.Completed:
+			t.Fatalf("%s: did not complete: %v", name, r.res.Failure)
+		}
+		want := rand.New(rand.NewSource(5))
+		for i := int64(0); i < r.res.Stats.Steps; i++ {
+			want.Int31()
+		}
+		if w := want.Intn(1 << 30); r.next != w {
+			t.Fatalf("%s: next draw %d, want %d (math/rand after %d draws)", name, r.next, w, r.res.Stats.Steps)
+		}
 	}
 }

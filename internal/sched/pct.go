@@ -1,7 +1,5 @@
 package sched
 
-import "math/rand"
-
 // PCT is a randomized priority scheduler in the style of probabilistic
 // concurrency testing (Burckhardt et al.): each thread gets a random
 // priority when first seen, the runnable thread with the highest priority
@@ -11,7 +9,7 @@ import "math/rand"
 // provable probability — a useful complement to the forced-sleep
 // methodology when hunting for bugs the test author has not located yet.
 type PCT struct {
-	rng    *rand.Rand
+	src    source
 	prio   map[int]int
 	next   int
 	change map[int64]bool
@@ -21,19 +19,15 @@ type PCT struct {
 // NewPCT returns a PCT scheduler with depth d (the number of priority
 // change points) spread over an expected run of maxSteps steps.
 func NewPCT(seed int64, d int, maxSteps int64) *PCT {
-	rng := rand.New(rand.NewSource(seed))
-	change := map[int64]bool{}
+	p := &PCT{prio: map[int]int{}, change: map[int64]bool{}}
+	p.src.seed(seed)
 	if maxSteps < 1 {
 		maxSteps = 1
 	}
 	for i := 0; i < d-1; i++ {
-		change[rng.Int63n(maxSteps)] = true
+		p.change[p.src.Int63n(maxSteps)] = true
 	}
-	return &PCT{
-		rng:    rng,
-		prio:   map[int]int{},
-		change: change,
-	}
+	return p
 }
 
 // Pick implements Scheduler.
@@ -43,7 +37,7 @@ func (p *PCT) Pick(runnable []int, step int64) int {
 		pr, ok := p.prio[t]
 		if !ok {
 			// Random initial priority, distinct per thread.
-			pr = p.rng.Intn(1 << 16)
+			pr = p.src.Intn(1 << 16)
 			p.prio[t] = pr
 		}
 		if pr > bestPrio {
@@ -62,7 +56,7 @@ func (p *PCT) Pick(runnable []int, step int64) int {
 }
 
 // Intn implements Scheduler.
-func (p *PCT) Intn(n int) int { return p.rng.Intn(n) }
+func (p *PCT) Intn(n int) int { return p.src.Intn(n) }
 
 // Name implements Scheduler.
 func (p *PCT) Name() string { return "pct" }

@@ -8,8 +8,6 @@
 // interleaving, so experiments are exactly repeatable.
 package sched
 
-import "math/rand"
-
 // Scheduler picks which runnable thread executes the next instruction. A
 // scheduler is also the interpreter's source of randomness (for the
 // sleeprand livelock-avoidance instruction), keeping whole runs
@@ -25,21 +23,27 @@ type Scheduler interface {
 }
 
 // Random schedules uniformly at random among runnable threads.
+//
+// Determinism contract: the stream is bit-identical to
+// math/rand.New(rand.NewSource(seed)) — Pick and Intn return the values,
+// and consume the draws, that rand.(*Rand).Intn would. The interpreter
+// spends exactly one draw per executed instruction. With one live thread
+// every such draw picks that thread, so a quantum of k instructions may
+// advance the stream with Skip(k) instead of k draws; either way the
+// stream sits at the same position afterwards, and every later decision
+// is unchanged (pinned by TestSourceMatchesMathRand, the superblock
+// parity tests and the golden experiment fingerprints).
 type Random struct {
-	rng *rand.Rand
-	// src is the same source rng wraps. The interpreter consumes one draw
-	// per executed instruction, so Intn below re-derives math/rand's Intn
-	// arithmetic directly over the source — one interface call per draw
-	// instead of the Rand.Intn→Int31n→Int31→Int63 wrapper chain — while
-	// producing the bit-identical value stream (pinned by TestRandomIntn
-	// MatchesMathRand and the golden experiment fingerprints).
-	src rand.Source
+	// src is held by value: NewRandom is one allocation, and the hot
+	// draw is a field load, not an interface call.
+	src source
 }
 
 // NewRandom returns a seeded random scheduler.
 func NewRandom(seed int64) *Random {
-	src := rand.NewSource(seed)
-	return &Random{rng: rand.New(src), src: src}
+	r := new(Random)
+	r.src.seed(seed)
+	return r
 }
 
 // Pick implements Scheduler.
@@ -47,46 +51,31 @@ func (r *Random) Pick(runnable []int, _ int64) int {
 	return runnable[r.Intn(len(runnable))]
 }
 
-// Intn implements Scheduler. The value (and the number of draws consumed
-// from the source) is exactly what math/rand.(*Rand).Intn would produce:
-// one Int31 draw, masked when n is a power of two, otherwise the standard
-// modulo-rejection loop.
-func (r *Random) Intn(n int) int {
-	if n <= 0 || n > 1<<31-1 {
-		return r.rng.Intn(n) // out of the fast range; also panics on n <= 0
-	}
-	n32 := int32(n)
-	return int(r.ReduceDraw(r.Int31(), n32))
-}
+// Intn implements Scheduler with the values and draws of
+// rand.(*Rand).Intn; it panics on n <= 0.
+func (r *Random) Intn(n int) int { return r.src.Intn(n) }
 
 // ReduceDraw reduces a raw Int31 draw v to a uniform index in [0, n),
-// consuming further draws only in math/rand's modulo-rejection case. It is
-// the shared tail of Intn: hot schedulers (the interpreter's dispatch and
-// superblock loops) call Int31 + ReduceDraw inline and get the
-// bit-identical value stream — and draw count — Intn would produce.
+// consuming further draws only in math/rand's modulo-rejection case. The
+// interpreter's dispatch loop calls Int31 + ReduceDraw inline and gets
+// the bit-identical value stream — and draw count — Intn would produce.
 func (r *Random) ReduceDraw(v, n int32) int32 {
 	if n&(n-1) == 0 {
 		return v & (n - 1)
 	}
-	return r.IntnTail(v, n)
+	return r.src.reduceTail(v, n)
 }
 
 // Int31 returns the next raw draw, identical to math/rand.(*Rand).Int31.
-// It is small enough to inline, so hot callers (the interpreter's
-// scheduling loop) can split Intn into an inlined draw plus a rarely
-// needed IntnTail call instead of paying a full call per instruction.
-func (r *Random) Int31() int32 { return int32(r.src.Int63() >> 32) }
+// It is small enough to inline, so hot callers split Intn into an inlined
+// draw plus a rarely needed ReduceDraw tail.
+func (r *Random) Int31() int32 { return r.src.Int31() }
 
-// IntnTail completes a non-power-of-two Intn given the first draw v from
-// Int31: math/rand's modulo-rejection arithmetic, consuming further draws
-// only in the (rare) rejection case.
-func (r *Random) IntnTail(v, n int32) int32 {
-	max := int32((1 << 31) - 1 - (1<<31)%uint32(n))
-	for v > max {
-		v = int32(r.src.Int63() >> 32)
-	}
-	return v % n
-}
+// Skip advances the stream by n >= 0 draws — exactly as n discarded Int31
+// calls would — at the cost of the generator refills it crosses. The
+// interpreter uses it for one-live-thread quanta, where each of the n
+// draws could only have picked the thread already running.
+func (r *Random) Skip(n int64) { r.src.Skip(n) }
 
 // Name implements Scheduler.
 func (r *Random) Name() string { return "random" }
@@ -96,7 +85,7 @@ func (r *Random) Name() string { return "random" }
 // approximates run-to-block).
 type RoundRobin struct {
 	quantum int64
-	rng     *rand.Rand
+	src     source
 }
 
 // NewRoundRobin returns a round-robin scheduler with the given quantum.
@@ -105,7 +94,9 @@ func NewRoundRobin(quantum int64, seed int64) *RoundRobin {
 	if quantum < 1 {
 		quantum = 1
 	}
-	return &RoundRobin{quantum: quantum, rng: rand.New(rand.NewSource(seed))}
+	r := &RoundRobin{quantum: quantum}
+	r.src.seed(seed)
+	return r
 }
 
 // Pick implements Scheduler.
@@ -114,7 +105,7 @@ func (r *RoundRobin) Pick(runnable []int, step int64) int {
 }
 
 // Intn implements Scheduler.
-func (r *RoundRobin) Intn(n int) int { return r.rng.Intn(n) }
+func (r *RoundRobin) Intn(n int) int { return r.src.Intn(n) }
 
 // Name implements Scheduler.
 func (r *RoundRobin) Name() string { return "round-robin" }

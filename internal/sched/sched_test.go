@@ -15,7 +15,8 @@ func TestRandomIntnMatchesMathRand(t *testing.T) {
 		want := rand.New(rand.NewSource(seed))
 		// Interleave bounds so a draw-count mismatch desynchronizes the
 		// streams and shows up as a value mismatch on a later bound.
-		bounds := []int{1, 2, 3, 1, 5, 7, 8, 100, 1, 6, 1 << 20, 2, 9, 1<<31 - 1}
+		// Bounds past 2³¹−1 take math/rand's Int63n path on the same source.
+		bounds := []int{1, 2, 3, 1, 5, 7, 8, 100, 1, 6, 1 << 20, 2, 9, 1<<31 - 1, 1 << 40, 3<<40 + 7}
 		for round := 0; round < 200; round++ {
 			for _, n := range bounds {
 				g, w := got.Intn(n), want.Intn(n)
