@@ -13,6 +13,12 @@
 // is watched by the dynamic race/deadlock sanitizer; reports go to
 // stderr and force exit status 1 even when the program itself succeeds.
 //
+// -trace writes the run's structured trace events (scheduling decisions,
+// checkpoints, rollbacks, recovery episodes, lock and thread lifecycle,
+// failures, outputs) to stderr as JSON lines; -trace-json writes the same
+// events as a Chrome trace. Both keep the newest obs.DefaultTracerCap
+// events.
+//
 // -record captures the run's scheduler decision stream as a replayable
 // artifact; -replay reproduces such an artifact bit-identically (the
 // program comes from the artifact itself unless a prog.mir is given) and
@@ -29,6 +35,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"time"
 
@@ -47,7 +54,7 @@ func main() {
 	quantum := flag.Int64("quantum", 1, "round-robin quantum (with -sched rr)")
 	maxSteps := flag.Int64("max-steps", 0, "step limit (0 = default)")
 	stats := flag.Bool("stats", false, "print run statistics")
-	trace := flag.Bool("trace", false, "trace every executed instruction to stderr (slow)")
+	trace := flag.Bool("trace", false, "write the run's trace events to stderr as JSON lines")
 	traceJSON := flag.String("trace-json", "", "write a Chrome trace_event JSON file of the run")
 	sanitize := flag.Bool("sanitize", false, "attach the dynamic race/deadlock sanitizer")
 	record := flag.String("record", "", "write a replayable schedule recording (.cnr) of the run")
@@ -118,25 +125,22 @@ func main() {
 		cfg.MaxThreads = rec.MaxThreads
 		cfg.NoDeadlockCycles = rec.NoDeadlockCycles
 	}
-	var finish func(*interp.Result) *replay.Recording
-	if *record != "" {
+	// -record captures into a ring that never wraps. Under -serve a live
+	// run without an explicit recording is armed with the always-on
+	// flight recorder, so a failure still yields a replayable artifact at
+	// /runs/1/recording.
+	var flight *replay.FlightCapture
+	switch {
+	case *record != "":
 		if rec != nil {
 			fatal(fmt.Errorf("-record and -replay are mutually exclusive"))
 		}
-		cfg, finish = replay.Capture(m, cfg, replay.Meta{Seed: *seed, Label: "mirrun"})
-	}
-	// Under -serve a live run without an explicit recording is armed with
-	// the always-on flight recorder, so a failure still yields a
-	// replayable artifact at /runs/1/recording.
-	var flight *replay.FlightCapture
-	if telemetry != nil && finish == nil && rec == nil {
+		cfg, flight = replay.CaptureFlight(m, cfg, replay.Meta{Seed: *seed, Label: "mirrun"}, math.MaxInt)
+	case telemetry != nil && rec == nil:
 		cfg, flight = replay.CaptureFlight(m, cfg, replay.Meta{Seed: *seed, Label: m.Name}, runner.DefaultFlightLimit)
 	}
-	if *trace {
-		cfg.Trace = os.Stderr
-	}
 	var sink *obs.Tracer
-	if *traceJSON != "" {
+	if *trace || *traceJSON != "" {
 		sink = obs.NewTracer(obs.DefaultTracerCap)
 		cfg.Sink = sink
 	}
@@ -149,8 +153,10 @@ func main() {
 	r := interp.RunModule(m, cfg)
 	elapsed := time.Since(start)
 	var captured *replay.Recording
-	if finish != nil {
-		captured = finish(r)
+	if flight != nil {
+		captured = flight.Finish(r)
+	}
+	if *record != "" {
 		if err := replay.WriteFile(*record, captured); err != nil {
 			fatal(err)
 		}
@@ -159,9 +165,6 @@ func main() {
 	}
 	if telemetry != nil {
 		regRec, seedVal, schedLabel := captured, *seed, *schedName
-		if flight != nil && regRec == nil {
-			regRec = flight.Finish(r)
-		}
 		if rec != nil {
 			regRec, seedVal, schedLabel = rec, rec.Seed, rec.SchedName
 		}
@@ -181,7 +184,12 @@ func main() {
 			fmt.Fprintln(os.Stderr, "mirrun: replay verified: bit-identical to the recorded run")
 		}
 	}
-	if sink != nil {
+	if *trace {
+		if err := obs.WriteJSONL(os.Stderr, sink.Events()); err != nil {
+			fatal(err)
+		}
+	}
+	if *traceJSON != "" {
 		f, err := os.Create(*traceJSON)
 		if err != nil {
 			fatal(err)
@@ -192,6 +200,8 @@ func main() {
 		if err := f.Close(); err != nil {
 			fatal(err)
 		}
+	}
+	if sink != nil {
 		if d := sink.Dropped(); d > 0 {
 			fmt.Fprintf(os.Stderr, "mirrun: trace ring dropped %d early events\n", d)
 		}

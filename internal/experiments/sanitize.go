@@ -145,23 +145,6 @@ func sanitizePooled(san *sanitizer.Sanitizer, mod *mir.Module, cfg interp.Config
 	return r
 }
 
-// SanitizeSearchRef is the sequential oracle for SanitizeSearch: the same
-// seed walk with a fresh Reference detector per seed, no engine, no
-// cancellation. The parallel-determinism tests pin SanitizeSearch's
-// (seed, reports) pair against it.
-func SanitizeSearchRef(mod *mir.Module, budget, maxSteps int64) (int64, []sanitizer.Report) {
-	for seed := int64(0); seed < budget; seed++ {
-		san := sanitizer.NewReference(mod)
-		cfg := pctCfg(seed, maxSteps)
-		cfg.Sanitizer = san
-		interp.RunModule(mod, cfg)
-		if rs := san.Reports(); len(rs) > 0 {
-			return seed, rs
-		}
-	}
-	return -1, nil
-}
-
 // sanitizeBudget is the PCT-schedule budget Table 3's detection column
 // searches per bug; every benchmark's bug surfaces well within it.
 const sanitizeBudget = 5

@@ -17,6 +17,23 @@ import (
 	"conair/internal/sanitizer"
 )
 
+// SanitizeSearchRef is the test-only sequential oracle for SanitizeSearch:
+// the same seed walk with a fresh Reference detector per seed, no engine,
+// no cancellation. The parallel-determinism tests pin SanitizeSearch's
+// (seed, reports) pair against it.
+func SanitizeSearchRef(mod *mir.Module, budget, maxSteps int64) (int64, []sanitizer.Report) {
+	for seed := int64(0); seed < budget; seed++ {
+		san := sanitizer.NewReference(mod)
+		cfg := pctCfg(seed, maxSteps)
+		cfg.Sanitizer = san
+		interp.RunModule(mod, cfg)
+		if rs := san.Reports(); len(rs) > 0 {
+			return seed, rs
+		}
+	}
+	return -1, nil
+}
+
 // The differential sweep pins the epoch Sanitizer against the Reference
 // detector: same module, same PCT schedule, two sanitized runs — the run
 // results must match bit-for-bit (passivity: neither detector perturbs

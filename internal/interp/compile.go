@@ -16,25 +16,18 @@ import (
 //   - operands are pre-bound to a register slot or an immediate, removing
 //     the per-step eval() kind switch (OperandNone lowers to immediate 0,
 //     matching eval's historical behaviour);
-//   - every cinstr carries its precomputed mir.Pos, so the failure,
-//     sanitizer and trace paths never reconstruct positions;
-//   - scheduling-irrelevant instructions are additionally lowered to direct
-//     Go closures (cinstr.run), so the run loop can execute a whole
-//     superblock — a maximal straight-line run of such instructions — as
-//     one scheduler quantum without re-entering the central dispatch
-//     switch (see superblocks below);
-//   - the scheduling-relevant instruction pairs observed in the golden
-//     sweep are fused into super-instructions (bin+br-at-site, loadg+br)
-//     that the run loop executes without re-entering the dispatch path.
+//   - every cinstr carries its precomputed mir.Pos, so the failure and
+//     sanitizer paths never reconstruct positions;
+//   - scheduling-irrelevant instructions (sbEligible) are lowered to
+//     direct Go closures (cinstr.run), which are their only implementation:
+//     the run loop chains them through a superblock — a maximal
+//     straight-line run of such instructions — as one scheduler quantum,
+//     and its dispatch switch handles only the scheduling-relevant rest.
 //
-// Neither changes observable behaviour: the scheduler's stream advances
-// one decision per executed instruction (a one-thread superblock quantum
-// advances it in bulk with sched.Random.Skip; see runLoop), so a fused
-// pair still performs the full inter-instruction scheduling step between
-// its two micro-ops, and bails out to the unfused second instruction —
-// which always exists at pc+1, because lowering maps source instructions
-// 1:1 onto code slots and fusion only rewrites the first slot of a pair —
-// whenever the scheduler picks another thread.
+// Source instructions map 1:1 onto code slots, and neither form changes
+// observable behaviour: the scheduler's stream advances one decision per
+// executed instruction (a one-thread superblock quantum advances it in
+// bulk with sched.Random.Skip; see runLoop).
 
 // cop enumerates compiled opcodes. cBin* split by operand shape so the hot
 // arithmetic path loads registers without per-operand branches; a bin with
@@ -84,14 +77,6 @@ const (
 	cChClose // a=channel
 	cCAS     // a=address, b=expected, args[0]=replacement
 	cUnimpl  // unknown source opcode; fails at execution time like exec did
-
-	// Fused super-instructions. Each occupies the first slot of its source
-	// pair; the second slot keeps the unfused tail as the bail-out target.
-	// Only pairs whose head or tail is scheduling-relevant are fused —
-	// pairs of scheduling-irrelevant instructions are covered by the
-	// superblock closure path instead.
-	cFusedBinBr   // bin (generic operands) ; then br (site > 0) on regs[x2] to thenPC/elsePC
-	cFusedLoadGBr // loadg dst,aux ; then br on regs[x2] to thenPC/elsePC
 )
 
 // carg is a pre-resolved call/spawn argument: a register slot, or an
@@ -111,8 +96,8 @@ type carg struct {
 //	aux                  — global, slot or callee index; doubles as the
 //	                       wait/chsend timeout (their b slot is occupied);
 //	thenPC/elsePC        — absolute flat branch targets;
-//	site                 — failure-site id (for fused ops: the branch's);
-//	x2/y2/z2, bin        — fused-tail payload (see the cop comments);
+//	site                 — failure-site id;
+//	bin                  — the binary operator of cBin*;
 //	pos                  — this instruction's source position, precomputed.
 type cinstr struct {
 	op    cop
@@ -127,9 +112,6 @@ type cinstr struct {
 	thenPC int32
 	elsePC int32
 	site   int32
-	x2     int32
-	y2     int32
-	z2     int32
 
 	aImm mir.Word
 	bImm mir.Word
@@ -142,8 +124,9 @@ type cinstr struct {
 	// is scheduling-irrelevant (sbEligible), in which case calling run(fr)
 	// performs the instruction's full effect — registers, slots, and pc —
 	// with no possible failure, no thread-state change, no sink event and no
-	// sanitizer hook. The run loop chains these closures inside a superblock
-	// quantum, bypassing the central dispatch switch.
+	// sanitizer hook. It is the instruction's only implementation: the run
+	// loop chains these closures inside a superblock quantum (or calls one
+	// under StepOnce), and the dispatch switch has no case for them.
 	run func(fr *frame)
 }
 
@@ -259,7 +242,6 @@ func compileFunc(mod *mir.Module, fi int) fcode {
 		}
 	}
 	fc := fcode{code: code, blockStart: offs}
-	fuseFunc(&fc, f)
 	closeFunc(&fc)
 	superblocks(&fc)
 	return fc
@@ -378,47 +360,6 @@ func lowerArgs(args []mir.Operand) []carg {
 	return out
 }
 
-// fuseFunc rewrites the dominant instruction pairs into super-instructions.
-// Pairs are matched left-to-right within each source block (a fused pair
-// never spans a block boundary: control can enter the tail slot directly).
-// Only the head slot is rewritten; the tail keeps its unfused form so a
-// mid-pair thread switch, single-stepping or tracing can execute it alone.
-// Left-to-right rewriting over still-plain tails makes chains consistent:
-// every head leaves the pc at the next source slot, where the (possibly
-// itself fused) successor executes normally.
-//
-// Fusion only targets pairs the superblock path cannot batch: a bin feeding
-// a failure-site branch (the branch closes recovery episodes, so it is
-// scheduling-relevant), and a global load feeding any branch. Pairs of
-// scheduling-irrelevant instructions — including the const+bin pairs fused
-// before superblocks existed — execute on the closure chain instead, which
-// already avoids the dispatch switch.
-func fuseFunc(fc *fcode, f *mir.Function) {
-	for b := range f.Blocks {
-		start := int(fc.blockStart[b])
-		n := len(f.Blocks[b].Instrs)
-		for i := start; i < start+n-1; i++ {
-			head := fc.code[i] // copy: the rewrite reads the plain head
-			tail := &fc.code[i+1]
-			switch {
-			case (head.op == cBinRR || head.op == cBinRI || head.op == cBinIR) &&
-				tail.op == cBr && tail.aReg >= 0 && tail.site > 0:
-				head.op = cFusedBinBr
-				head.x2 = tail.aReg
-				head.thenPC, head.elsePC = tail.thenPC, tail.elsePC
-				head.site = tail.site // the branch's failure site, not the bin's
-				fc.code[i] = head
-			case head.op == cLoadG && tail.op == cBr && tail.aReg >= 0:
-				head.op = cFusedLoadGBr
-				head.x2 = tail.aReg
-				head.thenPC, head.elsePC = tail.thenPC, tail.elsePC
-				head.site = tail.site
-				fc.code[i] = head
-			}
-		}
-	}
-}
-
 // sbEligible reports whether a compiled instruction is scheduling-
 // irrelevant: it cannot fail, cannot change any thread's status (and so
 // cannot change the runnable set), touches no shared state (globals, heap,
@@ -444,7 +385,7 @@ func sbEligible(c *cinstr) bool {
 // closeFunc lowers every eligible instruction to its direct-threaded
 // closure. Shapes are specialized so the hot arithmetic ops run without a
 // BinOp dispatch; everything else falls back to the (never-panicking)
-// mir.BinOp.Eval. Fused heads stay on the switch path (run == nil).
+// mir.BinOp.Eval.
 func closeFunc(fc *fcode) {
 	for i := range fc.code {
 		fc.code[i].run = closureFor(&fc.code[i])

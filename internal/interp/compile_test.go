@@ -9,7 +9,7 @@ import (
 
 // compileSrc is a small module exercising every lowering shape the unit
 // tests below pin down: multiple functions, multiple blocks, branches,
-// immediate and register operands, and the three fusion patterns.
+// immediate and register operands.
 const compileSrc = `
 module compiletest
 global flag = 0
@@ -55,7 +55,7 @@ func compileTestModule(t *testing.T) *mir.Module {
 // TestCompilePositions pins the 1:1 slot mapping: the compiled stream of
 // every function has exactly NumInstrs slots, blockStart matches
 // BlockOffsets, and each slot's precomputed pos round-trips through
-// FlatPos. Positions must survive fusion (heads keep the head's pos).
+// FlatPos.
 func TestCompilePositions(t *testing.T) {
 	mods := []*mir.Module{
 		compileTestModule(t),
@@ -99,9 +99,7 @@ func TestCompilePositions(t *testing.T) {
 }
 
 // TestCompileBranchTargets checks that br/jmp lower to absolute flat pcs:
-// blockStart of the source target block. Branch slots are never fusion
-// heads, so they can be checked in compiled form directly; fused heads
-// that absorb a branch must carry the same targets.
+// blockStart of the source target block.
 func TestCompileBranchTargets(t *testing.T) {
 	m := compileTestModule(t)
 	p := Compile(m)
@@ -125,14 +123,6 @@ func TestCompileBranchTargets(t *testing.T) {
 				case mir.OpJmp:
 					if c.op != cJmp || c.thenPC != offs[in.Then] {
 						t.Fatalf("jmp target %d, want %d", c.thenPC, offs[in.Then])
-					}
-				}
-				switch c.op {
-				case cFusedBinBr, cFusedLoadGBr:
-					br := &f.Blocks[b].Instrs[i+1]
-					if c.thenPC != offs[br.Then] || c.elsePC != offs[br.Else] {
-						t.Fatalf("fused br targets (%d,%d), want (%d,%d)",
-							c.thenPC, c.elsePC, offs[br.Then], offs[br.Else])
 					}
 				}
 			}
@@ -159,9 +149,7 @@ func TestCompileOperandBinding(t *testing.T) {
 	m := compileTestModule(t)
 	p := Compile(m)
 
-	// helper: %b = add %a, 1 → cBinRI (fused into cFusedConstBin? no —
-	// its head is loads, not const; the slot stays plain or is a BinBr
-	// head; here the next instr is another bin, so it stays cBinRI).
+	// helper: %b = add %a, 1 → cBinRI.
 	ri := findSlot(t, p, 0, func(c *cinstr) bool { return c.op == cBinRI })
 	if ri < 0 {
 		t.Fatal("no cBinRI slot in helper")
@@ -171,122 +159,12 @@ func TestCompileOperandBinding(t *testing.T) {
 		t.Fatalf("cBinRI binding: aReg=%d bReg=%d bImm=%d", c.aReg, c.bReg, c.bImm)
 	}
 
-	// helper: %c = add 20, 22 → folded to cConst 42. The fold leaves it a
-	// const head, so it may be refused with the following ret? ret is not
-	// a bin — the slot stays cConst.
+	// helper: %c = add 20, 22 → folded to cConst 42.
 	fold := findSlot(t, p, 0, func(c *cinstr) bool {
 		return c.op == cConst && c.aImm == 42
 	})
 	if fold < 0 {
 		t.Fatal("add 20, 22 did not constant-fold to cConst 42")
-	}
-}
-
-// TestCompileFusion checks the super-instruction patterns appear exactly
-// where their source pairs warrant them under the superblock split: pairs
-// with a scheduling-relevant side still fuse (bin + site-tagged br, loadg +
-// br), pairs of scheduling-irrelevant instructions do not — they ride the
-// superblock closure chain instead. Only the head slot of a fused pair is
-// rewritten; the tail keeps its unfused form as the mid-pair bail-out
-// target.
-func TestCompileFusion(t *testing.T) {
-	m := compileTestModule(t)
-	p := Compile(m)
-	mainFn := 1
-
-	// loop: %more = lt %i, %n ; br %more — a plain (site-0) branch and its
-	// bin are both scheduling-irrelevant, so the pair must NOT fuse: both
-	// slots stay closure-backed in one superblock.
-	if bb := findSlot(t, p, mainFn, func(c *cinstr) bool { return c.op == cFusedBinBr }); bb >= 0 {
-		t.Fatalf("site-0 bin+br fused at pc %d; should ride the superblock path", bb)
-	}
-
-	// done: %f = loadg @flag ; br %f → cFusedLoadGBr (the global load is
-	// scheduling-relevant, so the pair cannot batch and fusion still pays).
-	lb := findSlot(t, p, mainFn, func(c *cinstr) bool { return c.op == cFusedLoadGBr })
-	if lb < 0 {
-		t.Fatal("no cFusedLoadGBr in main")
-	}
-	lhead := &p.funcs[mainFn].code[lb]
-	ltail := &p.funcs[mainFn].code[lb+1]
-	if ltail.op != cBr {
-		t.Fatalf("loadg+br tail not left unfused: op %d", ltail.op)
-	}
-	if lhead.x2 != ltail.aReg || lhead.thenPC != ltail.thenPC || lhead.elsePC != ltail.elsePC {
-		t.Fatalf("fused payload (x2=%d then=%d else=%d) != tail (%d,%d,%d)",
-			lhead.x2, lhead.thenPC, lhead.elsePC, ltail.aReg, ltail.thenPC, ltail.elsePC)
-	}
-	// The head absorbs the global load and must stay on the dispatch
-	// switch; the tail is a plain site-0 br, which legitimately keeps its
-	// closure for the mid-pair bail-out path.
-	if lhead.run != nil {
-		t.Fatal("fused head must stay off the superblock closure path")
-	}
-	if ltail.run == nil {
-		t.Fatal("plain br tail should stay closure-backed")
-	}
-
-	// A bin feeding a site-tagged branch — the transformed failure-check
-	// shape — must still fuse: the branch closes recovery episodes, so the
-	// superblock path cannot absorb it. Sites on branches are only ever set
-	// programmatically (by the transform pass); mark the loop branch as a
-	// failure site before compiling a fresh module.
-	m2 := compileTestModule(t)
-	mf := &m2.Functions[1]
-	tagged := false
-	for b := range mf.Blocks {
-		for i := 1; i < len(mf.Blocks[b].Instrs); i++ {
-			in := &mf.Blocks[b].Instrs[i]
-			if in.Op == mir.OpBr && in.A.Kind == mir.OperandReg &&
-				mf.Blocks[b].Instrs[i-1].Op == mir.OpBin {
-				in.Site = 7
-				tagged = true
-			}
-		}
-	}
-	if !tagged {
-		t.Fatal("no bin+br pair found to tag")
-	}
-	p2 := Compile(m2)
-	bb := findSlot(t, p2, 1, func(c *cinstr) bool { return c.op == cFusedBinBr })
-	if bb < 0 {
-		t.Fatal("no cFusedBinBr for site-tagged bin+br")
-	}
-	head := &p2.funcs[1].code[bb]
-	tail := &p2.funcs[1].code[bb+1]
-	if tail.op != cBr {
-		t.Fatalf("fused tail not left unfused: op %d", tail.op)
-	}
-	if head.site != 7 {
-		t.Fatalf("fused head site = %d, want the branch's 7", head.site)
-	}
-	if head.x2 != tail.aReg || head.thenPC != tail.thenPC || head.elsePC != tail.elsePC {
-		t.Fatalf("fused payload (x2=%d then=%d else=%d) != tail (%d,%d,%d)",
-			head.x2, head.thenPC, head.elsePC, tail.aReg, tail.thenPC, tail.elsePC)
-	}
-
-	// const+bin — the pattern the retired cFusedConstBin covered — now
-	// compiles to two closure-backed slots in one superblock.
-	m3, err := mir.Parse(`
-func main() {
-entry:
-  %a = const 5
-  %b = add %a, 2
-  ret %b
-}`)
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	p3 := Compile(m3)
-	h, tl := &p3.funcs[0].code[0], &p3.funcs[0].code[1]
-	if h.op != cConst || tl.op != cBinRI {
-		t.Fatalf("const+bin ops = (%d,%d), want plain (cConst,cBinRI)", h.op, tl.op)
-	}
-	if h.run == nil || tl.run == nil {
-		t.Fatal("const+bin pair must be closure-backed")
-	}
-	if got := p3.funcs[0].sbLen[0]; got != 2 {
-		t.Fatalf("const+bin superblock length = %d, want 2", got)
 	}
 }
 

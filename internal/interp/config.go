@@ -17,7 +17,6 @@
 package interp
 
 import (
-	"io"
 	"sync/atomic"
 
 	"conair/internal/mir"
@@ -57,10 +56,6 @@ type Config struct {
 	// unaffected either way: their kept lock sites use timed locks, whose
 	// self-resolving edges never form a reportable cycle.
 	NoDeadlockCycles bool
-	// Trace, when non-nil, receives one line per executed instruction:
-	// "step=N tid=T pos=F:B:I op". It slows execution by an order of
-	// magnitude; use for debugging.
-	Trace io.Writer
 	// Sink, when non-nil, receives structured trace events (scheduling
 	// decisions, checkpoints, rollbacks, recovery episodes, lock and
 	// thread lifecycle events, failures, outputs). Recording is passive:
@@ -68,13 +63,6 @@ type Config struct {
 	// default — the dispatch loop pays only a pointer check per event
 	// site and allocates nothing.
 	Sink *obs.Tracer
-	// NoSuperblocks disables superblock quantum batching, forcing every
-	// instruction through the central dispatch switch. Batching is
-	// observation-equivalent by construction — one scheduler decision per
-	// instruction either way — so this exists for the parity tests (which
-	// compare batched against unbatched runs) and for debugging, not as a
-	// semantic knob.
-	NoSuperblocks bool
 	// Sanitizer, when non-nil, receives synchronization and shared-memory
 	// events for dynamic race and deadlock detection (see the Sanitizer
 	// interface). It has the same contract as Sink: observation is

@@ -1,7 +1,6 @@
 package interp
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -163,29 +162,5 @@ entry:
 	}
 	if !strings.Contains(r.Failure.Msg, "wait-for cycle") {
 		t.Errorf("expected cycle report, got %q", r.Failure.Msg)
-	}
-}
-
-func TestTraceOutput(t *testing.T) {
-	var buf bytes.Buffer
-	m := mir.MustParse(`
-func main() {
-entry:
-  %x = const 41
-  %y = add %x, 1
-  ret %y
-}`)
-	r := RunModule(m, Config{Sched: sched.NewRandom(1), Trace: &buf})
-	if !r.Completed || r.ExitCode != 42 {
-		t.Fatalf("run = %+v", r)
-	}
-	out := buf.String()
-	for _, want := range []string{"step=0", "tid=0", "%x = const 41", "add %x, 1", "ret %y"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("trace missing %q:\n%s", want, out)
-		}
-	}
-	if got := strings.Count(out, "\n"); got != 3 {
-		t.Errorf("trace lines = %d, want 3", got)
 	}
 }

@@ -91,7 +91,7 @@ func TestDifferentialTestdata(t *testing.T) {
 // TestDifferentialMirgen sweeps 50 generated programs — cycling thread
 // counts and all bug templates, raw and hardened — under both
 // interpreters. This is the broad-coverage leg: generated programs hit
-// operand shapes, fusion pairs, checkpoint/rollback, lock and thread
+// operand shapes, checkpoint/rollback, lock and thread
 // interleavings that the handwritten programs do not.
 func TestDifferentialMirgen(t *testing.T) {
 	bugs := []mirgen.BugKind{

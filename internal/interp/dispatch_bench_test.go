@@ -16,7 +16,7 @@ import (
 // show up purely in time, not in work.
 
 // dispatchSrc is a tight arithmetic countdown: the loop body is exactly
-// the fusion-dominant shape (bin, bin, cmp+br) the sweep hot path runs.
+// the shape (bin, bin, cmp+br) the sweep hot path runs.
 const dispatchSrc = `
 func main() {
 entry:
@@ -104,12 +104,6 @@ func defaultCfg(seed int64) interp.Config {
 	return interp.Config{Sched: sched.NewRandom(seed), MaxSteps: 10_000_000}
 }
 
-func noBatchCfg(seed int64) interp.Config {
-	cfg := defaultCfg(seed)
-	cfg.NoSuperblocks = true
-	return cfg
-}
-
 func BenchmarkDispatch(b *testing.B)      { benchRun(b, dispatchSrc, defaultCfg) }
 func BenchmarkCallHeavy(b *testing.B)     { benchRun(b, callHeavySrc, defaultCfg) }
 func BenchmarkHeapLoadStore(b *testing.B) { benchRun(b, heapLoadStoreSrc, defaultCfg) }
@@ -137,21 +131,17 @@ done:
 }`
 
 // BenchmarkSuperblockDispatch measures the closure-chain fast path; the
-// NoBatch variant forces the same program through the central dispatch
-// switch (one pickThread round-trip per instruction) and the Reference
-// variant tree-walks the original mir.Instr stream, so the two speedup
-// tiers — AOT compilation and superblock batching — are separable from
-// one binary:
+// Reference variant tree-walks the original mir.Instr stream one
+// pickThread round-trip per instruction:
 //
 //	go test ./internal/interp -bench SuperblockDispatch
-func BenchmarkSuperblockDispatch(b *testing.B)        { benchRun(b, superblockSrc, defaultCfg) }
-func BenchmarkSuperblockDispatchNoBatch(b *testing.B) { benchRun(b, superblockSrc, noBatchCfg) }
+func BenchmarkSuperblockDispatch(b *testing.B) { benchRun(b, superblockSrc, defaultCfg) }
 func BenchmarkSuperblockDispatchReference(b *testing.B) {
 	benchRunRef(b, superblockSrc)
 }
 
 // The Reference variants run the same programs through RunReference — the
-// pre-compilation execution path kept for differential testing — so the
+// pre-compilation execution path kept as a test-only oracle — so the
 // compiled loop's speedup is measurable from one binary:
 //
 //	go test ./internal/interp -bench 'Dispatch|CallHeavy|HeapLoadStore'

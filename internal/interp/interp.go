@@ -291,37 +291,27 @@ func (vm *VM) closeEpisode(t *thread, site int) {
 // and rollback. It executes until the run ends or (in single mode) one
 // instruction retires, and reports whether any instruction executed.
 //
+// Every instruction has exactly one implementation. A scheduling-
+// irrelevant instruction (in.run != nil — see sbEligible) is its compiled
+// closure; every other instruction is a case of the dispatch switch.
+//
 // Determinism contract: every executed instruction advances the
 // scheduler's stream by exactly one decision — one Pick, hence one
-// sched.Random draw — and a sink sees exactly one KindSchedPick for it,
-// so schedules would shift if fusion or batching elided one. Fused
-// super-instructions therefore run the full inter-instruction sequence
-// (step++, limit check, Pick, sink) between their two micro-ops, and jump
-// back to dispatch when the scheduler picks another thread: the unfused
-// tail at pc+1 executes later, exactly as if never fused. Fusion is
-// disabled in single mode (StepOnce means one instruction) and under
-// Trace (one trace line per instruction).
-//
-// Superblock quanta obey the same contract. When the current instruction
-// is scheduling-irrelevant (in.run != nil — see sbEligible), the loop
-// enters a quantum: it chains the compiled closures directly, never
-// re-entering the dispatch switch until it reaches a scheduling-relevant
-// instruction or the scheduler picks another thread. Eligible
-// instructions cannot fail, block, wake, spawn or finish threads, so the
-// runnable set is fixed for the whole quantum. With one live thread and
-// none waiting under sched.Random — the overwhelmingly common quantum —
-// every decision in it is that thread, so the loop draws nothing per
-// instruction and advances the stream in bulk at the exit
-// (Random.Skip(stay)), with one flight-ring note for the same stay; the
-// stream is left exactly where per-instruction draws would leave it.
-// Every other quantum takes pickThread per instruction. Either way the
-// schedule is bit-identical to unbatched execution; batching changes only
-// how the decisions are paid for. Superblocks are disabled in single
-// mode, under Trace, and by Config.NoSuperblocks (the parity tests'
-// reference).
+// sched.Random draw — and a sink sees exactly one KindSchedPick for it.
+// Superblock quanta obey it. Outside single mode, reaching a closure-backed
+// instruction enters a quantum: the loop chains the closures directly
+// until it reaches a scheduling-relevant instruction or the scheduler
+// picks another thread. Eligible instructions cannot fail, block, wake,
+// spawn or finish threads, so the runnable set is fixed for the whole
+// quantum. With one live thread and none waiting under sched.Random — the
+// overwhelmingly common quantum — every decision in it is that thread, so
+// the loop draws nothing per instruction and advances the stream in bulk
+// at the exit (Random.Skip(stay)), with one flight-ring note for the same
+// stay; the stream is left exactly where per-instruction draws would leave
+// it. Every other quantum takes pickThread per instruction. StepOnce
+// (single mode) runs one closure and returns, so a StepOnce-driven run
+// makes the same decisions one instruction at a time.
 func (vm *VM) runLoop(max int64, single bool) bool {
-	fuse := !single && vm.cfg.Trace == nil
-	batch := fuse && !vm.cfg.NoSuperblocks
 	executed := false
 	tid := -1
 	var (
@@ -370,7 +360,12 @@ func (vm *VM) runLoop(max int64, single bool) bool {
 	dispatch:
 		in := &code[fr.pc]
 
-		if batch && in.run != nil {
+		if in.run != nil {
+			if single {
+				in.run(fr)
+				vm.step++
+				return true
+			}
 			// Superblock quantum: chain closures until the superblock ends or
 			// the scheduler switches threads. The pick for the current
 			// instruction was already consumed (and sink-recorded) above;
@@ -419,7 +414,7 @@ func (vm *VM) runLoop(max int64, single bool) bool {
 				// More than one live thread, some thread waiting, or a
 				// scheduler other than Random: take the full pickThread
 				// per instruction so draws, wake-ups, timeouts and
-				// scheduler state advance exactly as they would unbatched.
+				// scheduler state advance exactly as under StepOnce.
 				for {
 					in.run(fr)
 					vm.step++
@@ -458,31 +453,7 @@ func (vm *VM) runLoop(max int64, single bool) bool {
 			// fall through to the dispatch switch below.
 		}
 
-		if vm.cfg.Trace != nil {
-			// The precomputed in.pos addresses the source instruction
-			// directly: no per-step position reconstruction.
-			fmt.Fprintf(vm.cfg.Trace, "step=%d tid=%d pos=%s %s\n",
-				vm.step, t.id, in.pos,
-				mir.FormatInstr(vm.mod, &vm.mod.Functions[in.pos.Fn], vm.mod.At(in.pos)))
-		}
-
 		switch in.op {
-		case cConst:
-			fr.regs[in.dst] = in.aImm
-			fr.pc++
-
-		case cBinRR:
-			fr.regs[in.dst] = in.bin.Eval(fr.regs[in.aReg], fr.regs[in.bReg])
-			fr.pc++
-
-		case cBinRI:
-			fr.regs[in.dst] = in.bin.Eval(fr.regs[in.aReg], in.bImm)
-			fr.pc++
-
-		case cBinIR:
-			fr.regs[in.dst] = in.bin.Eval(in.aImm, fr.regs[in.bReg])
-			fr.pc++
-
 		case cLoadG:
 			fr.regs[in.dst] = vm.mem.globals[in.aux]
 			if vm.san != nil {
@@ -495,10 +466,6 @@ func (vm *VM) runLoop(max int64, single bool) bool {
 			if vm.san != nil {
 				vm.san.Access(t.id, globalAddr(int(in.aux)), true, in.pos)
 			}
-			fr.pc++
-
-		case cAddrG:
-			fr.regs[in.dst] = globalAddr(int(in.aux))
 			fr.pc++
 
 		case cLoad:
@@ -525,14 +492,6 @@ func (vm *VM) runLoop(max int64, single bool) bool {
 			if vm.san != nil {
 				vm.san.Access(t.id, addr, true, in.pos)
 			}
-			fr.pc++
-
-		case cLoadS:
-			fr.regs[in.dst] = fr.slots[in.aux]
-			fr.pc++
-
-		case cStoreS:
-			fr.slots[in.aux] = in.a(fr)
 			fr.pc++
 
 		case cAlloc:
@@ -768,10 +727,6 @@ func (vm *VM) runLoop(max int64, single bool) bool {
 			}
 			fr.pc++
 
-		case cYield:
-			// Scheduler hint only; costs one step.
-			fr.pc++
-
 		case cSleep:
 			d := in.a(fr)
 			if d > 0 {
@@ -789,9 +744,6 @@ func (vm *VM) runLoop(max int64, single bool) bool {
 					t.wakeAt = vm.step + d
 				}
 			}
-			fr.pc++
-
-		case cNop:
 			fr.pc++
 
 		case cCheckpoint:
@@ -851,21 +803,18 @@ func (vm *VM) runLoop(max int64, single bool) bool {
 			vm.fail(in.fkind, in.pos, int(in.site), t.id, in.text)
 
 		case cBr:
-			c := in.a(fr)
-			if in.site > 0 && c != 0 {
-				// Site-tagged branches are transformed failure checks with
-				// the convention Then = pass, Else = recover. Passing closes
-				// any open recovery episode for the site.
-				vm.closeEpisode(t, int(in.site))
-			}
-			if c != 0 {
+			// Only site-tagged branches reach the switch (a plain branch is
+			// a closure). Those with a positive site are transformed failure
+			// checks with the convention Then = pass, Else = recover;
+			// passing closes any open recovery episode for the site.
+			if in.a(fr) != 0 {
+				if in.site > 0 {
+					vm.closeEpisode(t, int(in.site))
+				}
 				fr.pc = int(in.thenPC)
 			} else {
 				fr.pc = int(in.elsePC)
 			}
-
-		case cJmp:
-			fr.pc = int(in.thenPC)
 
 		case cRet:
 			ret := in.a(fr)
@@ -898,111 +847,6 @@ func (vm *VM) runLoop(max int64, single bool) bool {
 			}
 			fr = caller
 			code = vm.prog.funcs[fr.fn].code
-
-		case cFusedBinBr:
-			var bx, by mir.Word
-			if in.aReg >= 0 {
-				bx = fr.regs[in.aReg]
-			} else {
-				bx = in.aImm
-			}
-			if in.bReg >= 0 {
-				by = fr.regs[in.bReg]
-			} else {
-				by = in.bImm
-			}
-			fr.regs[in.dst] = in.bin.Eval(bx, by)
-			fr.pc++
-			if !fuse {
-				break
-			}
-			// Inter-instruction scheduling step (see the runLoop comment).
-			vm.step++
-			executed = true
-			if vm.step >= max {
-				vm.fail(mir.FailHang, mir.Pos{}, 0, -1, "step limit exceeded (hang)")
-				return true
-			}
-			var ntid3 int
-			if vm.rnd != nil && vm.waiting == 0 && len(vm.live) > 0 {
-				ntid3 = vm.live[vm.rnd.ReduceDraw(vm.rnd.Int31(), int32(len(vm.live)))]
-				vm.noteFlight(ntid3)
-			} else {
-				var ok bool
-				ntid3, ok = vm.pickThread()
-				if !ok {
-					return true
-				}
-			}
-			if vm.sink != nil {
-				vm.sink.Record(obs.Event{
-					Step: vm.step, Kind: obs.KindSchedPick, TID: int32(ntid3),
-				})
-			}
-			if ntid3 != tid {
-				tid = ntid3
-				t = vm.threads[tid]
-				fr = t.top()
-				code = vm.prog.funcs[fr.fn].code
-				goto dispatch
-			}
-			c := fr.regs[in.x2]
-			if in.site > 0 && c != 0 {
-				vm.closeEpisode(t, int(in.site))
-			}
-			if c != 0 {
-				fr.pc = int(in.thenPC)
-			} else {
-				fr.pc = int(in.elsePC)
-			}
-
-		case cFusedLoadGBr:
-			fr.regs[in.dst] = vm.mem.globals[in.aux]
-			if vm.san != nil {
-				vm.san.Access(t.id, globalAddr(int(in.aux)), false, in.pos)
-			}
-			fr.pc++
-			if !fuse {
-				break
-			}
-			vm.step++
-			executed = true
-			if vm.step >= max {
-				vm.fail(mir.FailHang, mir.Pos{}, 0, -1, "step limit exceeded (hang)")
-				return true
-			}
-			var ntid4 int
-			if vm.rnd != nil && vm.waiting == 0 && len(vm.live) > 0 {
-				ntid4 = vm.live[vm.rnd.ReduceDraw(vm.rnd.Int31(), int32(len(vm.live)))]
-				vm.noteFlight(ntid4)
-			} else {
-				var ok bool
-				ntid4, ok = vm.pickThread()
-				if !ok {
-					return true
-				}
-			}
-			if vm.sink != nil {
-				vm.sink.Record(obs.Event{
-					Step: vm.step, Kind: obs.KindSchedPick, TID: int32(ntid4),
-				})
-			}
-			if ntid4 != tid {
-				tid = ntid4
-				t = vm.threads[tid]
-				fr = t.top()
-				code = vm.prog.funcs[fr.fn].code
-				goto dispatch
-			}
-			c := fr.regs[in.x2]
-			if in.site > 0 && c != 0 {
-				vm.closeEpisode(t, int(in.site))
-			}
-			if c != 0 {
-				fr.pc = int(in.thenPC)
-			} else {
-				fr.pc = int(in.elsePC)
-			}
 
 		default: // cUnimpl
 			vm.fail(mir.FailHang, in.pos, 0, t.id, in.text)

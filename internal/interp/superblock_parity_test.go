@@ -19,15 +19,15 @@ import (
 	"conair/internal/sched"
 )
 
-// The superblock-parity tests pin the batching contract stated in
-// config.go: a run with superblock quantum batching enabled (the default)
-// is observation-equivalent to the same run with NoSuperblocks — identical
-// Result (completion, failure, exit code, outputs, step counts, recovery
-// stats) AND an identical schedule-decision stream, decision by decision.
-// The second half is the stronger claim: batching may only change how many
-// times the dispatch switch runs, never which thread is picked at which
-// virtual-time step, because the future record-and-replay work keys off
-// that stream.
+// The superblock-parity tests pin the batching contract stated at
+// runLoop: Run, which executes superblocks as batched quanta, is
+// observation-equivalent to the same run driven one instruction at a time
+// by StepOnce, which never batches — identical Result (completion,
+// failure, exit code, outputs, step counts, recovery stats) AND an
+// identical schedule-decision stream, decision by decision. The second
+// half is the stronger claim: batching may only change how many times the
+// loop re-enters, never which thread is picked at which virtual-time step,
+// because record-and-replay keys off that stream.
 
 const (
 	parityMaxSteps = 150_000
@@ -44,18 +44,29 @@ type schedPick struct {
 	tid  int32
 }
 
+// runModule executes m under cfg with Run or, when stepped, with a
+// StepOnce loop: one instruction per call, so no superblock is batched.
+func runModule(m *mir.Module, cfg interp.Config, stepped bool) *interp.Result {
+	if !stepped {
+		return interp.RunModule(m, cfg)
+	}
+	vm := interp.New(m, cfg)
+	for vm.StepOnce() {
+	}
+	return vm.Finish()
+}
+
 // runTraced executes m once with a dedicated tracer and returns the
 // Result plus the full schedule-decision stream.
-func runTraced(t *testing.T, m *mir.Module, seed int64, noSuperblocks bool) (*interp.Result, []schedPick) {
+func runTraced(t *testing.T, m *mir.Module, seed int64, stepped bool) (*interp.Result, []schedPick) {
 	t.Helper()
 	tr := obs.NewTracer(parityTracerCap)
-	r := interp.RunModule(m, interp.Config{
+	r := runModule(m, interp.Config{
 		Sched:         sched.NewRandom(seed),
 		MaxSteps:      parityMaxSteps,
 		CollectOutput: true,
 		Sink:          tr,
-		NoSuperblocks: noSuperblocks,
-	})
+	}, stepped)
 	if d := tr.Dropped(); d != 0 {
 		t.Fatalf("tracer dropped %d events; raise parityTracerCap", d)
 	}
@@ -68,31 +79,31 @@ func runTraced(t *testing.T, m *mir.Module, seed int64, noSuperblocks bool) (*in
 	return r, picks
 }
 
-// parityCompare runs m under both dispatch modes across seeds and fails on
-// any divergence.
+// parityCompare runs m with Run and with StepOnce across seeds and fails
+// on any divergence.
 func parityCompare(t *testing.T, name string, m *mir.Module, seeds []int64) {
 	t.Helper()
 	for _, seed := range seeds {
 		batched, batchedPicks := runTraced(t, m, seed, false)
-		plain, plainPicks := runTraced(t, m, seed, true)
+		stepped, steppedPicks := runTraced(t, m, seed, true)
 
-		if !reflect.DeepEqual(batched, plain) {
-			t.Errorf("%s seed %d: batched and unbatched results differ\nbatched:   %+v\nunbatched: %+v",
-				name, seed, batched, plain)
-			if batched.Failure != nil || plain.Failure != nil {
-				t.Errorf("failures: batched=%+v unbatched=%+v", batched.Failure, plain.Failure)
+		if !reflect.DeepEqual(batched, stepped) {
+			t.Errorf("%s seed %d: Run and StepOnce results differ\nRun:      %+v\nStepOnce: %+v",
+				name, seed, batched, stepped)
+			if batched.Failure != nil || stepped.Failure != nil {
+				t.Errorf("failures: Run=%+v StepOnce=%+v", batched.Failure, stepped.Failure)
 			}
 			return
 		}
-		if len(batchedPicks) != len(plainPicks) {
-			t.Errorf("%s seed %d: schedule streams differ in length: batched=%d unbatched=%d",
-				name, seed, len(batchedPicks), len(plainPicks))
+		if len(batchedPicks) != len(steppedPicks) {
+			t.Errorf("%s seed %d: schedule streams differ in length: Run=%d StepOnce=%d",
+				name, seed, len(batchedPicks), len(steppedPicks))
 			return
 		}
 		for i := range batchedPicks {
-			if batchedPicks[i] != plainPicks[i] {
-				t.Errorf("%s seed %d: schedule streams diverge at decision %d: batched=%+v unbatched=%+v",
-					name, seed, i, batchedPicks[i], plainPicks[i])
+			if batchedPicks[i] != steppedPicks[i] {
+				t.Errorf("%s seed %d: schedule streams diverge at decision %d: Run=%+v StepOnce=%+v",
+					name, seed, i, batchedPicks[i], steppedPicks[i])
 				return
 			}
 		}
@@ -100,7 +111,7 @@ func parityCompare(t *testing.T, name string, m *mir.Module, seeds []int64) {
 }
 
 // TestSuperblockParityTestdata runs every checked-in .mir program — raw
-// and hardened — batched against unbatched across several seeds.
+// and hardened — with Run against StepOnce across several seeds.
 func TestSuperblockParityTestdata(t *testing.T) {
 	files := testdataPrograms(t)
 	seeds := []int64{0, 1, 7, 42, 12345}
@@ -127,8 +138,8 @@ func TestSuperblockParityTestdata(t *testing.T) {
 }
 
 // TestSuperblockParityMirgen sweeps 50 generated programs — cycling
-// thread counts and all bug templates, each raw AND hardened — batched
-// against unbatched. Hardened programs are the leg that matters most
+// thread counts and all bug templates, each raw AND hardened — with Run
+// against StepOnce. Hardened programs are the leg that matters most
 // here: checkpoints, site branches and recovery blocks are exactly the
 // scheduling-relevant instructions that must break superblocks.
 func TestSuperblockParityMirgen(t *testing.T) {
@@ -160,8 +171,8 @@ func TestSuperblockParityMirgen(t *testing.T) {
 
 // The sink-free leg pins the path the traced tests above cannot reach:
 // without a Sink, a quantum with one live thread skips its draws and
-// advances the scheduler's stream in bulk at the exit. Batched and
-// NoSuperblocks runs must still agree on the Result, on the stream
+// advances the scheduler's stream in bulk at the exit. Run and StepOnce
+// must still agree on the Result, on the stream
 // position after the run (the next draw), and — with a FlightRecorder
 // wrapping the Random — on the recorded segment and Intn streams.
 
@@ -193,14 +204,13 @@ func (s *tripSan) Access(tid int, addr mir.Word, write bool, pos mir.Pos) {
 	s.Sanitizer.Access(tid, addr, write, pos)
 }
 
-func runPlain(t *testing.T, m *mir.Module, seed int64, c plainCase, noSuperblocks, flight bool) plainRun {
+func runPlain(t *testing.T, m *mir.Module, seed int64, c plainCase, stepped, flight bool) plainRun {
 	t.Helper()
 	rnd := sched.NewRandom(seed)
 	cfg := interp.Config{
 		Sched:         rnd,
 		MaxSteps:      c.maxSteps,
 		CollectOutput: true,
-		NoSuperblocks: noSuperblocks,
 	}
 	var fr *sched.FlightRecorder
 	if flight {
@@ -212,7 +222,7 @@ func runPlain(t *testing.T, m *mir.Module, seed int64, c plainCase, noSuperblock
 		cfg.Interrupt = &flag
 		cfg.Sanitizer = &tripSan{Sanitizer: sanitizer.New(m), flag: &flag}
 	}
-	r := plainRun{res: interp.RunModule(m, cfg)}
+	r := plainRun{res: runModule(m, cfg, stepped)}
 	r.next = rnd.Intn(1 << 30)
 	if fr != nil {
 		if fr.Truncated() {
@@ -223,28 +233,28 @@ func runPlain(t *testing.T, m *mir.Module, seed int64, c plainCase, noSuperblock
 	return r
 }
 
-// sinkFreeCompare runs m batched and unbatched, with and without a
+// sinkFreeCompare runs m with Run and with StepOnce, with and without a
 // flight recorder, across seeds, and fails on the first divergence.
 func sinkFreeCompare(t *testing.T, name string, m *mir.Module, seeds []int64, c plainCase) {
 	t.Helper()
 	for _, seed := range seeds {
 		for _, flight := range []bool{false, true} {
 			batched := runPlain(t, m, seed, c, false, flight)
-			plain := runPlain(t, m, seed, c, true, flight)
+			stepped := runPlain(t, m, seed, c, true, flight)
 			where := fmt.Sprintf("%s seed %d flight=%v", name, seed, flight)
-			if !reflect.DeepEqual(batched.res, plain.res) {
-				t.Errorf("%s: batched and unbatched results differ\nbatched:   %+v\nunbatched: %+v",
-					where, batched.res, plain.res)
+			if !reflect.DeepEqual(batched.res, stepped.res) {
+				t.Errorf("%s: Run and StepOnce results differ\nRun:      %+v\nStepOnce: %+v",
+					where, batched.res, stepped.res)
 				return
 			}
-			if batched.next != plain.next {
-				t.Errorf("%s: stream position differs after the run: next draw %d batched, %d unbatched",
-					where, batched.next, plain.next)
+			if batched.next != stepped.next {
+				t.Errorf("%s: stream position differs after the run: next draw %d Run, %d StepOnce",
+					where, batched.next, stepped.next)
 				return
 			}
-			if !reflect.DeepEqual(batched.segs, plain.segs) || !reflect.DeepEqual(batched.intns, plain.intns) {
-				t.Errorf("%s: flight streams differ\nbatched:   %v %v\nunbatched: %v %v",
-					where, batched.segs, batched.intns, plain.segs, plain.intns)
+			if !reflect.DeepEqual(batched.segs, stepped.segs) || !reflect.DeepEqual(batched.intns, stepped.intns) {
+				t.Errorf("%s: flight streams differ\nRun:      %v %v\nStepOnce: %v %v",
+					where, batched.segs, batched.intns, stepped.segs, stepped.intns)
 				return
 			}
 		}

@@ -1,12 +1,14 @@
 package replay
 
-// Flight capture is the always-on counterpart of Capture: every job runs
-// under a bounded sched.FlightRecorder ring, so a failing run — even one
-// nobody asked to record — still yields a replayable artifact, while long
-// healthy runs cost only the ring. The runner attaches one per job when
-// Engine.FlightLimit is set; the telemetry server (internal/obs/serve)
-// retains the resulting recordings in its run registry and serves them at
-// /runs/{id}/recording.
+// Flight capture is how every recording is made: the run's scheduler is
+// wrapped in a sched.FlightRecorder, whose ring keeps at most limit
+// segments. Record passes a limit no run can reach, so its ring never
+// wraps and the recording is always complete. The runner attaches a
+// bounded ring per job when Engine.FlightLimit is set, so a failing run —
+// even one nobody asked to record — still yields a replayable artifact,
+// while long healthy runs cost only the ring. The telemetry server
+// (internal/obs/serve) retains the resulting recordings in its run
+// registry and serves them at /runs/{id}/recording.
 
 import (
 	"conair/internal/interp"
@@ -24,11 +26,12 @@ type FlightCapture struct {
 	knobs interp.Config
 }
 
-// CaptureFlight wraps cfg's scheduler in a bounded flight recorder
-// keeping at most limit segments (sched.DefaultFlightSegments if
-// limit <= 0) and returns the adjusted config plus the capture handle.
-// Like Capture, the wrapped run is bit-identical to the unwrapped one;
-// unlike Capture, memory is bounded regardless of run length.
+// CaptureFlight wraps cfg's scheduler in a flight recorder keeping at
+// most limit segments (sched.DefaultFlightSegments if limit <= 0;
+// math.MaxInt never wraps) and returns the adjusted config plus the
+// capture handle. The wrapped run is bit-identical to the unwrapped one,
+// and a *sched.Random inside the recorder keeps the interpreter's
+// devirtualized pick path.
 func CaptureFlight(mod *mir.Module, cfg interp.Config, meta Meta, limit int) (interp.Config, *FlightCapture) {
 	if cfg.Sched == nil {
 		cfg.Sched = sched.NewRandom(1)

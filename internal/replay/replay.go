@@ -23,6 +23,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"conair/internal/interp"
@@ -209,50 +210,13 @@ type Meta struct {
 	OmitModule bool
 }
 
-// Capture wraps cfg's scheduler in a recorder and returns the adjusted
-// config plus a finish function that builds the Recording from the run's
-// Result. The wrapped run is bit-identical to the unwrapped one (the
-// recorder is purely observational); cost when recording is the loss of
-// the interpreter's devirtualized scheduler fast path, and zero when not
-// capturing at all.
-func Capture(mod *mir.Module, cfg interp.Config, meta Meta) (interp.Config, func(*interp.Result) *Recording) {
-	if cfg.Sched == nil {
-		cfg.Sched = sched.NewRandom(1)
-	}
-	rec := sched.NewRecorder(cfg.Sched)
-	inner := cfg.Sched.Name()
-	cfg.Sched = rec
-	knobs := cfg
-	finish := func(r *interp.Result) *Recording {
-		text, hash := artifactOf(mod)
-		out := &Recording{
-			ModuleName:       mod.Name,
-			ModuleHash:       hash,
-			SchedName:        inner,
-			Seed:             meta.Seed,
-			Label:            meta.Label,
-			MaxSteps:         knobs.MaxSteps,
-			MaxThreads:       knobs.MaxThreads,
-			CollectOutput:    knobs.CollectOutput,
-			NoDeadlockCycles: knobs.NoDeadlockCycles,
-			Fingerprint:      FingerprintOf(r),
-			Segments:         append([]sched.Segment(nil), rec.Segments()...),
-			Intns:            append([]int64(nil), rec.Intns()...),
-		}
-		if !meta.OmitModule {
-			out.ModuleText = text
-		}
-		return out
-	}
-	return cfg, finish
-}
-
 // Record runs mod once under cfg with recording attached and returns the
-// result together with its recording.
+// result together with its recording. The recorder is a flight ring that
+// never wraps, so the recording is always complete.
 func Record(mod *mir.Module, cfg interp.Config, meta Meta) (*interp.Result, *Recording) {
-	cfg, finish := Capture(mod, cfg, meta)
+	cfg, fc := CaptureFlight(mod, cfg, meta, math.MaxInt)
 	r := interp.RunModule(mod, cfg)
-	return r, finish(r)
+	return r, fc.Finish(r)
 }
 
 // RunOptions adjusts a replay run.

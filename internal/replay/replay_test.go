@@ -253,3 +253,24 @@ func TestModuleHashesPinned(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// BenchmarkRecordTiny records LGFrontier's survival-hardened light forced
+// build, the tiny run runner's BenchmarkRunJobTiny measures unrecorded, so
+// the pair shows what a complete recording adds to a run of about 80
+// steps.
+func BenchmarkRecordTiny(b *testing.B) {
+	m := bugs.ByName("LGFrontier").Program(bugs.Config{Light: true, ForceBug: true})
+	h, err := core.Harden(m, core.DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	replay.Record(h.Module, randCfg(0), replay.Meta{}) // compile and hash once
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		seed := int64(i % 1000)
+		if r, rec := replay.Record(h.Module, randCfg(seed), replay.Meta{Seed: seed}); !r.Completed || rec == nil {
+			b.Fatalf("seed %d: tiny run failed: %v", seed, r.Failure)
+		}
+	}
+}

@@ -21,6 +21,7 @@ package runner
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -73,8 +74,8 @@ type Engine struct {
 	// FlightLimit segments): any failing run yields a complete replayable
 	// recording in its RunInfo without -record having been asked for,
 	// while long healthy runs wrap the ring and cost only its memory.
-	// Ignored when Recorder is set (a full capture is already being
-	// taken). Use replay/sched defaults via DefaultFlightLimit.
+	// Ignored when Recorder is set, whose ring never wraps. Use
+	// replay/sched defaults via DefaultFlightLimit.
 	FlightLimit int
 }
 
@@ -95,10 +96,10 @@ type RunInfo struct {
 	// Result is the run's outcome (never nil; a panicked job arrives as a
 	// mir.FailPanic result).
 	Result *interp.Result
-	// Recording is the job's schedule recording: the full capture when
-	// the engine has a Recorder, the flight-ring capture when FlightLimit
-	// is set, nil otherwise — and nil when the flight ring wrapped (see
-	// RecordingTruncated).
+	// Recording is the job's schedule recording: a capture in a ring that
+	// never wraps when the engine has a Recorder, in a FlightLimit ring
+	// when FlightLimit is set, nil otherwise — and nil when the flight
+	// ring wrapped (see RecordingTruncated).
 	Recording *replay.Recording
 	// RecordingTruncated reports that a flight recording existed but
 	// wrapped its ring, so no complete replayable stream survives.
@@ -295,9 +296,10 @@ type Job struct {
 
 // RunJob executes one interpreter run with the engine's hardening
 // attached: the wall-clock watchdog (JobTimeout), schedule capture
-// (Recorder) and panic containment. A panic inside the interpreter comes
-// back as a failed result of kind mir.FailPanic whose message carries the
-// panic value and stack — the pool and the remaining jobs are unaffected.
+// (Recorder or FlightLimit) and panic containment. A panic inside the
+// interpreter comes back as a failed result of kind mir.FailPanic whose
+// message carries the panic value and stack — the pool and the remaining
+// jobs are unaffected.
 func (e Engine) RunJob(mod *mir.Module, cfg interp.Config, meta replay.Meta) (res *interp.Result) {
 	start := time.Now()
 	schedName := "random"
@@ -310,12 +312,13 @@ func (e Engine) RunJob(mod *mir.Module, cfg interp.Config, meta replay.Meta) (re
 		t := time.AfterFunc(e.JobTimeout, func() { flag.Store(true) })
 		defer t.Stop()
 	}
-	var finish func(*interp.Result) *replay.Recording
-	var flight *replay.FlightCapture
+	limit := e.FlightLimit
 	if e.Recorder != nil {
-		cfg, finish = replay.Capture(mod, cfg, meta)
-	} else if e.FlightLimit > 0 {
-		cfg, flight = replay.CaptureFlight(mod, cfg, meta, e.FlightLimit)
+		limit = math.MaxInt // a deliberate capture keeps the whole stream
+	}
+	var flight *replay.FlightCapture
+	if limit > 0 {
+		cfg, flight = replay.CaptureFlight(mod, cfg, meta, limit)
 	}
 	defer func() {
 		if p := recover(); p != nil {
@@ -330,27 +333,26 @@ func (e Engine) RunJob(mod *mir.Module, cfg interp.Config, meta replay.Meta) (re
 		var rec *replay.Recording
 		truncated := false
 		path := ""
-		func() {
-			// Building the artifact prints and hashes the module; a module
-			// malformed enough to panic the interpreter can panic the printer
-			// too. The contained FailPanic result must survive even when no
-			// artifact can be built from it.
-			defer func() {
-				if recover() != nil {
-					rec, truncated, path = nil, false, ""
-				}
-			}()
-			switch {
-			case finish != nil:
+		if flight != nil {
+			func() {
+				// Building the artifact prints and hashes the module; a module
+				// malformed enough to panic the interpreter can panic the
+				// printer too. The contained FailPanic result must survive
+				// even when no artifact can be built from it.
+				defer func() {
+					if recover() != nil {
+						rec, truncated, path = nil, false, ""
+					}
+				}()
 				// Even a panicked run's partial schedule is worth keeping: it
 				// is the prefix that drove the interpreter into the panic.
-				rec = finish(res)
-				path = e.Recorder.Save(rec, res)
-			case flight != nil:
 				rec = flight.Finish(res)
 				truncated = rec == nil
-			}
-		}()
+				if e.Recorder != nil {
+					path = e.Recorder.Save(rec, res)
+				}
+			}()
+		}
 		if e.RunHook != nil {
 			e.RunHook(RunInfo{
 				Label:              meta.Label,

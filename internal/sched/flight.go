@@ -1,24 +1,26 @@
 package sched
 
-// This file is the always-on half of record-and-replay: a FlightRecorder
-// is a Recorder with a bounded memory footprint. Where Recorder keeps the
-// whole decision stream (right for deliberate -record captures, wrong for
-// "record every job of a multi-hour sweep"), FlightRecorder keeps a ring
-// of the most recent segments and Intn draws — aviation-style: always
-// writing, bounded tape, and the tape only matters when something goes
-// wrong.
+// This file is the recording half of record-and-replay. A FlightRecorder
+// wraps any Scheduler and transcribes its decision stream — every pick
+// (as a run-length-encoded segment stream) and every Intn draw — into
+// rings of at most limit entries, while delegating the decisions
+// themselves unchanged, so a recorded run is bit-identical to an
+// unrecorded one under the same inner scheduler and seed.
 //
-// The payoff is the common forensic case: failing runs die young. A
-// forced-failure run's whole schedule fits in a small ring, so for
-// exactly the runs worth keeping the recording is complete and replayable
-// bit-identically; long healthy runs wrap the ring and their (useless)
-// recording is marked truncated instead of eating memory proportional to
-// their step count.
+// One type serves both uses. With a limit no run can reach the ring never
+// wraps and keeps the whole stream: that is a deliberate -record capture
+// (replay.Record). With a small limit it is aviation-style always-on
+// recording: always writing, bounded tape, and the tape only matters when
+// something goes wrong. Failing runs die young: a forced-failure run's
+// whole schedule fits in a small ring, so for exactly the runs worth
+// keeping the recording is complete and replayable bit-identically; long
+// healthy runs wrap the ring and their (useless) recording is marked
+// truncated instead of eating memory proportional to their step count.
 
 // FlightRecorder wraps an inner scheduler and records the tail of its
-// decision stream into bounded rings. Like Recorder it is purely
-// observational: Pick and Intn return exactly what the inner scheduler
-// returns, so an attached flight recorder never changes a run.
+// decision stream into bounded rings. It is purely observational: Pick
+// and Intn return exactly what the inner scheduler returns, so an
+// attached flight recorder never changes a run.
 type FlightRecorder struct {
 	inner Scheduler
 	limit int // ring capacity, in segments (and in Intn draws)

@@ -1,14 +1,11 @@
 package sched
 
-// This file is the sched-level record-and-replay hook. A Recorder wraps
-// any Scheduler and transcribes its decision stream — every Pick (as a
-// run-length-encoded segment stream) and every Intn draw — while
-// delegating the decisions themselves unchanged, so a recorded run is
-// bit-identical to an unrecorded one under the same inner scheduler and
-// seed. A SegmentReplay consumes a previously recorded stream and
-// reproduces the exact same interleaving: because the interpreter is
-// deterministic given its scheduler decisions, replaying the stream
-// replays the whole run, failure and all.
+// This file is the sched-level half of record-and-replay: the segment
+// stream a FlightRecorder captures (see flight.go) and the SegmentReplay
+// that consumes it. A SegmentReplay reproduces the exact recorded
+// interleaving: because the interpreter is deterministic given its
+// scheduler decisions, replaying the stream replays the whole run,
+// failure and all.
 //
 // The decision stream deliberately records *chosen thread ids*, not RNG
 // state: it is scheduler-agnostic (Random, PCT, round-robin and scripted
@@ -53,58 +50,6 @@ func MergeSegments(segs []Segment) []Segment {
 	}
 	return out
 }
-
-// Recorder wraps an inner scheduler and records its decision stream. It
-// is purely observational: Pick and Intn return exactly what the inner
-// scheduler returns, so wrapping never changes a run — only the
-// interpreter's devirtualized *Random fast path is bypassed, which is
-// decision-equivalent by construction (pinned by TestRecorderTransparent).
-type Recorder struct {
-	inner Scheduler
-	segs  []Segment
-	intns []int64
-	picks int64
-}
-
-// NewRecorder returns a recorder around inner.
-func NewRecorder(inner Scheduler) *Recorder {
-	return &Recorder{inner: inner}
-}
-
-// Pick implements Scheduler, recording the chosen thread.
-func (r *Recorder) Pick(runnable []int, step int64) int {
-	t := r.inner.Pick(runnable, step)
-	r.picks++
-	if k := len(r.segs); k > 0 && r.segs[k-1].TID == int32(t) {
-		r.segs[k-1].N++
-	} else {
-		r.segs = append(r.segs, Segment{TID: int32(t), N: 1})
-	}
-	return t
-}
-
-// Intn implements Scheduler, recording the drawn value.
-func (r *Recorder) Intn(n int) int {
-	v := r.inner.Intn(n)
-	r.intns = append(r.intns, int64(v))
-	return v
-}
-
-// Name implements Scheduler.
-func (r *Recorder) Name() string { return "record(" + r.inner.Name() + ")" }
-
-// Inner returns the wrapped scheduler.
-func (r *Recorder) Inner() Scheduler { return r.inner }
-
-// Segments returns the recorded pick stream. The slice aliases the
-// recorder's buffer; callers that outlive the recorder should copy it.
-func (r *Recorder) Segments() []Segment { return r.segs }
-
-// Intns returns the recorded Intn draw values in draw order.
-func (r *Recorder) Intns() []int64 { return r.intns }
-
-// Picks returns the number of scheduling decisions recorded.
-func (r *Recorder) Picks() int64 { return r.picks }
 
 // SegmentReplay replays a recorded decision stream. While the stream
 // holds, every Pick returns the recorded thread and every Intn the
