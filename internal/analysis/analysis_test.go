@@ -382,7 +382,7 @@ entry:
 	if len(sl.SharedReads) != 1 {
 		t.Fatalf("shared reads = %v, want only the @g load", sl.SharedReads)
 	}
-	if m.At(sl.SharedReads[0]).Global != m.GlobalIndex("g") {
+	if int(m.At(sl.SharedReads[0]).Aux) != m.GlobalIndex("g") {
 		t.Error("wrong shared read on slice")
 	}
 }

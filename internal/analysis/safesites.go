@@ -41,7 +41,7 @@ func ProvablySafeDeref(m *mir.Module, pos mir.Pos) bool {
 
 // safeAddr walks backward from index from for the most recent definition
 // of register reg, accumulating a constant offset.
-func safeAddr(blk *mir.Block, reg int, from int, offset mir.Word) bool {
+func safeAddr(blk *mir.Block, reg int32, from int, offset mir.Word) bool {
 	if offset < 0 {
 		return false
 	}

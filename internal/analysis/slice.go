@@ -169,7 +169,7 @@ func ComputeSlice(m *mir.Module, r *Region, seedRegs []int) Slice {
 	seed := newRegSet(f.NumRegs())
 	if seedRegs == nil {
 		site := m.At(r.Site.Pos)
-		for _, u := range site.Uses(nil) {
+		for _, u := range f.Uses(site, nil) {
 			seed.add(u)
 		}
 	} else {
@@ -208,10 +208,10 @@ func ComputeSlice(m *mir.Module, r *Region, seedRegs []int) Slice {
 			// Successors are the first positions of successor blocks.
 			switch si.in.Op {
 			case mir.OpBr:
-				collect(mir.Pos{Fn: p.Fn, Block: si.in.Then, Index: 0})
-				collect(mir.Pos{Fn: p.Fn, Block: si.in.Else, Index: 0})
+				collect(mir.Pos{Fn: p.Fn, Block: int(si.in.Aux), Index: 0})
+				collect(mir.Pos{Fn: p.Fn, Block: int(si.in.Else), Index: 0})
 			case mir.OpJmp:
-				collect(mir.Pos{Fn: p.Fn, Block: si.in.Then, Index: 0})
+				collect(mir.Pos{Fn: p.Fn, Block: int(si.in.Aux), Index: 0})
 			}
 		} else if p.Index+1 < len(f.Blocks[p.Block].Instrs) {
 			collect(mir.Pos{Fn: p.Fn, Block: p.Block, Index: p.Index + 1})
@@ -256,21 +256,21 @@ func ComputeSlice(m *mir.Module, r *Region, seedRegs []int) Slice {
 			}
 			before.copyFrom(after)
 			sliced := false
-			if in.HasDst() && after.has(in.Dst) {
+			if in.HasDst() && after.has(int(in.Dst)) {
 				sliced = true
-				before.remove(in.Dst)
+				before.remove(int(in.Dst))
 				switch in.Op {
 				case mir.OpLoadS:
 					// Definition reads a non-register location: stop
 					// tracking this chain (Figure 8).
 				case mir.OpLoadG, mir.OpLoad:
 					sharedReads[si.idx] = true
-					usesBuf = in.Uses(usesBuf[:0])
+					usesBuf = f.Uses(in, usesBuf[:0])
 					for _, u := range usesBuf {
 						before.add(u)
 					}
 				default:
-					usesBuf = in.Uses(usesBuf[:0])
+					usesBuf = f.Uses(in, usesBuf[:0])
 					for _, u := range usesBuf {
 						before.add(u)
 					}
@@ -281,7 +281,7 @@ func ComputeSlice(m *mir.Module, r *Region, seedRegs []int) Slice {
 				// steer execution to the site, so their conditions are
 				// always needed.
 				sliced = true
-				usesBuf = in.Uses(usesBuf[:0])
+				usesBuf = f.Uses(in, usesBuf[:0])
 				for _, u := range usesBuf {
 					before.add(u)
 				}

@@ -73,7 +73,7 @@ func TestHardenFixPipeline(t *testing.T) {
 
 func TestHardenRejectsInvalidModule(t *testing.T) {
 	m := mir.MustParse(racy)
-	m.Functions[0].Blocks[0].Instrs[0].Global = 99
+	m.Functions[0].Blocks[0].Instrs[0].Aux = 99
 	if _, err := Harden(m, DefaultOptions()); err == nil {
 		t.Fatal("invalid module must be rejected")
 	}

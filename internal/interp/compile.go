@@ -1,7 +1,6 @@
 package interp
 
 import (
-	"fmt"
 	"sync"
 
 	"conair/internal/mir"
@@ -16,8 +15,10 @@ import (
 //   - operands are pre-bound to a register slot or an immediate, removing
 //     the per-step eval() kind switch (OperandNone lowers to immediate 0,
 //     matching eval's historical behaviour);
-//   - every cinstr carries its precomputed mir.Pos, so the failure and
-//     sanitizer paths never reconstruct positions;
+//   - every cinstr carries its source block index, so the failure and
+//     sanitizer paths rebuild its mir.Pos in O(1) from the pc and the
+//     block's start (VM.posOf); texts and call arguments, which only
+//     cold paths and calls read, live outside the code stream;
 //   - scheduling-irrelevant instructions (sbEligible) are lowered to
 //     direct Go closures (cinstr.run), which are their only implementation:
 //     the run loop chains them through a superblock — a maximal
@@ -75,7 +76,7 @@ const (
 	cChSend  // a=channel, b=value, aux=timeout (0 = untimed)
 	cChRecv  // a=channel
 	cChClose // a=channel
-	cCAS     // a=address, b=expected, args[0]=replacement
+	cCAS     // a=address, b=expected, the one argument = replacement
 	cUnimpl  // unknown source opcode; fails at execution time like exec did
 )
 
@@ -86,8 +87,9 @@ type carg struct {
 	imm mir.Word
 }
 
-// cinstr is one compiled instruction. Which fields are meaningful depends
-// on op; field use mirrors mir.Instr with operands pre-bound:
+// cinstr is one compiled instruction, 64 bytes. Which fields are
+// meaningful depends on op; field use mirrors mir.Instr with operands
+// pre-bound:
 //
 //	aReg/aImm, bReg/bImm — generic operands (reg slot, or imm when reg < 0);
 //	                       aImm doubles as the const value (cConst), the
@@ -95,10 +97,12 @@ type carg struct {
 //	                       the timedlock timeout (cTimedLock);
 //	aux                  — global, slot or callee index; doubles as the
 //	                       wait/chsend timeout (their b slot is occupied);
-//	thenPC/elsePC        — absolute flat branch targets;
+//	thenPC/elsePC        — absolute flat branch targets; for call, spawn
+//	                       and cas they double as the offset and length of
+//	                       the arguments in fcode.args (fcode.argsOf);
 //	site                 — failure-site id;
-//	bin                  — the binary operator of cBin*;
-//	pos                  — this instruction's source position, precomputed.
+//	blk                  — the source block, for VM.posOf and VM.textOf;
+//	bin                  — the binary operator of cBin*.
 type cinstr struct {
 	op    cop
 	bin   mir.BinOp
@@ -112,13 +116,10 @@ type cinstr struct {
 	thenPC int32
 	elsePC int32
 	site   int32
+	blk    int32
 
 	aImm mir.Word
 	bImm mir.Word
-
-	pos  mir.Pos
-	args []carg
-	text string
 
 	// run is the direct-threaded form: non-nil exactly when the instruction
 	// is scheduling-irrelevant (sbEligible), in which case calling run(fr)
@@ -146,9 +147,8 @@ func (in *cinstr) b(fr *frame) mir.Word {
 	return in.bImm
 }
 
-// arg0 resolves the first pre-bound argument (the cas replacement value).
-func (in *cinstr) arg0(fr *frame) mir.Word {
-	a := &in.args[0]
+// value resolves a pre-bound argument against fr.
+func (a *carg) value(fr *frame) mir.Word {
 	if a.reg >= 0 {
 		return fr.regs[a.reg]
 	}
@@ -157,10 +157,12 @@ func (in *cinstr) arg0(fr *frame) mir.Word {
 
 // fcode is one compiled function: its flat code stream plus the flat offset
 // of each source block (blockStart[b] is the pc of block b's first
-// instruction), plus the superblock partition.
+// instruction), the pre-bound call, spawn and cas arguments, plus the
+// superblock partition.
 type fcode struct {
 	code       []cinstr
 	blockStart []int32
+	args       []carg
 	// sbLen[pc] is the length of the maximal run of scheduling-irrelevant
 	// instructions starting at pc (0 when code[pc] is scheduling-relevant).
 	// Runs never span a basic-block boundary or a scheduling-relevant
@@ -224,36 +226,40 @@ func compileModule(mod *mir.Module) *Program {
 func lowerOperand(o mir.Operand) (int32, mir.Word) {
 	switch o.Kind {
 	case mir.OperandReg:
-		return int32(o.Reg), 0
+		return o.Reg, 0
 	case mir.OperandImm:
 		return -1, o.Imm
 	}
 	return -1, 0
 }
 
+// argsOf returns the pre-bound arguments of a call, spawn or cas.
+func (fc *fcode) argsOf(in *cinstr) []carg {
+	return fc.args[in.thenPC : in.thenPC+in.elsePC]
+}
+
 func compileFunc(mod *mir.Module, fi int) fcode {
 	f := &mod.Functions[fi]
 	offs := f.BlockOffsets()
-	code := make([]cinstr, 0, f.NumInstrs())
+	fc := fcode{code: make([]cinstr, 0, f.NumInstrs()), blockStart: offs}
 	for b := range f.Blocks {
 		for i := range f.Blocks[b].Instrs {
-			code = append(code, lower(&f.Blocks[b].Instrs[i],
-				mir.Pos{Fn: fi, Block: b, Index: i}, offs))
+			fc.code = append(fc.code, fc.lower(f, &f.Blocks[b].Instrs[i], int32(b)))
 		}
 	}
-	fc := fcode{code: code, blockStart: offs}
 	closeFunc(&fc)
 	superblocks(&fc)
 	return fc
 }
 
-// lower translates one source instruction at pos into its compiled form.
-func lower(in *mir.Instr, pos mir.Pos, offs []int32) cinstr {
+// lower translates in, an instruction of f in block blk, into its
+// compiled form, appending its arguments to fc.args.
+func (fc *fcode) lower(f *mir.Function, in *mir.Instr, blk int32) cinstr {
+	offs := fc.blockStart
 	c := cinstr{
-		dst:  int32(in.Dst),
-		site: int32(in.Site),
-		pos:  pos,
-		text: in.Text,
+		dst:  in.Dst,
+		site: in.Site,
+		blk:  blk,
 	}
 	c.aReg, c.aImm = lowerOperand(in.A)
 	c.bReg, c.bImm = lowerOperand(in.B)
@@ -275,19 +281,19 @@ func lower(in *mir.Instr, pos mir.Pos, offs []int32) cinstr {
 			c.op, c.aImm, c.bImm = cConst, in.Bin.Eval(c.aImm, c.bImm), 0
 		}
 	case mir.OpLoadG:
-		c.op, c.aux = cLoadG, int32(in.Global)
+		c.op, c.aux = cLoadG, in.Aux
 	case mir.OpStoreG:
-		c.op, c.aux = cStoreG, int32(in.Global)
+		c.op, c.aux = cStoreG, in.Aux
 	case mir.OpAddrG:
-		c.op, c.aux = cAddrG, int32(in.Global)
+		c.op, c.aux = cAddrG, in.Aux
 	case mir.OpLoad:
 		c.op = cLoad
 	case mir.OpStore:
 		c.op = cStore
 	case mir.OpLoadS:
-		c.op, c.aux = cLoadS, int32(in.Slot)
+		c.op, c.aux = cLoadS, in.Aux
 	case mir.OpStoreS:
-		c.op, c.aux = cStoreS, int32(in.Slot)
+		c.op, c.aux = cStoreS, in.Aux
 	case mir.OpAlloc:
 		c.op = cAlloc
 	case mir.OpFree:
@@ -295,13 +301,15 @@ func lower(in *mir.Instr, pos mir.Pos, offs []int32) cinstr {
 	case mir.OpLock:
 		c.op = cLock
 	case mir.OpTimedLock:
-		c.op, c.bReg, c.bImm = cTimedLock, -1, mir.Word(in.Timeout)
+		c.op, c.bReg, c.bImm = cTimedLock, -1, in.Imm
 	case mir.OpUnlock:
 		c.op = cUnlock
 	case mir.OpCall:
-		c.op, c.aux, c.args = cCall, int32(in.Callee), lowerArgs(in.Args)
+		c.op, c.aux = cCall, in.Aux
+		fc.lowerArgs(&c, f.Args(in))
 	case mir.OpSpawn:
-		c.op, c.aux, c.args = cSpawn, int32(in.Callee), lowerArgs(in.Args)
+		c.op, c.aux = cSpawn, in.Aux
+		fc.lowerArgs(&c, f.Args(in))
 	case mir.OpJoin:
 		c.op = cJoin
 	case mir.OpOutput:
@@ -319,45 +327,44 @@ func lower(in *mir.Instr, pos mir.Pos, offs []int32) cinstr {
 	case mir.OpCheckpoint:
 		c.op = cCheckpoint
 	case mir.OpRollback:
-		c.op, c.aImm, c.aReg = cRollback, in.MaxRetry, -1
+		c.op, c.aImm, c.aReg = cRollback, in.Imm, -1
 	case mir.OpFail:
 		c.op, c.fkind = cFail, in.FailKind
 	case mir.OpBr:
-		c.op, c.thenPC, c.elsePC = cBr, offs[in.Then], offs[in.Else]
+		c.op, c.thenPC, c.elsePC = cBr, offs[in.Aux], offs[in.Else]
 	case mir.OpJmp:
-		c.op, c.thenPC = cJmp, offs[in.Then]
+		c.op, c.thenPC = cJmp, offs[in.Aux]
 	case mir.OpRet:
 		c.op = cRet
 	case mir.OpWait:
-		c.op, c.aux = cWait, int32(in.Timeout)
+		c.op, c.aux = cWait, int32(in.Imm)
 	case mir.OpSignal:
 		c.op = cSignal
 	case mir.OpBroadcast:
 		c.op = cBroadcast
 	case mir.OpChSend:
-		c.op, c.aux = cChSend, int32(in.Timeout)
+		c.op, c.aux = cChSend, int32(in.Imm)
 	case mir.OpChRecv:
 		c.op = cChRecv
 	case mir.OpChClose:
 		c.op = cChClose
 	case mir.OpCAS:
-		c.op, c.args = cCAS, lowerArgs(in.Args)
+		c.op = cCAS
+		fc.lowerArgs(&c, f.Args(in))
 	default:
 		c.op = cUnimpl
-		c.text = fmt.Sprintf("unimplemented op %v", in.Op)
 	}
 	return c
 }
 
-func lowerArgs(args []mir.Operand) []carg {
-	if len(args) == 0 {
-		return nil
+// lowerArgs pre-binds args into fc.args and points c at them.
+func (fc *fcode) lowerArgs(c *cinstr, args []mir.Operand) {
+	c.thenPC, c.elsePC = int32(len(fc.args)), int32(len(args))
+	for _, a := range args {
+		var ca carg
+		ca.reg, ca.imm = lowerOperand(a)
+		fc.args = append(fc.args, ca)
 	}
-	out := make([]carg, len(args))
-	for i, a := range args {
-		out[i].reg, out[i].imm = lowerOperand(a)
-	}
-	return out
 }
 
 // sbEligible reports whether a compiled instruction is scheduling-

@@ -2,6 +2,7 @@ package interp
 
 import (
 	"testing"
+	"unsafe"
 
 	"conair/internal/mir"
 	"conair/internal/mirgen"
@@ -52,10 +53,18 @@ func compileTestModule(t *testing.T) *mir.Module {
 	return m
 }
 
+// TestCinstrLayout pins the compiled instruction at 64 bytes: positions,
+// texts and arguments live outside the code stream.
+func TestCinstrLayout(t *testing.T) {
+	if got := unsafe.Sizeof(cinstr{}); got > 64 {
+		t.Errorf("cinstr is %d bytes, want at most 64", got)
+	}
+}
+
 // TestCompilePositions pins the 1:1 slot mapping: the compiled stream of
 // every function has exactly NumInstrs slots, blockStart matches
-// BlockOffsets, and each slot's precomputed pos round-trips through
-// FlatPos.
+// BlockOffsets, and each slot's position as VM.posOf rebuilds it
+// round-trips through FlatPos.
 func TestCompilePositions(t *testing.T) {
 	mods := []*mir.Module{
 		compileTestModule(t),
@@ -85,9 +94,10 @@ func TestCompilePositions(t *testing.T) {
 				for i := range f.Blocks[b].Instrs {
 					pc := int(offs[b]) + i
 					want := mir.Pos{Fn: fi, Block: b, Index: i}
-					if fc.code[pc].pos != want {
+					vm := &VM{prog: p}
+					if got := vm.posOf(&frame{fn: fi, pc: pc}, &fc.code[pc]); got != want {
 						t.Fatalf("module %d func %d pc %d: pos %v, want %v",
-							mi, fi, pc, fc.code[pc].pos, want)
+							mi, fi, pc, got, want)
 					}
 					if got := f.FlatPos(fi, pc); got != want {
 						t.Fatalf("FlatPos(%d) = %v, want %v", pc, got, want)
@@ -116,13 +126,13 @@ func TestCompileBranchTargets(t *testing.T) {
 					if c.op != cBr {
 						t.Fatalf("func %d br at %d:%d compiled to op %d", fi, b, i, c.op)
 					}
-					if c.thenPC != offs[in.Then] || c.elsePC != offs[in.Else] {
+					if c.thenPC != offs[in.Aux] || c.elsePC != offs[in.Else] {
 						t.Fatalf("br targets (%d,%d), want (%d,%d)",
-							c.thenPC, c.elsePC, offs[in.Then], offs[in.Else])
+							c.thenPC, c.elsePC, offs[in.Aux], offs[in.Else])
 					}
 				case mir.OpJmp:
-					if c.op != cJmp || c.thenPC != offs[in.Then] {
-						t.Fatalf("jmp target %d, want %d", c.thenPC, offs[in.Then])
+					if c.op != cJmp || c.thenPC != offs[in.Aux] {
+						t.Fatalf("jmp target %d, want %d", c.thenPC, offs[in.Aux])
 					}
 				}
 			}

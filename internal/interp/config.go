@@ -34,6 +34,10 @@ const (
 	GlobalBase mir.Word = 1 << 20
 	// HeapBase is the first heap address.
 	HeapBase mir.Word = 1 << 30
+	// MaxHeapWords bounds the words a run allocates (32 MB), far beyond
+	// what any workload allocates. An alloc that would pass it yields the
+	// null address 0, as a failed malloc returns NULL.
+	MaxHeapWords mir.Word = 1 << 22
 )
 
 // Config controls one interpreter run.

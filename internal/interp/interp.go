@@ -457,14 +457,14 @@ func (vm *VM) runLoop(max int64, single bool) bool {
 		case cLoadG:
 			fr.regs[in.dst] = vm.mem.globals[in.aux]
 			if vm.san != nil {
-				vm.san.Access(t.id, globalAddr(int(in.aux)), false, in.pos)
+				vm.san.Access(t.id, globalAddr(int(in.aux)), false, vm.posOf(fr, in))
 			}
 			fr.pc++
 
 		case cStoreG:
 			vm.mem.globals[in.aux] = in.a(fr)
 			if vm.san != nil {
-				vm.san.Access(t.id, globalAddr(int(in.aux)), true, in.pos)
+				vm.san.Access(t.id, globalAddr(int(in.aux)), true, vm.posOf(fr, in))
 			}
 			fr.pc++
 
@@ -472,25 +472,25 @@ func (vm *VM) runLoop(max int64, single bool) bool {
 			addr := in.a(fr)
 			v, ok := vm.mem.load(addr)
 			if !ok {
-				vm.fail(mir.FailSegfault, in.pos, int(in.site), t.id,
+				vm.fail(mir.FailSegfault, vm.posOf(fr, in), int(in.site), t.id,
 					fmt.Sprintf("invalid read at address %d", addr))
 				break
 			}
 			fr.regs[in.dst] = v
 			if vm.san != nil {
-				vm.san.Access(t.id, addr, false, in.pos)
+				vm.san.Access(t.id, addr, false, vm.posOf(fr, in))
 			}
 			fr.pc++
 
 		case cStore:
 			addr := in.a(fr)
 			if !vm.mem.store(addr, in.b(fr)) {
-				vm.fail(mir.FailSegfault, in.pos, int(in.site), t.id,
+				vm.fail(mir.FailSegfault, vm.posOf(fr, in), int(in.site), t.id,
 					fmt.Sprintf("invalid write at address %d", addr))
 				break
 			}
 			if vm.san != nil {
-				vm.san.Access(t.id, addr, true, in.pos)
+				vm.san.Access(t.id, addr, true, vm.posOf(fr, in))
 			}
 			fr.pc++
 
@@ -523,11 +523,11 @@ func (vm *VM) runLoop(max int64, single bool) bool {
 					})
 				}
 				if vm.san != nil {
-					vm.san.LockAcquire(t.id, addr, false, in.pos)
+					vm.san.LockAcquire(t.id, addr, false, vm.posOf(fr, in))
 				}
 				fr.pc++
 			case mu.holder == t.id && t.status != statusBlockedLock:
-				vm.fail(mir.FailHang, in.pos, int(in.site), t.id,
+				vm.fail(mir.FailHang, vm.posOf(fr, in), int(in.site), t.id,
 					fmt.Sprintf("self-deadlock on lock %d", addr))
 			default:
 				if t.status != statusBlockedLock {
@@ -535,7 +535,7 @@ func (vm *VM) runLoop(max int64, single bool) bool {
 						// Record the lock request before the wait-for-cycle
 						// check below: an actual deadlock fails the run right
 						// here, and the predictor needs this edge.
-						vm.san.LockRequest(t.id, addr, false, in.pos)
+						vm.san.LockRequest(t.id, addr, false, vm.posOf(fr, in))
 					}
 					vm.setStatus(t, statusBlockedLock)
 					t.blockAddr = addr
@@ -543,7 +543,7 @@ func (vm *VM) runLoop(max int64, single bool) bool {
 					t.blockTimeout = 0
 					if !vm.cfg.NoDeadlockCycles {
 						if cycle := vm.deadlockCycle(t); cycle != nil {
-							vm.fail(mir.FailHang, in.pos, int(in.site), t.id,
+							vm.fail(mir.FailHang, vm.posOf(fr, in), int(in.site), t.id,
 								fmt.Sprintf("deadlock: wait-for cycle among threads %v", cycle))
 						}
 					}
@@ -571,7 +571,7 @@ func (vm *VM) runLoop(max int64, single bool) bool {
 					})
 				}
 				if vm.san != nil {
-					vm.san.LockAcquire(t.id, addr, true, in.pos)
+					vm.san.LockAcquire(t.id, addr, true, vm.posOf(fr, in))
 				}
 				if in.site > 0 {
 					vm.closeEpisode(t, int(in.site))
@@ -592,7 +592,7 @@ func (vm *VM) runLoop(max int64, single bool) bool {
 			default:
 				if !waiting {
 					if vm.san != nil {
-						vm.san.LockRequest(t.id, addr, true, in.pos)
+						vm.san.LockRequest(t.id, addr, true, vm.posOf(fr, in))
 					}
 					vm.setStatus(t, statusBlockedLock)
 					t.blockAddr = addr
@@ -616,49 +616,44 @@ func (vm *VM) runLoop(max int64, single bool) bool {
 
 		case cWait:
 			if vm.execWait(t, fr, in.a(fr), in.b(fr), int64(in.aux),
-				int(in.dst), int(in.site), in.pos) {
+				int(in.dst), int(in.site), vm.posOf(fr, in)) {
 				fr.pc++
 			}
 
 		case cSignal:
-			vm.execSignal(t, in.a(fr), false, in.pos)
+			vm.execSignal(t, in.a(fr), false, vm.posOf(fr, in))
 			fr.pc++
 
 		case cBroadcast:
-			vm.execSignal(t, in.a(fr), true, in.pos)
+			vm.execSignal(t, in.a(fr), true, vm.posOf(fr, in))
 			fr.pc++
 
 		case cChSend:
 			if vm.execChSend(t, fr, in.a(fr), in.b(fr), int64(in.aux),
-				int(in.dst), int(in.site), in.pos) {
+				int(in.dst), int(in.site), vm.posOf(fr, in)) {
 				fr.pc++
 			}
 
 		case cChRecv:
-			if vm.execChRecv(t, fr, in.a(fr), int(in.dst), in.pos) {
+			if vm.execChRecv(t, fr, in.a(fr), int(in.dst), vm.posOf(fr, in)) {
 				fr.pc++
 			}
 
 		case cChClose:
-			if vm.execChClose(t, in.a(fr), int(in.site), in.pos) {
+			if vm.execChClose(t, in.a(fr), int(in.site), vm.posOf(fr, in)) {
 				fr.pc++
 			}
 
 		case cCAS:
-			if vm.execCAS(t, fr, in.a(fr), in.b(fr), in.arg0(fr),
-				int(in.dst), int(in.site), in.pos) {
+			if vm.execCAS(t, fr, in.a(fr), in.b(fr), vm.prog.funcs[fr.fn].argsOf(in)[0].value(fr),
+				int(in.dst), int(in.site), vm.posOf(fr, in)) {
 				fr.pc++
 			}
 
 		case cCall:
 			nfr := vm.newFrame(int(in.aux), int(in.dst))
-			for i := range in.args {
-				a := &in.args[i]
-				if a.reg >= 0 {
-					nfr.regs[i] = fr.regs[a.reg]
-				} else {
-					nfr.regs[i] = a.imm
-				}
+			for i, a := range vm.prog.funcs[fr.fn].argsOf(in) {
+				nfr.regs[i] = a.value(fr)
 			}
 			// Advance the caller past the call before pushing, so the return
 			// resumes at the next instruction.
@@ -669,17 +664,13 @@ func (vm *VM) runLoop(max int64, single bool) bool {
 
 		case cSpawn:
 			if len(vm.threads) >= vm.cfg.maxThreads() {
-				vm.fail(mir.FailHang, in.pos, 0, t.id, "thread limit exceeded")
+				vm.fail(mir.FailHang, vm.posOf(fr, in), 0, t.id, "thread limit exceeded")
 				break
 			}
-			args := make([]mir.Word, len(in.args))
-			for i := range in.args {
-				a := &in.args[i]
-				if a.reg >= 0 {
-					args[i] = fr.regs[a.reg]
-				} else {
-					args[i] = a.imm
-				}
+			cargs := vm.prog.funcs[fr.fn].argsOf(in)
+			args := make([]mir.Word, len(cargs))
+			for i := range cargs {
+				args[i] = cargs[i].value(fr)
 			}
 			fr.regs[in.dst] = mir.Word(vm.spawn(int(in.aux), args))
 			if vm.san != nil {
@@ -705,13 +696,13 @@ func (vm *VM) runLoop(max int64, single bool) bool {
 		case cOutput:
 			if vm.cfg.CollectOutput {
 				vm.output = append(vm.output, OutputEvent{
-					Text: in.text, Value: in.a(fr), Thread: t.id, Step: vm.step,
+					Text: vm.textOf(fr, in), Value: in.a(fr), Thread: t.id, Step: vm.step,
 				})
 			}
 			if vm.sink != nil {
 				vm.sink.Record(obs.Event{
 					Step: vm.step, Kind: obs.KindOutput,
-					TID: int32(t.id), Arg: int64(in.a(fr)), Text: in.text,
+					TID: int32(t.id), Arg: int64(in.a(fr)), Text: vm.textOf(fr, in),
 				})
 			}
 			fr.pc++
@@ -722,7 +713,7 @@ func (vm *VM) runLoop(max int64, single bool) bool {
 				if in.akind == mir.AssertOracle {
 					kind = mir.FailWrongOutput
 				}
-				vm.fail(kind, in.pos, int(in.site), t.id, in.text)
+				vm.fail(kind, vm.posOf(fr, in), int(in.site), t.id, vm.textOf(fr, in))
 				break
 			}
 			fr.pc++
@@ -800,7 +791,7 @@ func (vm *VM) runLoop(max int64, single bool) bool {
 			fr.pc++
 
 		case cFail:
-			vm.fail(in.fkind, in.pos, int(in.site), t.id, in.text)
+			vm.fail(in.fkind, vm.posOf(fr, in), int(in.site), t.id, vm.textOf(fr, in))
 
 		case cBr:
 			// Only site-tagged branches reach the switch (a plain branch is
@@ -849,7 +840,8 @@ func (vm *VM) runLoop(max int64, single bool) bool {
 			code = vm.prog.funcs[fr.fn].code
 
 		default: // cUnimpl
-			vm.fail(mir.FailHang, in.pos, 0, t.id, in.text)
+			pos := vm.posOf(fr, in)
+			vm.fail(mir.FailHang, pos, 0, t.id, fmt.Sprintf("unimplemented op %v", vm.prog.mod.At(pos).Op))
 		}
 
 		vm.step++
@@ -858,6 +850,22 @@ func (vm *VM) runLoop(max int64, single bool) bool {
 			return true
 		}
 	}
+}
+
+// posOf returns the source position of in, the instruction at fr.pc: its
+// block is compiled in, and its index is the pc's offset from the block's
+// start.
+func (vm *VM) posOf(fr *frame, in *cinstr) mir.Pos {
+	start := vm.prog.funcs[fr.fn].blockStart[in.blk]
+	return mir.Pos{Fn: fr.fn, Block: int(in.blk), Index: fr.pc - int(start)}
+}
+
+// textOf returns the text of in, the output, assert or fail instruction at
+// fr.pc, from its source instruction.
+func (vm *VM) textOf(fr *frame, in *cinstr) string {
+	pos := vm.posOf(fr, in)
+	f := &vm.prog.mod.Functions[pos.Fn]
+	return f.Text(&f.Blocks[pos.Block].Instrs[pos.Index])
 }
 
 func (vm *VM) result() *Result {

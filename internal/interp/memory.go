@@ -41,10 +41,13 @@ func newMemory(m *mir.Module) *memory {
 }
 
 // alloc creates a zeroed heap block of size words (minimum 1) and returns
-// its base address.
+// its base address, or the null address 0 when the heap cannot hold it.
 func (mem *memory) alloc(size mir.Word) mir.Word {
 	if size < 1 {
 		size = 1
+	}
+	if size > HeapBase+MaxHeapWords-mem.nextAdr {
+		return 0
 	}
 	b := heapBlock{base: mem.nextAdr, data: make([]mir.Word, size)}
 	mem.blocks = append(mem.blocks, b)

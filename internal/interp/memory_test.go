@@ -177,3 +177,23 @@ func TestQuickSnapshotIsolation(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestAllocHeapBound pins the heap bound: an allocation the heap cannot
+// hold yields the null address, which dereferences as a segfault, and
+// leaves the heap as it was, so smaller ones still succeed.
+func TestAllocHeapBound(t *testing.T) {
+	m := mir.MustParse("func main() {\nentry:\n  %p = alloc 9223372036854775807\n  %v = load %p\n  ret %v\n}\n")
+	if r := RunModule(m, Config{}); r.Failure == nil || r.Failure.Kind != mir.FailSegfault {
+		t.Fatalf("failure = %+v, want a segfault on the null address", r.Failure)
+	}
+	mem := newMemory(&mir.Module{})
+	if p := mem.alloc(MaxHeapWords + 1); p != 0 {
+		t.Errorf("oversized alloc = %d, want 0", p)
+	}
+	if p := mem.alloc(MaxHeapWords - 10); p != HeapBase {
+		t.Errorf("alloc after a failed one = %d, want %d", p, HeapBase)
+	}
+	if p := mem.alloc(10); p != 0 {
+		t.Errorf("alloc past the bound = %d, want 0", p)
+	}
+}

@@ -15,7 +15,7 @@ import (
 // build of this package) — RunReference must produce results
 // bit-identical to Run on every module — and uses the compiled stream only
 // for what lowering is trusted least about: the pc↔position mapping
-// (cinstr.pos) and the flat branch targets (fcode.blockStart), both of
+// (VM.posOf) and the flat branch targets (fcode.blockStart), both of
 // which the differential sweep therefore exercises against the original
 // instruction semantics.
 
@@ -61,7 +61,7 @@ func eval(fr *frame, o mir.Operand) mir.Word {
 func (vm *VM) refExec(t *thread) {
 	fr := t.top()
 	fc := &vm.prog.funcs[fr.fn]
-	pos := fc.code[fr.pc].pos
+	pos := vm.posOf(fr, &fc.code[fr.pc])
 	f := &vm.mod.Functions[pos.Fn]
 	in := &f.Blocks[pos.Block].Instrs[pos.Index]
 	advance := true
@@ -76,25 +76,25 @@ func (vm *VM) refExec(t *thread) {
 		// outcome is observed at the branch, handled under OpBr.
 
 	case mir.OpLoadG:
-		fr.regs[in.Dst] = vm.mem.globals[in.Global]
+		fr.regs[in.Dst] = vm.mem.globals[in.Aux]
 		if vm.san != nil {
-			vm.san.Access(t.id, globalAddr(in.Global), false, pos)
+			vm.san.Access(t.id, globalAddr(int(in.Aux)), false, pos)
 		}
 
 	case mir.OpStoreG:
-		vm.mem.globals[in.Global] = eval(fr, in.A)
+		vm.mem.globals[in.Aux] = eval(fr, in.A)
 		if vm.san != nil {
-			vm.san.Access(t.id, globalAddr(in.Global), true, pos)
+			vm.san.Access(t.id, globalAddr(int(in.Aux)), true, pos)
 		}
 
 	case mir.OpAddrG:
-		fr.regs[in.Dst] = globalAddr(in.Global)
+		fr.regs[in.Dst] = globalAddr(int(in.Aux))
 
 	case mir.OpLoad:
 		addr := eval(fr, in.A)
 		v, ok := vm.mem.load(addr)
 		if !ok {
-			vm.fail(mir.FailSegfault, pos, in.Site, t.id,
+			vm.fail(mir.FailSegfault, pos, int(in.Site), t.id,
 				fmt.Sprintf("invalid read at address %d", addr))
 			return
 		}
@@ -106,7 +106,7 @@ func (vm *VM) refExec(t *thread) {
 	case mir.OpStore:
 		addr := eval(fr, in.A)
 		if !vm.mem.store(addr, eval(fr, in.B)) {
-			vm.fail(mir.FailSegfault, pos, in.Site, t.id,
+			vm.fail(mir.FailSegfault, pos, int(in.Site), t.id,
 				fmt.Sprintf("invalid write at address %d", addr))
 			return
 		}
@@ -115,10 +115,10 @@ func (vm *VM) refExec(t *thread) {
 		}
 
 	case mir.OpLoadS:
-		fr.regs[in.Dst] = fr.slots[in.Slot]
+		fr.regs[in.Dst] = fr.slots[in.Aux]
 
 	case mir.OpStoreS:
-		fr.slots[in.Slot] = eval(fr, in.A)
+		fr.slots[in.Aux] = eval(fr, in.A)
 
 	case mir.OpAlloc:
 		addr := vm.mem.alloc(eval(fr, in.A))
@@ -143,14 +143,14 @@ func (vm *VM) refExec(t *thread) {
 			if vm.sink != nil {
 				vm.sink.Record(obs.Event{
 					Step: vm.step, Kind: obs.KindLockAcquire,
-					TID: int32(t.id), Site: int32(in.Site), Arg: int64(addr),
+					TID: int32(t.id), Site: int32(int(in.Site)), Arg: int64(addr),
 				})
 			}
 			if vm.san != nil {
 				vm.san.LockAcquire(t.id, addr, false, pos)
 			}
 		case mu.holder == t.id && t.status != statusBlockedLock:
-			vm.fail(mir.FailHang, pos, in.Site, t.id,
+			vm.fail(mir.FailHang, pos, int(in.Site), t.id,
 				fmt.Sprintf("self-deadlock on lock %d", addr))
 			return
 		default:
@@ -164,7 +164,7 @@ func (vm *VM) refExec(t *thread) {
 				t.blockTimeout = 0
 				if !vm.cfg.NoDeadlockCycles {
 					if cycle := vm.deadlockCycle(t); cycle != nil {
-						vm.fail(mir.FailHang, pos, in.Site, t.id,
+						vm.fail(mir.FailHang, pos, int(in.Site), t.id,
 							fmt.Sprintf("deadlock: wait-for cycle among threads %v", cycle))
 						return
 					}
@@ -190,14 +190,14 @@ func (vm *VM) refExec(t *thread) {
 			if vm.sink != nil {
 				vm.sink.Record(obs.Event{
 					Step: vm.step, Kind: obs.KindLockAcquire,
-					TID: int32(t.id), Site: int32(in.Site), Arg: int64(addr),
+					TID: int32(t.id), Site: int32(int(in.Site)), Arg: int64(addr),
 				})
 			}
 			if vm.san != nil {
 				vm.san.LockAcquire(t.id, addr, true, pos)
 			}
-			if in.Site > 0 {
-				vm.closeEpisode(t, in.Site)
+			if int(in.Site) > 0 {
+				vm.closeEpisode(t, int(in.Site))
 			}
 		case selfHeld || expired:
 			vm.setStatus(t, statusRunnable)
@@ -205,7 +205,7 @@ func (vm *VM) refExec(t *thread) {
 			if vm.sink != nil {
 				vm.sink.Record(obs.Event{
 					Step: vm.step, Kind: obs.KindLockTimeout,
-					TID: int32(t.id), Site: int32(in.Site), Arg: int64(addr),
+					TID: int32(t.id), Site: int32(int(in.Site)), Arg: int64(addr),
 				})
 			}
 		default:
@@ -216,7 +216,7 @@ func (vm *VM) refExec(t *thread) {
 				vm.setStatus(t, statusBlockedLock)
 				t.blockAddr = addr
 				t.blockedSince = vm.step
-				t.blockTimeout = int64(in.Timeout)
+				t.blockTimeout = int64(in.Imm)
 			}
 			advance = false
 		}
@@ -233,7 +233,7 @@ func (vm *VM) refExec(t *thread) {
 
 	case mir.OpWait:
 		advance = vm.execWait(t, fr, eval(fr, in.A), eval(fr, in.B),
-			int64(in.Timeout), in.Dst, in.Site, pos)
+			int64(in.Imm), int(in.Dst), int(in.Site), pos)
 
 	case mir.OpSignal:
 		vm.execSignal(t, eval(fr, in.A), false, pos)
@@ -243,21 +243,21 @@ func (vm *VM) refExec(t *thread) {
 
 	case mir.OpChSend:
 		advance = vm.execChSend(t, fr, eval(fr, in.A), eval(fr, in.B),
-			int64(in.Timeout), in.Dst, in.Site, pos)
+			int64(in.Imm), int(in.Dst), int(in.Site), pos)
 
 	case mir.OpChRecv:
-		advance = vm.execChRecv(t, fr, eval(fr, in.A), in.Dst, pos)
+		advance = vm.execChRecv(t, fr, eval(fr, in.A), int(in.Dst), pos)
 
 	case mir.OpChClose:
-		advance = vm.execChClose(t, eval(fr, in.A), in.Site, pos)
+		advance = vm.execChClose(t, eval(fr, in.A), int(in.Site), pos)
 
 	case mir.OpCAS:
 		advance = vm.execCAS(t, fr, eval(fr, in.A), eval(fr, in.B),
-			eval(fr, in.Args[0]), in.Dst, in.Site, pos)
+			eval(fr, f.Args(in)[0]), int(in.Dst), int(in.Site), pos)
 
 	case mir.OpCall:
-		nfr := vm.newFrame(in.Callee, in.Dst)
-		for i, a := range in.Args {
+		nfr := vm.newFrame(int(in.Aux), int(in.Dst))
+		for i, a := range f.Args(in) {
 			nfr.regs[i] = eval(fr, a)
 		}
 		fr.pc++
@@ -269,11 +269,11 @@ func (vm *VM) refExec(t *thread) {
 			vm.fail(mir.FailHang, pos, 0, t.id, "thread limit exceeded")
 			return
 		}
-		args := make([]mir.Word, len(in.Args))
-		for i, a := range in.Args {
+		args := make([]mir.Word, len(f.Args(in)))
+		for i, a := range f.Args(in) {
 			args[i] = eval(fr, a)
 		}
-		fr.regs[in.Dst] = mir.Word(vm.spawn(in.Callee, args))
+		fr.regs[in.Dst] = mir.Word(vm.spawn(int(in.Aux), args))
 		if vm.san != nil {
 			vm.san.ThreadSpawn(t.id, int(fr.regs[in.Dst]))
 		}
@@ -292,13 +292,13 @@ func (vm *VM) refExec(t *thread) {
 	case mir.OpOutput:
 		if vm.cfg.CollectOutput {
 			vm.output = append(vm.output, OutputEvent{
-				Text: in.Text, Value: eval(fr, in.A), Thread: t.id, Step: vm.step,
+				Text: f.Text(in), Value: eval(fr, in.A), Thread: t.id, Step: vm.step,
 			})
 		}
 		if vm.sink != nil {
 			vm.sink.Record(obs.Event{
 				Step: vm.step, Kind: obs.KindOutput,
-				TID: int32(t.id), Arg: int64(eval(fr, in.A)), Text: in.Text,
+				TID: int32(t.id), Arg: int64(eval(fr, in.A)), Text: f.Text(in),
 			})
 		}
 
@@ -308,7 +308,7 @@ func (vm *VM) refExec(t *thread) {
 			if in.AssertKind == mir.AssertOracle {
 				kind = mir.FailWrongOutput
 			}
-			vm.fail(kind, pos, in.Site, t.id, in.Text)
+			vm.fail(kind, pos, int(in.Site), t.id, f.Text(in))
 			return
 		}
 
@@ -349,18 +349,18 @@ func (vm *VM) refExec(t *thread) {
 		if vm.stats.CheckpointExecs == nil {
 			vm.stats.CheckpointExecs = map[int]int64{}
 		}
-		vm.stats.CheckpointExecs[in.Site]++
+		vm.stats.CheckpointExecs[int(in.Site)]++
 		if vm.sink != nil {
 			vm.sink.Record(obs.Event{
 				Step: vm.step, Kind: obs.KindCheckpoint,
-				TID: int32(t.id), Site: int32(in.Site),
+				TID: int32(t.id), Site: int32(int(in.Site)),
 			})
 		}
 
 	case mir.OpRollback:
-		site := in.Site
+		site := int(in.Site)
 		if t.jmp != nil && t.jmp.frameDepth < len(t.frames) &&
-			t.retryCount(site) < in.MaxRetry {
+			t.retryCount(site) < in.Imm {
 			t.bumpRetry(site)
 			e := t.beginEpisode(site, vm.step)
 			if vm.sink != nil {
@@ -381,23 +381,23 @@ func (vm *VM) refExec(t *thread) {
 		}
 
 	case mir.OpFail:
-		vm.fail(in.FailKind, pos, in.Site, t.id, in.Text)
+		vm.fail(in.FailKind, pos, int(in.Site), t.id, f.Text(in))
 		return
 
 	case mir.OpBr:
 		c := eval(fr, in.A)
-		if in.Site > 0 && c != 0 {
-			vm.closeEpisode(t, in.Site)
+		if int(in.Site) > 0 && c != 0 {
+			vm.closeEpisode(t, int(in.Site))
 		}
 		if c != 0 {
-			fr.pc = int(fc.blockStart[in.Then])
+			fr.pc = int(fc.blockStart[in.Aux])
 		} else {
 			fr.pc = int(fc.blockStart[in.Else])
 		}
 		return
 
 	case mir.OpJmp:
-		fr.pc = int(fc.blockStart[in.Then])
+		fr.pc = int(fc.blockStart[in.Aux])
 		return
 
 	case mir.OpRet:

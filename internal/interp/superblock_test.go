@@ -130,7 +130,7 @@ func TestSuperblockBoundaries(t *testing.T) {
 	// register branch the way transform does so the site-br boundary rule
 	// is exercised directly.
 	tagged := compileTestModule(t)
-	n := 0
+	n := int32(0)
 	for fi := range tagged.Functions {
 		f := &tagged.Functions[fi]
 		for b := range f.Blocks {

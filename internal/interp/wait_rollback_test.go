@@ -131,7 +131,7 @@ func TestWaitRollbackNeverConsumesSecondSignal(t *testing.T) {
 				case mir.OpCheckpoint:
 					// Plain wait: checkpoint planted directly after.
 				case mir.OpBr:
-					cont := &fn.Blocks[next.Then]
+					cont := &fn.Blocks[next.Aux]
 					if len(cont.Instrs) == 0 || cont.Instrs[0].Op != mir.OpCheckpoint {
 						t.Errorf("%s: timed wait's success arm %q does not start with a checkpoint",
 							fn.Name, cont.Name)

@@ -84,7 +84,7 @@ func (b *Builder) Module() (*Module, error) {
 			b.errs = append(b.errs, fmt.Errorf("call to undeclared function %q", fx.name))
 			continue
 		}
-		b.m.Functions[fx.fn].Blocks[fx.blk].Instrs[fx.idx].Callee = ci
+		b.m.Functions[fx.fn].Blocks[fx.blk].Instrs[fx.idx].Aux = int32(ci)
 	}
 	if len(b.errs) > 0 {
 		return nil, fmt.Errorf("builder: %w (and %d more)", b.errs[0], len(b.errs)-1)
@@ -174,14 +174,16 @@ func (fb *FuncBuilder) Label(name string) int {
 	if ni > 0 {
 		prev := &f.Blocks[fb.cur]
 		if len(prev.Instrs) == 0 || !prev.Terminator().Op.IsTerminator() {
-			prev.Instrs = append(prev.Instrs, Instr{Op: OpJmp, Dst: -1, Then: ni})
+			prev.Instrs = append(prev.Instrs, Instr{Op: OpJmp, Dst: -1, Aux: int32(ni)})
 		}
 	}
 	fb.cur = ni
 	return ni
 }
 
-func (fb *FuncBuilder) emit(in Instr) {
+// emit appends in to the open block and returns where it landed, or nil
+// if it was rejected.
+func (fb *FuncBuilder) emit(in Instr) *Instr {
 	f := fb.fn()
 	if len(f.Blocks) == 0 {
 		fb.Label("entry")
@@ -189,9 +191,24 @@ func (fb *FuncBuilder) emit(in Instr) {
 	blk := &f.Blocks[fb.cur]
 	if len(blk.Instrs) > 0 && blk.Terminator().Op.IsTerminator() {
 		fb.b.errs = append(fb.b.errs, fmt.Errorf("%s/%s: instruction after terminator", f.Name, blk.Name))
-		return
+		return nil
 	}
 	blk.Instrs = append(blk.Instrs, in)
+	return &blk.Instrs[len(blk.Instrs)-1]
+}
+
+// emitText emits in with the text s.
+func (fb *FuncBuilder) emitText(in Instr, s string) {
+	if p := fb.emit(in); p != nil {
+		fb.fn().SetText(p, s)
+	}
+}
+
+// emitArgs emits in with the arguments args.
+func (fb *FuncBuilder) emitArgs(in Instr, args []Operand) {
+	if p := fb.emit(in); p != nil {
+		fb.fn().SetArgs(p, args...)
+	}
 }
 
 func (fb *FuncBuilder) finish() {
@@ -207,6 +224,14 @@ func (fb *FuncBuilder) finish() {
 	if len(cur.Instrs) == 0 || !cur.Terminator().Op.IsTerminator() {
 		cur.Instrs = append(cur.Instrs, Instr{Op: OpRet, Dst: -1, A: None})
 	}
+	// Move the blocks out of their append-grown slices into one exactly
+	// sized array.
+	instrs := make([]Instr, f.NumInstrs())
+	for i := range f.Blocks {
+		n := copy(instrs, f.Blocks[i].Instrs)
+		f.Blocks[i].Instrs = instrs[:n:n]
+		instrs = instrs[n:]
+	}
 }
 
 // R is shorthand for a register operand by name.
@@ -215,40 +240,40 @@ func (fb *FuncBuilder) R(name string) Operand { return Reg(fb.Reg(name)) }
 // Const emits dst = v and returns dst's operand.
 func (fb *FuncBuilder) Const(dst string, v Word) Operand {
 	d := fb.Reg(dst)
-	fb.emit(Instr{Op: OpConst, Dst: d, Imm: v})
+	fb.emit(Instr{Op: OpConst, Dst: int32(d), Imm: v})
 	return Reg(d)
 }
 
 // Bin emits dst = a op b and returns dst's operand.
 func (fb *FuncBuilder) Bin(dst string, op BinOp, a, b Operand) Operand {
 	d := fb.Reg(dst)
-	fb.emit(Instr{Op: OpBin, Bin: op, Dst: d, A: a, B: b})
+	fb.emit(Instr{Op: OpBin, Bin: op, Dst: int32(d), A: a, B: b})
 	return Reg(d)
 }
 
 // LoadG emits dst = *global.
 func (fb *FuncBuilder) LoadG(dst string, global int) Operand {
 	d := fb.Reg(dst)
-	fb.emit(Instr{Op: OpLoadG, Dst: d, Global: global})
+	fb.emit(Instr{Op: OpLoadG, Dst: int32(d), Aux: int32(global)})
 	return Reg(d)
 }
 
 // StoreG emits *global = v.
 func (fb *FuncBuilder) StoreG(global int, v Operand) {
-	fb.emit(Instr{Op: OpStoreG, Dst: -1, Global: global, A: v})
+	fb.emit(Instr{Op: OpStoreG, Dst: -1, Aux: int32(global), A: v})
 }
 
 // AddrG emits dst = &global.
 func (fb *FuncBuilder) AddrG(dst string, global int) Operand {
 	d := fb.Reg(dst)
-	fb.emit(Instr{Op: OpAddrG, Dst: d, Global: global})
+	fb.emit(Instr{Op: OpAddrG, Dst: int32(d), Aux: int32(global)})
 	return Reg(d)
 }
 
 // Load emits dst = *(addr).
 func (fb *FuncBuilder) Load(dst string, addr Operand) Operand {
 	d := fb.Reg(dst)
-	fb.emit(Instr{Op: OpLoad, Dst: d, A: addr})
+	fb.emit(Instr{Op: OpLoad, Dst: int32(d), A: addr})
 	return Reg(d)
 }
 
@@ -260,19 +285,19 @@ func (fb *FuncBuilder) Store(addr, v Operand) {
 // LoadS emits dst = slot.
 func (fb *FuncBuilder) LoadS(dst, slot string) Operand {
 	d := fb.Reg(dst)
-	fb.emit(Instr{Op: OpLoadS, Dst: d, Slot: fb.Slot(slot)})
+	fb.emit(Instr{Op: OpLoadS, Dst: int32(d), Aux: int32(fb.Slot(slot))})
 	return Reg(d)
 }
 
 // StoreS emits slot = v.
 func (fb *FuncBuilder) StoreS(slot string, v Operand) {
-	fb.emit(Instr{Op: OpStoreS, Dst: -1, Slot: fb.Slot(slot), A: v})
+	fb.emit(Instr{Op: OpStoreS, Dst: -1, Aux: int32(fb.Slot(slot)), A: v})
 }
 
 // Alloc emits dst = alloc(size).
 func (fb *FuncBuilder) Alloc(dst string, size Operand) Operand {
 	d := fb.Reg(dst)
-	fb.emit(Instr{Op: OpAlloc, Dst: d, A: size})
+	fb.emit(Instr{Op: OpAlloc, Dst: int32(d), A: size})
 	return Reg(d)
 }
 
@@ -315,7 +340,7 @@ func (fb *FuncBuilder) ChSend(ch, v Operand) {
 // ChRecv emits dst = receive from the channel at ch.
 func (fb *FuncBuilder) ChRecv(dst string, ch Operand) Operand {
 	d := fb.Reg(dst)
-	fb.emit(Instr{Op: OpChRecv, Dst: d, A: ch})
+	fb.emit(Instr{Op: OpChRecv, Dst: int32(d), A: ch})
 	return Reg(d)
 }
 
@@ -327,7 +352,7 @@ func (fb *FuncBuilder) ChClose(ch Operand) {
 // CAS emits dst = (1 if *(addr) == expect then *(addr) = repl else 0).
 func (fb *FuncBuilder) CAS(dst string, addr, expect, repl Operand) Operand {
 	d := fb.Reg(dst)
-	fb.emit(Instr{Op: OpCAS, Dst: d, A: addr, B: expect, Args: []Operand{repl}})
+	fb.emitArgs(Instr{Op: OpCAS, Dst: int32(d), A: addr, B: expect}, []Operand{repl})
 	return Reg(d)
 }
 
@@ -363,7 +388,7 @@ func (fb *FuncBuilder) Call(dst, callee string, args ...Operand) Operand {
 	if dst != "" {
 		d = fb.Reg(dst)
 	}
-	fb.emit(Instr{Op: OpCall, Dst: d, Callee: fb.callee(callee), Args: args})
+	fb.emitArgs(Instr{Op: OpCall, Dst: int32(d), Aux: int32(fb.callee(callee))}, args)
 	if d < 0 {
 		return None
 	}
@@ -373,7 +398,7 @@ func (fb *FuncBuilder) Call(dst, callee string, args ...Operand) Operand {
 // Spawn emits dst = spawn callee(args...) and returns the thread id operand.
 func (fb *FuncBuilder) Spawn(dst, callee string, args ...Operand) Operand {
 	d := fb.Reg(dst)
-	fb.emit(Instr{Op: OpSpawn, Dst: d, Callee: fb.callee(callee), Args: args})
+	fb.emitArgs(Instr{Op: OpSpawn, Dst: int32(d), Aux: int32(fb.callee(callee))}, args)
 	return Reg(d)
 }
 
@@ -384,17 +409,17 @@ func (fb *FuncBuilder) Join(tid Operand) {
 
 // Output emits output(v) tagged with text.
 func (fb *FuncBuilder) Output(text string, v Operand) {
-	fb.emit(Instr{Op: OpOutput, Dst: -1, A: v, Text: text})
+	fb.emitText(Instr{Op: OpOutput, Dst: -1, A: v}, text)
 }
 
 // Assert emits assert(cond).
 func (fb *FuncBuilder) Assert(cond Operand, msg string) {
-	fb.emit(Instr{Op: OpAssert, Dst: -1, A: cond, AssertKind: AssertPlain, Text: msg})
+	fb.emitText(Instr{Op: OpAssert, Dst: -1, A: cond, AssertKind: AssertPlain}, msg)
 }
 
 // OracleAssert emits a developer output-correctness oracle.
 func (fb *FuncBuilder) OracleAssert(cond Operand, msg string) {
-	fb.emit(Instr{Op: OpAssert, Dst: -1, A: cond, AssertKind: AssertOracle, Text: msg})
+	fb.emitText(Instr{Op: OpAssert, Dst: -1, A: cond, AssertKind: AssertOracle}, msg)
 }
 
 // Yield emits a scheduler hint.
@@ -410,17 +435,17 @@ func (fb *FuncBuilder) Nop() { fb.emit(Instr{Op: OpNop, Dst: -1}) }
 
 // Fail emits an unconditional failure terminator.
 func (fb *FuncBuilder) Fail(kind FailKind, msg string) {
-	fb.emit(Instr{Op: OpFail, Dst: -1, FailKind: kind, Text: msg})
+	fb.emitText(Instr{Op: OpFail, Dst: -1, FailKind: kind}, msg)
 }
 
 // Br emits a conditional branch to block indices then/else.
 func (fb *FuncBuilder) Br(cond Operand, then, els int) {
-	fb.emit(Instr{Op: OpBr, Dst: -1, A: cond, Then: then, Else: els})
+	fb.emit(Instr{Op: OpBr, Dst: -1, A: cond, Aux: int32(then), Else: int32(els)})
 }
 
 // Jmp emits an unconditional jump to block index then.
 func (fb *FuncBuilder) Jmp(then int) {
-	fb.emit(Instr{Op: OpJmp, Dst: -1, Then: then})
+	fb.emit(Instr{Op: OpJmp, Dst: -1, Aux: int32(then)})
 }
 
 // Ret emits a return; pass mir.None for a void return.

@@ -25,10 +25,10 @@ func BuildCFG(f *Function) *CFG {
 		t := f.Blocks[bi].Terminator()
 		switch t.Op {
 		case OpBr:
-			c.Succs[bi] = appendUnique(c.Succs[bi], t.Then)
-			c.Succs[bi] = appendUnique(c.Succs[bi], t.Else)
+			c.Succs[bi] = appendUnique(c.Succs[bi], int(t.Aux))
+			c.Succs[bi] = appendUnique(c.Succs[bi], int(t.Else))
 		case OpJmp:
-			c.Succs[bi] = appendUnique(c.Succs[bi], t.Then)
+			c.Succs[bi] = appendUnique(c.Succs[bi], int(t.Aux))
 		case OpRet:
 			// no successors
 		}
@@ -108,7 +108,7 @@ func CallSites(m *Module, fi int) []Pos {
 		for bi := range f.Blocks {
 			for ii := range f.Blocks[bi].Instrs {
 				in := &f.Blocks[bi].Instrs[ii]
-				if (in.Op == OpCall || in.Op == OpSpawn) && in.Callee == fi {
+				if (in.Op == OpCall || in.Op == OpSpawn) && int(in.Aux) == fi {
 					out = append(out, Pos{Fn: cf, Block: bi, Index: ii})
 				}
 			}

@@ -24,8 +24,10 @@
 // A module holds globals and functions; a function holds basic blocks of
 // instructions, terminated by a branch, jump or return. Programs can be
 // built with the Builder, parsed from the textual syntax (see parser.go) and
-// printed back (see print.go). The interpreter in internal/interp executes
-// modules directly; the transformer in internal/transform rewrites them.
+// printed back (see print.go). The op-descriptor table (optable.go) states
+// which instruction fields each op uses. The interpreter in internal/interp
+// executes modules directly; the transformer in internal/transform
+// rewrites them.
 package mir
 
 import "fmt"
@@ -178,49 +180,10 @@ const (
 	OpRet
 )
 
-var opNames = [...]string{
-	OpConst:      "const",
-	OpBin:        "bin",
-	OpLoadG:      "loadg",
-	OpStoreG:     "storeg",
-	OpAddrG:      "addrg",
-	OpLoad:       "load",
-	OpStore:      "store",
-	OpLoadS:      "loads",
-	OpStoreS:     "stores",
-	OpAlloc:      "alloc",
-	OpFree:       "free",
-	OpLock:       "lock",
-	OpTimedLock:  "timedlock",
-	OpUnlock:     "unlock",
-	OpCall:       "call",
-	OpSpawn:      "spawn",
-	OpJoin:       "join",
-	OpOutput:     "output",
-	OpAssert:     "assert",
-	OpYield:      "yield",
-	OpSleep:      "sleep",
-	OpNop:        "nop",
-	OpWait:       "wait",
-	OpSignal:     "signal",
-	OpBroadcast:  "broadcast",
-	OpChSend:     "chsend",
-	OpChRecv:     "chrecv",
-	OpChClose:    "chclose",
-	OpCAS:        "cas",
-	OpCheckpoint: "checkpoint",
-	OpRollback:   "rollback",
-	OpFail:       "fail",
-	OpSleepRand:  "sleeprand",
-	OpBr:         "br",
-	OpJmp:        "jmp",
-	OpRet:        "ret",
-}
-
 // String returns the textual mnemonic of the opcode.
 func (op Op) String() string {
-	if int(op) < len(opNames) && opNames[op] != "" {
-		return opNames[op]
+	if int(op) < len(opTable) && opTable[op].Name != "" {
+		return opTable[op].Name
 	}
 	return fmt.Sprintf("op(%d)", uint8(op))
 }
@@ -229,11 +192,7 @@ func (op Op) String() string {
 // terminator because it never falls through: it reports the failure and
 // ends the run.
 func (op Op) IsTerminator() bool {
-	switch op {
-	case OpBr, OpJmp, OpRet, OpFail:
-		return true
-	}
-	return false
+	return int(op) < len(opTable) && opTable[op].Terminator
 }
 
 // BinOp enumerates the arithmetic and comparison operators of OpBin.
@@ -380,18 +339,19 @@ const (
 	OperandImm
 )
 
-// Operand is a register reference or immediate value.
+// Operand is a register reference or immediate value. It is 16 bytes:
+// the kind, a 32-bit register index and a 64-bit immediate.
 type Operand struct {
 	Kind OperandKind
-	Reg  int  // register index when Kind == OperandReg
-	Imm  Word // constant when Kind == OperandImm
+	Reg  int32 // register index when Kind == OperandReg
+	Imm  Word  // constant when Kind == OperandImm
 }
 
 // None is the absent operand.
 var None = Operand{Kind: OperandNone}
 
 // Reg returns a register operand.
-func Reg(i int) Operand { return Operand{Kind: OperandReg, Reg: i} }
+func Reg(i int) Operand { return Operand{Kind: OperandReg, Reg: int32(i)} }
 
 // Imm returns an immediate operand.
 func Imm(v Word) Operand { return Operand{Kind: OperandImm, Imm: v} }
@@ -448,55 +408,38 @@ func (k FailKind) String() string {
 	return fmt.Sprintf("failkind(%d)", uint8(k))
 }
 
-// Instr is one MIR instruction. Which fields are meaningful depends on Op;
-// the zero value of unused fields is ignored. Instructions are stored by
-// value inside blocks: analyses address them as (function, block, index)
-// positions rather than by pointer identity.
+// Instr is one MIR instruction, laid out as a union: which fields are
+// meaningful depends on Op, as the op-descriptor table (optable.go)
+// states, and the zero value of unused fields is ignored. Aux holds whichever index the op
+// takes (a global, slot, callee or branch target), Imm whichever number
+// (a constant, timeout or retry bound), and Ext refers to the text or
+// arguments kept in the owning function's pools (Function.Text and
+// Function.Args). An Instr is 64 bytes and holds no pointers, so the
+// garbage collector never scans instruction arrays.
+//
+// Instructions are stored by value inside blocks: analyses address them
+// as (function, block, index) positions rather than by pointer identity.
 type Instr struct {
-	Op  Op
-	Bin BinOp // operator for OpBin
-
-	Dst int // destination register index, or -1 when there is none
-
-	A, B Operand // generic operands
-
-	Global int // global index for OpLoadG/OpStoreG/OpAddrG
-	Slot   int // stack-slot index for OpLoadS/OpStoreS
-	Callee int // function index for OpCall/OpSpawn
-	Args   []Operand
-
-	Then, Else int // successor block indices for OpBr/OpJmp
-
-	Imm Word // constant for OpConst
-
+	Op         Op
+	Bin        BinOp      // operator for OpBin
 	AssertKind AssertKind // for OpAssert
 	FailKind   FailKind   // for OpFail
 
-	Timeout  int   // steps, for OpTimedLock and timed OpWait/OpChSend
-	Site     int   // failure-site id, for OpRollback/OpFail/transformed sites
-	MaxRetry int64 // retry bound, for OpRollback
+	Dst int32 // destination register index, or -1 when there is none
 
-	Text string // message for OpAssert/OpOutput/OpFail; label for debugging
+	A, B Operand // generic operands
+
+	Aux  int32 // global, slot, callee or then-target index, by op
+	Else int32 // else-target block index for OpBr
+
+	Imm Word // constant, timeout or retry bound, by op
+
+	Site int32 // failure-site id, for OpRollback/OpFail/transformed sites
+	Ext  int32 // 1 + pool index of the text or arguments, 0 for none
 }
 
 // HasDst reports whether the instruction defines a register.
 func (in *Instr) HasDst() bool { return in.Dst >= 0 }
-
-// Uses returns the register indices the instruction reads. The result is
-// appended to buf to avoid allocation in hot analysis loops.
-func (in *Instr) Uses(buf []int) []int {
-	add := func(o Operand) {
-		if o.Kind == OperandReg {
-			buf = append(buf, o.Reg)
-		}
-	}
-	add(in.A)
-	add(in.B)
-	for _, a := range in.Args {
-		add(a)
-	}
-	return buf
-}
 
 // Block is a basic block: a straight-line instruction sequence whose last
 // instruction is a terminator.
@@ -522,6 +465,13 @@ type Function struct {
 	// SlotNames holds one name per stack slot.
 	SlotNames []string
 	Blocks    []Block
+
+	// The pools Instr.Ext indexes, append-only: texts holds the texts of
+	// output, assert and fail instructions; args holds, for each call,
+	// spawn and cas, an entry whose Imm is the argument count followed by
+	// the arguments.
+	texts []string
+	args  []Operand
 }
 
 // NumRegs returns the size of the function's virtual register file.
@@ -621,27 +571,37 @@ func (m *Module) Clone() *Module {
 	out.Globals = append([]Global(nil), m.Globals...)
 	out.Functions = make([]Function, len(m.Functions))
 	for i := range m.Functions {
-		f := &m.Functions[i]
-		nf := Function{
-			Name:      f.Name,
-			NumParams: f.NumParams,
-			RegNames:  append([]string(nil), f.RegNames...),
-			SlotNames: append([]string(nil), f.SlotNames...),
-			Blocks:    make([]Block, len(f.Blocks)),
-		}
-		for j := range f.Blocks {
-			b := &f.Blocks[j]
-			nb := Block{Name: b.Name, Instrs: make([]Instr, len(b.Instrs))}
-			for k := range b.Instrs {
-				in := b.Instrs[k]
-				if in.Args != nil {
-					in.Args = append([]Operand(nil), in.Args...)
-				}
-				nb.Instrs[k] = in
-			}
-			nf.Blocks[j] = nb
-		}
-		out.Functions[i] = nf
+		out.Functions[i] = m.Functions[i].Clone()
 	}
 	return out
+}
+
+// Clone returns a deep copy of the function. Its instructions share one
+// exactly sized array, which every block views with cap == len.
+func (f *Function) Clone() Function {
+	nf := f.CloneHeader()
+	nf.Blocks = make([]Block, len(f.Blocks))
+	instrs := make([]Instr, f.NumInstrs())
+	for j := range f.Blocks {
+		b := &f.Blocks[j]
+		n := copy(instrs, b.Instrs)
+		nf.Blocks[j] = Block{Name: b.Name, Instrs: instrs[:n:n]}
+		instrs = instrs[n:]
+	}
+	return nf
+}
+
+// CloneHeader returns a copy of everything in the function but its
+// blocks: name, parameters, register and slot names, and the text and
+// argument pools. A rewriter fills in the blocks, appending to the pools
+// and names without touching f.
+func (f *Function) CloneHeader() Function {
+	return Function{
+		Name:      f.Name,
+		NumParams: f.NumParams,
+		RegNames:  append([]string(nil), f.RegNames...),
+		SlotNames: append([]string(nil), f.SlotNames...),
+		texts:     append([]string(nil), f.texts...),
+		args:      append([]Operand(nil), f.args...),
+	}
 }

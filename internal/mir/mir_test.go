@@ -75,7 +75,7 @@ func TestParsedShape(t *testing.T) {
 		t.Fatalf("worker not parsed correctly")
 	}
 	spawn := &f.Blocks[0].Instrs[0]
-	if spawn.Op != OpSpawn || spawn.Callee != wi || len(spawn.Args) != 1 {
+	if spawn.Op != OpSpawn || int(spawn.Aux) != wi || len(f.Args(spawn)) != 1 {
 		t.Errorf("spawn parsed wrong: %+v", spawn)
 	}
 	if m.Functions[wi].SlotNames[0] != "tmp" {
@@ -142,8 +142,8 @@ func TestBuilderForwardCall(t *testing.T) {
 		t.Fatalf("forward call: %v", err)
 	}
 	call := &m.Functions[0].Blocks[0].Instrs[0]
-	if call.Callee != m.FuncIndex("helper") {
-		t.Errorf("forward call not fixed up: callee=%d", call.Callee)
+	if int(call.Aux) != m.FuncIndex("helper") {
+		t.Errorf("forward call not fixed up: callee=%d", call.Aux)
 	}
 }
 
@@ -335,24 +335,27 @@ func TestCloneIsDeep(t *testing.T) {
 	c := m.Clone()
 	c.Globals[0].Init = 99
 	c.Functions[0].Blocks[0].Instrs[0].Op = OpNop
-	c.Functions[1].Blocks[0].Instrs[0].Args = nil
+	c.Functions[1].SetText(&c.Functions[1].Blocks[0].Instrs[1], "changed")
 	if m.Globals[0].Init == 99 {
 		t.Error("clone shares globals")
 	}
 	if m.Functions[0].Blocks[0].Instrs[0].Op == OpNop {
 		t.Error("clone shares instructions")
 	}
+	if f := &m.Functions[1]; f.Text(&f.Blocks[0].Instrs[1]) != "worker arg" {
+		t.Error("clone shares the text pool")
+	}
 }
 
 func TestVerifyCatchesBadIndices(t *testing.T) {
 	m := MustParse(sampleSrc)
-	m.Functions[0].Blocks[0].Instrs[0].Callee = 99
+	m.Functions[0].Blocks[0].Instrs[0].Aux = 99
 	if err := Verify(m); err == nil {
 		t.Error("verify should reject out-of-range callee")
 	}
 
 	m2 := MustParse(sampleSrc)
-	m2.Functions[0].Blocks[0].Instrs[1].Global = -1
+	m2.Functions[0].Blocks[0].Instrs[1].Aux = -1
 	if err := Verify(m2); err == nil {
 		t.Error("verify should reject out-of-range global")
 	}
@@ -402,8 +405,10 @@ func TestQuickPosOrdering(t *testing.T) {
 }
 
 func TestUses(t *testing.T) {
-	in := Instr{Op: OpCall, A: Reg(1), B: Imm(3), Args: []Operand{Reg(2), Imm(4), Reg(5)}}
-	got := in.Uses(nil)
+	var f Function
+	in := Instr{Op: OpCall, A: Reg(1), B: Imm(3)}
+	f.SetArgs(&in, Reg(2), Imm(4), Reg(5))
+	got := f.Uses(&in, nil)
 	want := []int{1, 2, 5}
 	if len(got) != len(want) {
 		t.Fatalf("Uses = %v, want %v", got, want)

@@ -61,7 +61,7 @@ func Parse(src string) (*Module, error) {
 		if !ok {
 			return nil, fmt.Errorf("mir parse: call to unknown function %q", fx.name)
 		}
-		p.m.Functions[fx.fn].Blocks[fx.blk].Instrs[fx.idx].Callee = ci
+		p.m.Functions[fx.fn].Blocks[fx.blk].Instrs[fx.idx].Aux = int32(ci)
 	}
 	if err := Verify(p.m); err != nil {
 		return nil, err
@@ -198,10 +198,11 @@ type parser struct {
 	open      int
 	linesLeft int // lines not yet finished: an upper bound on instructions to come
 
-	jumps   []jumpFixup // of the open function
-	calls   []callFixup
-	jumpErr error    // first unresolved block reference, reported after the last line
-	parts   []string // the current line's operand fields
+	jumps    []jumpFixup // of the open function
+	calls    []callFixup
+	jumpErr  error     // first unresolved block reference, reported after the last line
+	parts    []string  // the current line's operand fields
+	operands []Operand // the current call's arguments
 }
 
 func (p *parser) line(line string) error {
@@ -272,16 +273,19 @@ func (p *parser) endFunc() error {
 	f.RegNames = append([]string(nil), p.regNames...)
 	for _, fx := range p.jumps {
 		in := &f.Blocks[fx.blk].Instrs[fx.idx]
-		var ok bool
-		if in.Then, ok = p.blocks[fx.then]; !ok {
+		then, ok := p.blocks[fx.then]
+		if !ok {
 			p.unknownBlock(fx.then)
 			break
 		}
+		in.Aux = int32(then)
 		if fx.els != "" {
-			if in.Else, ok = p.blocks[fx.els]; !ok {
+			els, ok := p.blocks[fx.els]
+			if !ok {
 				p.unknownBlock(fx.els)
 				break
 			}
+			in.Else = int32(els)
 		}
 	}
 	p.m.Functions[p.fi] = *f
@@ -466,12 +470,21 @@ func (p *parser) splitArgs(s string) []string {
 	return out
 }
 
+// atoi32 is strconv.Atoi for values that must fit in 32 bits.
+func atoi32(s string) (int32, error) {
+	n, err := strconv.Atoi(s)
+	if err == nil && int(int32(n)) != n {
+		return 0, &strconv.NumError{Func: "Atoi", Num: s, Err: strconv.ErrRange}
+	}
+	return int32(n), err
+}
+
 // cutSiteTag strips a trailing " !site N" recovery-site annotation as
 // emitted by FormatInstr. A "!site" not followed by a bare integer to the
 // end of the line (e.g. inside a quoted string, which always closes with
 // a quote) is left alone. The line comes trimmed, so the integer is its
 // tail and the tag is found scanning back from the end.
-func cutSiteTag(line string) (body string, site int, ok bool) {
+func cutSiteTag(line string) (body string, site int32, ok bool) {
 	j := len(line)
 	for j > 0 && line[j-1] >= '0' && line[j-1] <= '9' {
 		j--
@@ -488,7 +501,7 @@ func cutSiteTag(line string) (body string, site int, ok bool) {
 	if len(head) < len("!site") || head[len(head)-len("!site"):] != "!site" {
 		return line, 0, false
 	}
-	n, err := strconv.Atoi(num)
+	n, err := atoi32(num)
 	if err != nil {
 		return line, 0, false
 	}
@@ -512,7 +525,9 @@ func need(op string, parts []string, n int) error {
 	return nil
 }
 
-// instrBody parses one instruction into in, whose Dst is preset to -1.
+// instrBody parses one instruction into in, whose Dst is preset to -1:
+// the mnemonic names the op, and the op's descriptor lists the fields
+// that follow it.
 func (p *parser) instrBody(in *Instr, line string) error {
 	rest := line
 	if strings.HasPrefix(line, "%") {
@@ -525,341 +540,115 @@ func (p *parser) instrBody(in *Instr, line string) error {
 		if !validIdent(rn) {
 			return fmt.Errorf("bad register name %q", rn)
 		}
-		in.Dst = p.reg(rn)
+		in.Dst = int32(p.reg(rn))
 		rest = strings.TrimSpace(r)
 	}
 	op, args, _ := strings.Cut(rest, " ")
 	args = strings.TrimSpace(args)
+	mn, ok := mnemonics[op]
+	if !ok {
+		return fmt.Errorf("unknown instruction %q", op)
+	}
+	in.Op, in.Bin = mn.op, mn.bin
+	if mn.oracle {
+		in.AssertKind = AssertOracle
+	}
+	info := &opTable[mn.op]
+	syntax := info.syntax
+	if len(syntax) == 1 && syntax[0] == fieldCall {
+		return p.call(in, op, args)
+	}
 	parts := p.splitArgs(args)
-	switch op {
-	case "const":
-		if err := need(op, parts, 1); err != nil {
-			return err
+	if n := len(parts); n > len(syntax) || n < len(syntax)-info.optional {
+		if least := len(syntax) - info.optional; info.optional > 0 && least > 0 {
+			return fmt.Errorf("%s expects %d or %d operand(s), got %d", op, least, len(syntax), n)
 		}
-		v, err := strconv.ParseInt(parts[0], 10, 64)
-		if err != nil {
-			return err
-		}
-		in.Op, in.Imm = OpConst, v
-		return nil
-	case "loadg", "storeg", "addrg":
-		want := 1
-		if op == "storeg" {
-			want = 2
-		}
-		if err := need(op, parts, want); err != nil {
-			return err
-		}
-		g, err := p.global(parts[0])
-		if err != nil {
-			return err
-		}
-		in.Global = g
-		switch op {
-		case "loadg":
-			in.Op = OpLoadG
-		case "addrg":
-			in.Op = OpAddrG
-		default:
-			in.Op = OpStoreG
-			in.A, err = p.operand(parts[1])
-		}
-		return err
-	case "load", "free", "lock", "unlock", "join", "sleep", "sleeprand", "alloc":
-		if err := need(op, parts, 1); err != nil {
-			return err
-		}
-		a, err := p.operand(parts[0])
-		if err != nil {
-			return err
-		}
-		in.A = a
-		switch op {
-		case "load":
-			in.Op = OpLoad
-		case "free":
-			in.Op = OpFree
-		case "lock":
-			in.Op = OpLock
-		case "unlock":
-			in.Op = OpUnlock
-		case "join":
-			in.Op = OpJoin
-		case "sleep":
-			in.Op = OpSleep
-		case "sleeprand":
-			in.Op = OpSleepRand
-		case "alloc":
-			in.Op = OpAlloc
-		}
-		return nil
-	case "store":
-		if err := need(op, parts, 2); err != nil {
-			return err
-		}
-		var err error
-		if in.A, err = p.operand(parts[0]); err != nil {
-			return err
-		}
-		in.B, err = p.operand(parts[1])
-		in.Op = OpStore
-		return err
-	case "loads", "stores":
-		want := 1
-		if op == "stores" {
-			want = 2
-		}
-		if err := need(op, parts, want); err != nil {
-			return err
-		}
-		if !strings.HasPrefix(parts[0], "$") {
-			return fmt.Errorf("expected $slot, got %q", parts[0])
-		}
-		sn := parts[0][1:]
-		if !validIdent(sn) {
-			return fmt.Errorf("bad slot name %q", sn)
-		}
-		in.Slot = p.slot(sn)
-		if op == "loads" {
-			in.Op = OpLoadS
-			return nil
-		}
-		in.Op = OpStoreS
-		var err error
-		in.A, err = p.operand(parts[1])
-		return err
-	case "signal", "broadcast", "chrecv", "chclose":
-		if err := need(op, parts, 1); err != nil {
-			return err
-		}
-		a, err := p.operand(parts[0])
-		if err != nil {
-			return err
-		}
-		in.A = a
-		switch op {
-		case "signal":
-			in.Op = OpSignal
-		case "broadcast":
-			in.Op = OpBroadcast
-		case "chrecv":
-			in.Op = OpChRecv
-		case "chclose":
-			in.Op = OpChClose
-		}
-		return nil
-	case "wait", "chsend":
-		// Two operands, plus an optional trailing timeout integer for the
-		// transformer's timed forms.
-		if len(parts) != 2 && len(parts) != 3 {
-			return fmt.Errorf("%s expects 2 or 3 operand(s), got %d", op, len(parts))
-		}
-		a, err := p.operand(parts[0])
-		if err != nil {
-			return err
-		}
-		b, err := p.operand(parts[1])
-		if err != nil {
-			return err
-		}
-		if len(parts) == 3 {
-			t, err := strconv.Atoi(parts[2])
-			if err != nil {
-				return err
+		return need(op, parts, len(syntax))
+	}
+	var targets [2]string
+	nt := 0
+	var err error
+	for i, tok := range parts {
+		switch syntax[i] {
+		case fieldA:
+			in.A, err = p.operand(tok)
+		case fieldB:
+			in.B, err = p.operand(tok)
+		case fieldArg:
+			var a Operand
+			if a, err = p.operand(tok); err == nil {
+				p.f.SetArgs(in, a)
 			}
-			in.Timeout = t
-		}
-		in.A, in.B = a, b
-		if op == "wait" {
-			in.Op = OpWait
-		} else {
-			in.Op = OpChSend
-		}
-		return nil
-	case "cas":
-		if err := need(op, parts, 3); err != nil {
-			return err
-		}
-		a, err := p.operand(parts[0])
-		if err != nil {
-			return err
-		}
-		b, err := p.operand(parts[1])
-		if err != nil {
-			return err
-		}
-		c, err := p.operand(parts[2])
-		if err != nil {
-			return err
-		}
-		in.Op, in.A, in.B, in.Args = OpCAS, a, b, []Operand{c}
-		return nil
-	case "timedlock":
-		if err := need(op, parts, 2); err != nil {
-			return err
-		}
-		a, err := p.operand(parts[0])
-		if err != nil {
-			return err
-		}
-		t, err := strconv.Atoi(parts[1])
-		if err != nil {
-			return err
-		}
-		in.Op, in.A, in.Timeout = OpTimedLock, a, t
-		return nil
-	case "call", "spawn":
-		open := strings.Index(args, "(")
-		close := strings.LastIndex(args, ")")
-		if open < 0 || close < open {
-			return fmt.Errorf("%s needs callee(args)", op)
-		}
-		name := strings.TrimSpace(args[:open])
-		in.Callee = -1
-		p.calls = append(p.calls, callFixup{p.fi, len(p.f.Blocks) - 1, len(p.instrs) - 1 - p.open, name})
-		parts = p.splitArgs(args[open+1 : close])
-		n := 0
-		for _, atok := range parts {
-			if atok != "" {
-				n++
+		case fieldGlobal:
+			var g int
+			g, err = p.global(tok)
+			in.Aux = int32(g)
+		case fieldSlot:
+			if !strings.HasPrefix(tok, "$") {
+				return fmt.Errorf("expected $slot, got %q", tok)
 			}
-		}
-		if n > 0 {
-			in.Args = make([]Operand, 0, n)
-		}
-		for _, atok := range parts {
-			if atok == "" {
-				continue
+			if !validIdent(tok[1:]) {
+				return fmt.Errorf("bad slot name %q", tok[1:])
 			}
-			a, err := p.operand(atok)
-			if err != nil {
-				return err
-			}
-			in.Args = append(in.Args, a)
-		}
-		if op == "call" {
-			in.Op = OpCall
-		} else {
-			in.Op = OpSpawn
-		}
-		return nil
-	case "output", "assert", "oracle", "fail":
-		if err := need(op, parts, 2); err != nil {
-			return err
-		}
-		switch op {
-		case "output":
-			s, err := strconv.Unquote(parts[0])
-			if err != nil {
-				return fmt.Errorf("output text: %w", err)
-			}
-			in.Text = s
-			in.Op = OpOutput
-			in.A, err = p.operand(parts[1])
-			return err
-		case "fail":
-			kind, ok := parseFailKind(parts[0])
-			if !ok {
-				return fmt.Errorf("unknown failure kind %q", parts[0])
-			}
-			s, err := strconv.Unquote(parts[1])
-			if err != nil {
-				return fmt.Errorf("fail text: %w", err)
-			}
-			in.Op, in.FailKind, in.Text = OpFail, kind, s
-			return nil
-		default:
-			a, err := p.operand(parts[0])
-			if err != nil {
-				return err
-			}
-			s, err := strconv.Unquote(parts[1])
-			if err != nil {
+			in.Aux = int32(p.slot(tok[1:]))
+		case fieldBlock:
+			targets[nt] = tok
+			nt++
+		case fieldImm:
+			in.Imm, err = strconv.ParseInt(tok, 10, 64)
+		case fieldTimeout:
+			var t int
+			t, err = strconv.Atoi(tok)
+			in.Imm = Word(t)
+		case fieldSite:
+			in.Site, err = atoi32(tok)
+		case fieldText:
+			var s string
+			if s, err = strconv.Unquote(tok); err != nil {
 				return fmt.Errorf("%s text: %w", op, err)
 			}
-			in.Op, in.A, in.Text = OpAssert, a, s
-			if op == "oracle" {
-				in.AssertKind = AssertOracle
+			p.f.SetText(in, s)
+		case fieldFailKind:
+			if in.FailKind, ok = parseFailKind(tok); !ok {
+				return fmt.Errorf("unknown failure kind %q", tok)
 			}
-			return nil
 		}
-	case "yield":
-		in.Op = OpYield
-		return need(op, parts, 0)
-	case "nop":
-		in.Op = OpNop
-		return need(op, parts, 0)
-	case "checkpoint":
-		if err := need(op, parts, 1); err != nil {
-			return err
-		}
-		site, err := strconv.Atoi(parts[0])
 		if err != nil {
 			return err
 		}
-		in.Op, in.Site = OpCheckpoint, site
-		return nil
-	case "rollback":
-		if err := need(op, parts, 2); err != nil {
-			return err
-		}
-		site, err := strconv.Atoi(parts[0])
-		if err != nil {
-			return err
-		}
-		maxRetry, err := strconv.ParseInt(parts[1], 10, 64)
-		if err != nil {
-			return err
-		}
-		in.Op, in.Site, in.MaxRetry = OpRollback, site, maxRetry
-		return nil
-	case "br":
-		if err := need(op, parts, 3); err != nil {
-			return err
-		}
-		a, err := p.operand(parts[0])
-		if err != nil {
-			return err
-		}
-		in.Op, in.A = OpBr, a
-		p.jumps = append(p.jumps, jumpFixup{len(p.f.Blocks) - 1, len(p.instrs) - 1 - p.open, parts[1], parts[2]})
-		return nil
-	case "jmp":
-		if err := need(op, parts, 1); err != nil {
-			return err
-		}
-		in.Op = OpJmp
-		p.jumps = append(p.jumps, jumpFixup{len(p.f.Blocks) - 1, len(p.instrs) - 1 - p.open, parts[0], ""})
-		return nil
-	case "ret":
-		in.Op = OpRet
-		if len(parts) == 0 {
-			in.A = None
-			return nil
-		}
-		if err := need(op, parts, 1); err != nil {
-			return err
-		}
-		var err error
-		in.A, err = p.operand(parts[0])
-		return err
 	}
-	if bop, ok := ParseBinOp(op); ok {
-		if err := need(op, parts, 2); err != nil {
-			return err
-		}
-		a, err := p.operand(parts[0])
-		if err != nil {
-			return err
-		}
-		b, err := p.operand(parts[1])
-		if err != nil {
-			return err
-		}
-		in.Op, in.Bin, in.A, in.B = OpBin, bop, a, b
-		return nil
+	if info.Aux == auxBlock {
+		p.jumps = append(p.jumps, jumpFixup{len(p.f.Blocks) - 1, len(p.instrs) - 1 - p.open, targets[0], targets[1]})
 	}
-	return fmt.Errorf("unknown instruction %q", op)
+	return nil
+}
+
+// call parses the "callee(arg, ...)" of a call or spawn; the callee
+// resolves after the last line.
+func (p *parser) call(in *Instr, op, args string) error {
+	open := strings.Index(args, "(")
+	close := strings.LastIndex(args, ")")
+	if open < 0 || close < open {
+		return fmt.Errorf("%s needs callee(args)", op)
+	}
+	name := strings.TrimSpace(args[:open])
+	in.Aux = -1
+	p.calls = append(p.calls, callFixup{p.fi, len(p.f.Blocks) - 1, len(p.instrs) - 1 - p.open, name})
+	parts := p.splitArgs(args[open+1 : close])
+	ops := p.operands[:0]
+	for _, atok := range parts {
+		if atok == "" {
+			continue
+		}
+		a, err := p.operand(atok)
+		if err != nil {
+			return err
+		}
+		ops = append(ops, a)
+	}
+	p.operands = ops
+	p.f.SetArgs(in, ops...)
+	return nil
 }
 
 func parseFailKind(s string) (FailKind, bool) {

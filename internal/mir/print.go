@@ -77,45 +77,62 @@ func printSize(m *Module) int {
 	return n
 }
 
-// instrSize estimates the printed length of one instruction line. It
-// reads only indices in range, so it never panics where the printer
-// would not.
+// instrSize estimates the printed length of one instruction line from
+// its op's descriptor. It reads only indices in range, so it never panics
+// where the printer would not.
 func instrSize(m *Module, f *Function, in *Instr) int {
-	n := len("   \n") + operandSize(f, in.A) + operandSize(f, in.B)
-	if int(in.Op) < len(opNames) {
-		n += len(opNames[in.Op])
-	}
-	if in.Dst >= 0 && in.Dst < len(f.RegNames) {
+	info := in.Op.info()
+	n := len("   \n") + len(info.Name)
+	if info.Dst != dstNone && in.Dst >= 0 && int(in.Dst) < len(f.RegNames) {
 		n += len("% = ") + len(f.RegNames[in.Dst])
 	}
-	for _, a := range in.Args {
-		n += operandSize(f, a)
+	if info.A != operandUnused {
+		n += operandSize(f, in.A)
 	}
-	if in.Text != "" {
-		n += len(`, ""`) + len(in.Text)
+	if info.B != operandUnused {
+		n += operandSize(f, in.B)
 	}
-	if in.Site != 0 || in.Timeout != 0 || in.MaxRetry != 0 || in.Imm != 0 {
+	if info.Imm != immNone {
+		n += len(", ") + numSize(in.Imm)
+	}
+	if in.Site != 0 {
 		n += len(" !site ") + numSize(int64(in.Site))
 	}
-	switch in.Op {
-	case OpLoadG, OpStoreG, OpAddrG:
-		if in.Global >= 0 && in.Global < len(m.Globals) {
-			n += len(" @") + len(m.Globals[in.Global].Name)
+	if info.Text && f.extInRange(in) {
+		n += len(`, ""`) + len(f.Text(in))
+	}
+	if info.Args != argsNone && f.extInRange(in) {
+		for _, a := range f.Args(in) {
+			n += operandSize(f, a)
 		}
-	case OpLoadS, OpStoreS:
-		if in.Slot >= 0 && in.Slot < len(f.SlotNames) {
-			n += len(" $") + len(f.SlotNames[in.Slot])
+	}
+	if in.Op == OpFail && int(in.FailKind) < len(failNames) {
+		n += len(failNames[in.FailKind])
+	}
+	var name string
+	switch info.Aux {
+	case auxGlobal:
+		if in.Aux >= 0 && int(in.Aux) < len(m.Globals) {
+			name = m.Globals[in.Aux].Name
 		}
-	case OpCall, OpSpawn:
-		if in.Callee >= 0 && in.Callee < len(m.Functions) {
-			n += len("()") + len(m.Functions[in.Callee].Name)
+	case auxSlot:
+		if in.Aux >= 0 && int(in.Aux) < len(f.SlotNames) {
+			name = f.SlotNames[in.Aux]
 		}
-	case OpBr, OpJmp:
-		for _, b := range [2]int{in.Then, in.Else} {
-			if b >= 0 && b < len(f.Blocks) {
-				n += len(", ") + len(f.Blocks[b].Name)
-			}
+	case auxCallee:
+		if in.Aux >= 0 && int(in.Aux) < len(m.Functions) {
+			name = m.Functions[in.Aux].Name
 		}
+	case auxBlock:
+		if in.Aux >= 0 && int(in.Aux) < len(f.Blocks) {
+			name = f.Blocks[in.Aux].Name
+		}
+	}
+	if name != "" {
+		n += len(", @()") + len(name)
+	}
+	if info.Else && in.Else >= 0 && int(in.Else) < len(f.Blocks) {
+		n += len(", ") + len(f.Blocks[in.Else].Name)
 	}
 	return n
 }
@@ -124,7 +141,7 @@ func instrSize(m *Module, f *Function, in *Instr) int {
 func operandSize(f *Function, o Operand) int {
 	switch o.Kind {
 	case OperandReg:
-		if o.Reg >= 0 && o.Reg < len(f.RegNames) {
+		if o.Reg >= 0 && int(o.Reg) < len(f.RegNames) {
 			return len(", %") + len(f.RegNames[o.Reg])
 		}
 	case OperandImm:
@@ -168,29 +185,29 @@ func appendInstrBody(b []byte, m *Module, f *Function, in *Instr) []byte {
 		b = append(appendDst(b, f, in, in.Bin.String()), ' ')
 		return appendOperands(b, f, in.A, in.B)
 	case OpLoadG, OpAddrG:
-		b = append(appendDst(b, f, in, opNames[in.Op]), " @"...)
-		return append(b, m.Globals[in.Global].Name...)
+		b = append(appendDst(b, f, in, in.Op.String()), " @"...)
+		return append(b, m.Globals[in.Aux].Name...)
 	case OpStoreG:
-		b = append(append(b, "storeg @"...), m.Globals[in.Global].Name...)
+		b = append(append(b, "storeg @"...), m.Globals[in.Aux].Name...)
 		return appendOperand(append(b, ", "...), f, in.A)
 	case OpLoad, OpAlloc, OpChRecv:
-		b = append(appendDst(b, f, in, opNames[in.Op]), ' ')
+		b = append(appendDst(b, f, in, in.Op.String()), ' ')
 		return appendOperand(b, f, in.A)
 	case OpStore:
 		return appendOperands(append(b, "store "...), f, in.A, in.B)
 	case OpLoadS:
-		b = append(appendDst(b, f, in, "loads $"), f.SlotNames[in.Slot]...)
+		b = append(appendDst(b, f, in, "loads $"), f.SlotNames[in.Aux]...)
 		return b
 	case OpStoreS:
-		b = append(append(b, "stores $"...), f.SlotNames[in.Slot]...)
+		b = append(append(b, "stores $"...), f.SlotNames[in.Aux]...)
 		return appendOperand(append(b, ", "...), f, in.A)
 	case OpFree, OpLock, OpUnlock, OpJoin, OpSleep, OpSignal, OpBroadcast,
 		OpChClose, OpSleepRand:
-		b = append(append(b, opNames[in.Op]...), ' ')
+		b = append(append(b, in.Op.String()...), ' ')
 		return appendOperand(b, f, in.A)
 	case OpTimedLock:
 		b = appendOperand(appendDst(b, f, in, "timedlock "), f, in.A)
-		return strconv.AppendInt(append(b, ", "...), int64(in.Timeout), 10)
+		return strconv.AppendInt(append(b, ", "...), in.Imm, 10)
 	case OpCall:
 		if in.HasDst() {
 			return appendCall(appendDst(b, f, in, "call "), m, f, in)
@@ -199,7 +216,7 @@ func appendInstrBody(b []byte, m *Module, f *Function, in *Instr) []byte {
 	case OpSpawn:
 		return appendCall(appendDst(b, f, in, "spawn "), m, f, in)
 	case OpOutput:
-		b = strconv.AppendQuote(append(b, "output "...), in.Text)
+		b = strconv.AppendQuote(append(b, "output "...), f.Text(in))
 		return appendOperand(append(b, ", "...), f, in.A)
 	case OpAssert:
 		if in.AssertKind == AssertOracle {
@@ -208,34 +225,34 @@ func appendInstrBody(b []byte, m *Module, f *Function, in *Instr) []byte {
 			b = append(b, "assert "...)
 		}
 		b = appendOperand(b, f, in.A)
-		return strconv.AppendQuote(append(b, ", "...), in.Text)
+		return strconv.AppendQuote(append(b, ", "...), f.Text(in))
 	case OpYield, OpNop:
-		return append(b, opNames[in.Op]...)
+		return append(b, in.Op.String()...)
 	case OpWait, OpChSend:
-		if in.Timeout > 0 {
-			b = append(appendDst(b, f, in, opNames[in.Op]), ' ')
+		if in.Imm > 0 {
+			b = append(appendDst(b, f, in, in.Op.String()), ' ')
 			b = appendOperands(b, f, in.A, in.B)
-			return strconv.AppendInt(append(b, ", "...), int64(in.Timeout), 10)
+			return strconv.AppendInt(append(b, ", "...), in.Imm, 10)
 		}
-		b = append(append(b, opNames[in.Op]...), ' ')
+		b = append(append(b, in.Op.String()...), ' ')
 		return appendOperands(b, f, in.A, in.B)
 	case OpCAS:
 		b = appendOperands(appendDst(b, f, in, "cas "), f, in.A, in.B)
-		return appendOperand(append(b, ", "...), f, in.Args[0])
+		return appendOperand(append(b, ", "...), f, f.Args(in)[0])
 	case OpCheckpoint:
 		return strconv.AppendInt(append(b, "checkpoint "...), int64(in.Site), 10)
 	case OpRollback:
 		b = strconv.AppendInt(append(b, "rollback "...), int64(in.Site), 10)
-		return strconv.AppendInt(append(b, ", "...), in.MaxRetry, 10)
+		return strconv.AppendInt(append(b, ", "...), in.Imm, 10)
 	case OpFail:
 		b = append(append(b, "fail "...), in.FailKind.String()...)
-		return strconv.AppendQuote(append(b, ", "...), in.Text)
+		return strconv.AppendQuote(append(b, ", "...), f.Text(in))
 	case OpBr:
 		b = appendOperand(append(b, "br "...), f, in.A)
-		b = append(append(b, ", "...), f.Blocks[in.Then].Name...)
+		b = append(append(b, ", "...), f.Blocks[in.Aux].Name...)
 		return append(append(b, ", "...), f.Blocks[in.Else].Name...)
 	case OpJmp:
-		return append(append(b, "jmp "...), f.Blocks[in.Then].Name...)
+		return append(append(b, "jmp "...), f.Blocks[in.Aux].Name...)
 	case OpRet:
 		if in.A.Kind == OperandNone {
 			return append(b, "ret"...)
@@ -268,8 +285,8 @@ func appendOperands(b []byte, f *Function, a, c Operand) []byte {
 
 // appendCall appends "callee(arg, ...)".
 func appendCall(b []byte, m *Module, f *Function, in *Instr) []byte {
-	b = append(append(b, m.Functions[in.Callee].Name...), '(')
-	for i, a := range in.Args {
+	b = append(append(b, m.Functions[in.Aux].Name...), '(')
+	for i, a := range f.Args(in) {
 		if i > 0 {
 			b = append(b, ", "...)
 		}

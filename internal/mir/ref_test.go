@@ -4,7 +4,9 @@ package mir
 // printer and the split-based line parser that Print and Parse replaced,
 // kept verbatim (bar renaming and the comment-marker fix in
 // refStripComment) as the oracle for the differential tests and FuzzParse.
-// The parser shares validIdent, parseFailKind and ParseBinOp with Parse.
+// The parser shares validIdent, atoi32, parseFailKind and ParseBinOp with
+// Parse, and both store texts and arguments through Function.SetText and
+// Function.SetArgs.
 
 import (
 	"fmt"
@@ -51,7 +53,7 @@ func refPrint(m *Module) string {
 func refFormatInstr(m *Module, f *Function, in *Instr) string {
 	s := refFormatInstrBody(m, f, in)
 	if in.Site != 0 && in.Op != OpCheckpoint && in.Op != OpRollback {
-		s += " !site " + strconv.Itoa(in.Site)
+		s += " !site " + strconv.Itoa(int(in.Site))
 	}
 	return s
 }
@@ -69,16 +71,17 @@ func refFormatInstrBody(m *Module, f *Function, in *Instr) string {
 	dst := func() string {
 		return "%" + f.RegNames[in.Dst] + " = "
 	}
-	gname := func() string { return "@" + m.Globals[in.Global].Name }
-	sname := func() string { return "$" + f.SlotNames[in.Slot] }
+	gname := func() string { return "@" + m.Globals[in.Aux].Name }
+	sname := func() string { return "$" + f.SlotNames[in.Aux] }
 	callArgs := func() string {
-		parts := make([]string, len(in.Args))
-		for i, a := range in.Args {
+		args := f.Args(in)
+		parts := make([]string, len(args))
+		for i, a := range args {
 			parts[i] = opnd(a)
 		}
-		return m.Functions[in.Callee].Name + "(" + strings.Join(parts, ", ") + ")"
+		return m.Functions[in.Aux].Name + "(" + strings.Join(parts, ", ") + ")"
 	}
-	blk := func(i int) string { return f.Blocks[i].Name }
+	blk := func(i int32) string { return f.Blocks[i].Name }
 
 	switch in.Op {
 	case OpConst:
@@ -106,7 +109,7 @@ func refFormatInstrBody(m *Module, f *Function, in *Instr) string {
 	case OpLock:
 		return fmt.Sprintf("lock %s", opnd(in.A))
 	case OpTimedLock:
-		return fmt.Sprintf("%stimedlock %s, %d", dst(), opnd(in.A), in.Timeout)
+		return fmt.Sprintf("%stimedlock %s, %d", dst(), opnd(in.A), in.Imm)
 	case OpUnlock:
 		return fmt.Sprintf("unlock %s", opnd(in.A))
 	case OpCall:
@@ -119,13 +122,13 @@ func refFormatInstrBody(m *Module, f *Function, in *Instr) string {
 	case OpJoin:
 		return fmt.Sprintf("join %s", opnd(in.A))
 	case OpOutput:
-		return fmt.Sprintf("output %q, %s", in.Text, opnd(in.A))
+		return fmt.Sprintf("output %q, %s", f.Text(in), opnd(in.A))
 	case OpAssert:
 		kw := "assert"
 		if in.AssertKind == AssertOracle {
 			kw = "oracle"
 		}
-		return fmt.Sprintf("%s %s, %q", kw, opnd(in.A), in.Text)
+		return fmt.Sprintf("%s %s, %q", kw, opnd(in.A), f.Text(in))
 	case OpYield:
 		return "yield"
 	case OpSleep:
@@ -133,8 +136,8 @@ func refFormatInstrBody(m *Module, f *Function, in *Instr) string {
 	case OpNop:
 		return "nop"
 	case OpWait:
-		if in.Timeout > 0 {
-			return fmt.Sprintf("%swait %s, %s, %d", dst(), opnd(in.A), opnd(in.B), in.Timeout)
+		if in.Imm > 0 {
+			return fmt.Sprintf("%swait %s, %s, %d", dst(), opnd(in.A), opnd(in.B), in.Imm)
 		}
 		return fmt.Sprintf("wait %s, %s", opnd(in.A), opnd(in.B))
 	case OpSignal:
@@ -142,8 +145,8 @@ func refFormatInstrBody(m *Module, f *Function, in *Instr) string {
 	case OpBroadcast:
 		return fmt.Sprintf("broadcast %s", opnd(in.A))
 	case OpChSend:
-		if in.Timeout > 0 {
-			return fmt.Sprintf("%schsend %s, %s, %d", dst(), opnd(in.A), opnd(in.B), in.Timeout)
+		if in.Imm > 0 {
+			return fmt.Sprintf("%schsend %s, %s, %d", dst(), opnd(in.A), opnd(in.B), in.Imm)
 		}
 		return fmt.Sprintf("chsend %s, %s", opnd(in.A), opnd(in.B))
 	case OpChRecv:
@@ -151,19 +154,19 @@ func refFormatInstrBody(m *Module, f *Function, in *Instr) string {
 	case OpChClose:
 		return fmt.Sprintf("chclose %s", opnd(in.A))
 	case OpCAS:
-		return fmt.Sprintf("%scas %s, %s, %s", dst(), opnd(in.A), opnd(in.B), opnd(in.Args[0]))
+		return fmt.Sprintf("%scas %s, %s, %s", dst(), opnd(in.A), opnd(in.B), opnd(f.Args(in)[0]))
 	case OpCheckpoint:
 		return fmt.Sprintf("checkpoint %d", in.Site)
 	case OpRollback:
-		return fmt.Sprintf("rollback %d, %d", in.Site, in.MaxRetry)
+		return fmt.Sprintf("rollback %d, %d", in.Site, in.Imm)
 	case OpFail:
-		return fmt.Sprintf("fail %s, %q", in.FailKind, in.Text)
+		return fmt.Sprintf("fail %s, %q", in.FailKind, f.Text(in))
 	case OpSleepRand:
 		return fmt.Sprintf("sleeprand %s", opnd(in.A))
 	case OpBr:
-		return fmt.Sprintf("br %s, %s, %s", opnd(in.A), blk(in.Then), blk(in.Else))
+		return fmt.Sprintf("br %s, %s, %s", opnd(in.A), blk(in.Aux), blk(in.Else))
 	case OpJmp:
-		return fmt.Sprintf("jmp %s", blk(in.Then))
+		return fmt.Sprintf("jmp %s", blk(in.Aux))
 	case OpRet:
 		if in.A.Kind == OperandNone {
 			return "ret"
@@ -442,12 +445,12 @@ func refSplitArgs(s string) []string {
 // emitted by FormatInstr. A "!site" not followed by a bare integer to the
 // end of the line (e.g. inside a quoted string, which always closes with
 // a quote) is left alone.
-func refCutSiteTag(line string) (body string, site int, ok bool) {
+func refCutSiteTag(line string) (body string, site int32, ok bool) {
 	i := strings.LastIndex(line, "!site")
 	if i < 0 {
 		return line, 0, false
 	}
-	n, err := strconv.Atoi(strings.TrimSpace(line[i+len("!site"):]))
+	n, err := atoi32(strings.TrimSpace(line[i+len("!site"):]))
 	if err != nil {
 		return line, 0, false
 	}
@@ -476,7 +479,7 @@ func (p *refParser) instrBody(line string) (Instr, error) {
 		if !validIdent(rn) {
 			return in, fmt.Errorf("bad register name %q", rn)
 		}
-		in.Dst = p.reg(rn)
+		in.Dst = int32(p.reg(rn))
 		rest = strings.TrimSpace(r)
 	}
 	op, args, _ := strings.Cut(rest, " ")
@@ -511,7 +514,7 @@ func (p *refParser) instrBody(line string) (Instr, error) {
 		if err != nil {
 			return in, err
 		}
-		in.Global = g
+		in.Aux = int32(g)
 		switch op {
 		case "loadg":
 			in.Op = OpLoadG
@@ -576,7 +579,7 @@ func (p *refParser) instrBody(line string) (Instr, error) {
 		if !validIdent(sn) {
 			return in, fmt.Errorf("bad slot name %q", sn)
 		}
-		in.Slot = p.slot(sn)
+		in.Aux = int32(p.slot(sn))
 		if op == "loads" {
 			in.Op = OpLoadS
 			return in, nil
@@ -624,7 +627,7 @@ func (p *refParser) instrBody(line string) (Instr, error) {
 			if err != nil {
 				return in, err
 			}
-			in.Timeout = t
+			in.Imm = Word(t)
 		}
 		in.A, in.B = a, b
 		if op == "wait" {
@@ -649,7 +652,8 @@ func (p *refParser) instrBody(line string) (Instr, error) {
 		if err != nil {
 			return in, err
 		}
-		in.Op, in.A, in.B, in.Args = OpCAS, a, b, []Operand{c}
+		in.Op, in.A, in.B = OpCAS, a, b
+		p.f.SetArgs(&in, c)
 		return in, nil
 	case "timedlock":
 		if err := need(2); err != nil {
@@ -663,7 +667,7 @@ func (p *refParser) instrBody(line string) (Instr, error) {
 		if err != nil {
 			return in, err
 		}
-		in.Op, in.A, in.Timeout = OpTimedLock, a, t
+		in.Op, in.A, in.Imm = OpTimedLock, a, Word(t)
 		return in, nil
 	case "call", "spawn":
 		open := strings.Index(args, "(")
@@ -672,8 +676,9 @@ func (p *refParser) instrBody(line string) (Instr, error) {
 			return in, fmt.Errorf("%s needs callee(args)", op)
 		}
 		name := strings.TrimSpace(args[:open])
-		in.Callee = -1
+		in.Aux = -1
 		p.cfix = append(p.cfix, refCalleeFixup{p.fi, p.cur, len(p.f.Blocks[p.cur].Instrs), name})
+		var callArgs []Operand
 		for _, atok := range refSplitArgs(args[open+1 : close]) {
 			if atok == "" {
 				continue
@@ -682,8 +687,9 @@ func (p *refParser) instrBody(line string) (Instr, error) {
 			if err != nil {
 				return in, err
 			}
-			in.Args = append(in.Args, a)
+			callArgs = append(callArgs, a)
 		}
+		p.f.SetArgs(&in, callArgs...)
 		if op == "call" {
 			in.Op = OpCall
 		} else {
@@ -700,8 +706,8 @@ func (p *refParser) instrBody(line string) (Instr, error) {
 			if err != nil {
 				return in, fmt.Errorf("output text: %w", err)
 			}
-			in.Text = s
 			in.Op = OpOutput
+			p.f.SetText(&in, s)
 			in.A, err = p.operand(parts[1])
 			return in, err
 		case "fail":
@@ -713,7 +719,8 @@ func (p *refParser) instrBody(line string) (Instr, error) {
 			if err != nil {
 				return in, fmt.Errorf("fail text: %w", err)
 			}
-			in.Op, in.FailKind, in.Text = OpFail, kind, s
+			in.Op, in.FailKind = OpFail, kind
+			p.f.SetText(&in, s)
 			return in, nil
 		default:
 			a, err := p.operand(parts[0])
@@ -724,7 +731,8 @@ func (p *refParser) instrBody(line string) (Instr, error) {
 			if err != nil {
 				return in, fmt.Errorf("%s text: %w", op, err)
 			}
-			in.Op, in.A, in.Text = OpAssert, a, s
+			in.Op, in.A = OpAssert, a
+			p.f.SetText(&in, s)
 			if op == "oracle" {
 				in.AssertKind = AssertOracle
 			}
@@ -740,7 +748,7 @@ func (p *refParser) instrBody(line string) (Instr, error) {
 		if err := need(1); err != nil {
 			return in, err
 		}
-		site, err := strconv.Atoi(parts[0])
+		site, err := atoi32(parts[0])
 		if err != nil {
 			return in, err
 		}
@@ -750,7 +758,7 @@ func (p *refParser) instrBody(line string) (Instr, error) {
 		if err := need(2); err != nil {
 			return in, err
 		}
-		site, err := strconv.Atoi(parts[0])
+		site, err := atoi32(parts[0])
 		if err != nil {
 			return in, err
 		}
@@ -758,7 +766,7 @@ func (p *refParser) instrBody(line string) (Instr, error) {
 		if err != nil {
 			return in, err
 		}
-		in.Op, in.Site, in.MaxRetry = OpRollback, site, maxRetry
+		in.Op, in.Site, in.Imm = OpRollback, site, maxRetry
 		return in, nil
 	case "br":
 		if err := need(3); err != nil {
@@ -817,13 +825,13 @@ func (p *refParser) resolve() error {
 		if ti < 0 {
 			return fmt.Errorf("mir parse: %s: unknown block %q", f.Name, fx.then)
 		}
-		in.Then = ti
+		in.Aux = int32(ti)
 		if fx.els != "" {
 			ei := f.BlockIndex(fx.els)
 			if ei < 0 {
 				return fmt.Errorf("mir parse: %s: unknown block %q", f.Name, fx.els)
 			}
-			in.Else = ei
+			in.Else = int32(ei)
 		}
 	}
 	for _, fx := range p.cfix {
@@ -831,7 +839,7 @@ func (p *refParser) resolve() error {
 		if ci < 0 {
 			return fmt.Errorf("mir parse: call to unknown function %q", fx.name)
 		}
-		p.m.Functions[fx.fn].Blocks[fx.blk].Instrs[fx.idx].Callee = ci
+		p.m.Functions[fx.fn].Blocks[fx.blk].Instrs[fx.idx].Aux = int32(ci)
 	}
 	return nil
 }

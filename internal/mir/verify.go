@@ -63,93 +63,7 @@ func Verify(m *Module) error {
 						bad("%s: terminator %s in the middle of a block", where(ii), in.Op)
 					}
 				}
-				checkOperand := func(o Operand, what string) {
-					if o.Kind == OperandReg && (o.Reg < 0 || o.Reg >= len(f.RegNames)) {
-						bad("%s: %s register %d out of range", where(ii), what, o.Reg)
-					}
-				}
-				checkOperand(in.A, "A")
-				checkOperand(in.B, "B")
-				for ai, a := range in.Args {
-					checkOperand(a, fmt.Sprintf("arg%d", ai))
-				}
-				if in.Dst >= len(f.RegNames) {
-					bad("%s: dst register %d out of range", where(ii), in.Dst)
-				}
-				switch in.Op {
-				case OpConst, OpBin, OpLoadG, OpAddrG, OpLoad, OpLoadS,
-					OpAlloc, OpTimedLock, OpSpawn, OpChRecv, OpCAS:
-					if in.Dst < 0 {
-						bad("%s: %s requires a destination register", where(ii), in.Op)
-					}
-				case OpWait, OpChSend:
-					// The timed forms return a success flag; the plain forms
-					// have no result.
-					if in.Timeout > 0 && in.Dst < 0 {
-						bad("%s: timed %s requires a destination register", where(ii), in.Op)
-					}
-					if in.Timeout <= 0 && in.Dst >= 0 {
-						bad("%s: untimed %s must not have a destination register", where(ii), in.Op)
-					}
-				}
-				switch in.Op {
-				case OpLoadG, OpStoreG, OpAddrG:
-					if in.Global < 0 || in.Global >= len(m.Globals) {
-						bad("%s: global %d out of range", where(ii), in.Global)
-					}
-				case OpLoadS, OpStoreS:
-					if in.Slot < 0 || in.Slot >= len(f.SlotNames) {
-						bad("%s: slot %d out of range", where(ii), in.Slot)
-					}
-				case OpCall, OpSpawn:
-					if in.Callee < 0 || in.Callee >= len(m.Functions) {
-						bad("%s: callee %d out of range", where(ii), in.Callee)
-					} else if want := m.Functions[in.Callee].NumParams; want != len(in.Args) {
-						bad("%s: %s %s expects %d args, got %d",
-							where(ii), in.Op, m.Functions[in.Callee].Name, want, len(in.Args))
-					}
-				case OpBr:
-					if in.A.Kind == OperandNone {
-						bad("%s: br without condition", where(ii))
-					}
-					if in.Then < 0 || in.Then >= len(f.Blocks) {
-						bad("%s: br then-target %d out of range", where(ii), in.Then)
-					}
-					if in.Else < 0 || in.Else >= len(f.Blocks) {
-						bad("%s: br else-target %d out of range", where(ii), in.Else)
-					}
-				case OpJmp:
-					if in.Then < 0 || in.Then >= len(f.Blocks) {
-						bad("%s: jmp target %d out of range", where(ii), in.Then)
-					}
-				case OpAssert:
-					if in.A.Kind == OperandNone {
-						bad("%s: assert without condition", where(ii))
-					}
-				case OpTimedLock:
-					if in.Timeout <= 0 {
-						bad("%s: timedlock with non-positive timeout", where(ii))
-					}
-				case OpRollback:
-					if in.MaxRetry <= 0 {
-						bad("%s: rollback with non-positive retry bound", where(ii))
-					}
-				case OpWait:
-					if in.A.Kind == OperandNone || in.B.Kind == OperandNone {
-						bad("%s: wait needs a condvar and a mutex operand", where(ii))
-					}
-				case OpChSend:
-					if in.A.Kind == OperandNone || in.B.Kind == OperandNone {
-						bad("%s: chsend needs a channel and a value operand", where(ii))
-					}
-				case OpCAS:
-					if in.A.Kind == OperandNone || in.B.Kind == OperandNone {
-						bad("%s: cas needs an address and an expected-value operand", where(ii))
-					}
-					if len(in.Args) != 1 {
-						bad("%s: cas needs exactly one new-value argument, got %d", where(ii), len(in.Args))
-					}
-				}
+				verifyInstr(m, f, in, func() string { return where(ii) }, bad)
 			}
 		}
 	}
@@ -158,6 +72,89 @@ func Verify(m *Module) error {
 	}
 	return &VerifyError{Problems: probs}
 }
+
+// verifyInstr checks in, an instruction of f, against its op's
+// descriptor: register indices, the pool reference, the destination
+// register, the required operands, the Aux index, the else-target, the
+// immediate's sign and the argument count.
+func verifyInstr(m *Module, f *Function, in *Instr, where func() string, bad func(string, ...any)) {
+	checkOperand := func(o Operand, what string) {
+		if o.Kind == OperandReg && (o.Reg < 0 || int(o.Reg) >= len(f.RegNames)) {
+			bad("%s: %s register %d out of range", where(), what, o.Reg)
+		}
+	}
+	checkOperand(in.A, "A")
+	checkOperand(in.B, "B")
+	if int(in.Dst) >= len(f.RegNames) {
+		bad("%s: dst register %d out of range", where(), in.Dst)
+	}
+	if !f.extInRange(in) {
+		bad("%s: pool reference %d out of range", where(), in.Ext)
+		return
+	}
+	args := f.Args(in)
+	for ai, a := range args {
+		checkOperand(a, fmt.Sprintf("arg%d", ai))
+	}
+	info := in.Op.info()
+	switch info.Dst {
+	case dstAlways:
+		if in.Dst < 0 {
+			bad("%s: %s requires a destination register", where(), in.Op)
+		}
+	case dstTimed:
+		// The timed forms return a success flag; the plain forms have no
+		// result.
+		if in.Imm > 0 && in.Dst < 0 {
+			bad("%s: timed %s requires a destination register", where(), in.Op)
+		}
+		if in.Imm <= 0 && in.Dst >= 0 {
+			bad("%s: untimed %s must not have a destination register", where(), in.Op)
+		}
+	}
+	if (info.A == operandRequired && in.A.Kind == OperandNone) ||
+		(info.B == operandRequired && in.B.Kind == OperandNone) {
+		bad("%s: %s needs %s", where(), in.Op, info.needs)
+	}
+	var limit int
+	switch info.Aux {
+	case auxGlobal:
+		limit = len(m.Globals)
+	case auxSlot:
+		limit = len(f.SlotNames)
+	case auxCallee:
+		limit = len(m.Functions)
+	case auxBlock:
+		limit = len(f.Blocks)
+	}
+	if info.Aux != auxNone && (in.Aux < 0 || int(in.Aux) >= limit) {
+		bad("%s: %s %s %d out of range", where(), in.Op, auxNames[info.Aux], in.Aux)
+	}
+	if info.Else && (in.Else < 0 || int(in.Else) >= len(f.Blocks)) {
+		bad("%s: %s else-target %d out of range", where(), in.Op, in.Else)
+	}
+	if info.PositiveImm && in.Imm <= 0 {
+		bad("%s: %s with non-positive %s", where(), in.Op, immNames[info.Imm])
+	}
+	switch info.Args {
+	case argsCallee:
+		if info.Aux == auxCallee && in.Aux >= 0 && int(in.Aux) < len(m.Functions) {
+			if callee := &m.Functions[in.Aux]; callee.NumParams != len(args) {
+				bad("%s: %s %s expects %d args, got %d",
+					where(), in.Op, callee.Name, callee.NumParams, len(args))
+			}
+		}
+	case argsOne:
+		if len(args) != 1 {
+			bad("%s: %s needs exactly one new-value argument, got %d", where(), in.Op, len(args))
+		}
+	}
+}
+
+var (
+	auxNames = [...]string{auxGlobal: "global", auxSlot: "slot", auxCallee: "callee", auxBlock: "target"}
+	immNames = [...]string{immConst: "constant", immTimeout: "timeout", immMaxRetry: "retry bound"}
+)
 
 // ErrNoMain is returned by entry-point lookups on modules without main.
 var ErrNoMain = errors.New("mir: module has no main function")

@@ -111,7 +111,7 @@ entry:
 }
 `)
 	in := &m.Functions[0].Blocks[0].Instrs[0]
-	in.Op, in.Global = mir.OpLoadG, 99
+	in.Op, in.Aux = mir.OpLoadG, 99
 	return m
 }
 

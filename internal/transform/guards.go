@@ -17,20 +17,30 @@ func GuardOutputs(m *mir.Module) *mir.Module {
 	out := m.Clone()
 	for fi := range out.Functions {
 		f := &out.Functions[fi]
+		guards := 0
 		for bi := range f.Blocks {
-			src := f.Blocks[bi].Instrs
-			guarded := make([]mir.Instr, 0, len(src))
-			for _, in := range src {
+			for _, in := range f.Blocks[bi].Instrs {
 				if in.Op == mir.OpOutput && in.A.Kind == mir.OperandReg {
-					guarded = append(guarded, mir.Instr{
-						Op: mir.OpAssert, Dst: -1, A: in.A,
-						AssertKind: mir.AssertOracle,
-						Text:       "auto-guard: output value must be initialized (non-zero)",
-					})
+					guards++
+				}
+			}
+		}
+		if guards == 0 {
+			continue
+		}
+		guard := mir.Instr{Op: mir.OpAssert, Dst: -1, AssertKind: mir.AssertOracle}
+		f.SetText(&guard, "auto-guard: output value must be initialized (non-zero)")
+		guarded := make([]mir.Instr, 0, f.NumInstrs()+guards)
+		for bi := range f.Blocks {
+			start := len(guarded)
+			for _, in := range f.Blocks[bi].Instrs {
+				if in.Op == mir.OpOutput && in.A.Kind == mir.OperandReg {
+					guard.A = in.A
+					guarded = append(guarded, guard)
 				}
 				guarded = append(guarded, in)
 			}
-			f.Blocks[bi].Instrs = guarded
+			f.Blocks[bi].Instrs = guarded[start:len(guarded):len(guarded)]
 		}
 	}
 	return out

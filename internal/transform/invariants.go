@@ -37,12 +37,12 @@ func CheckInvariants(m *mir.Module, res *analysis.Result) error {
 				pos := mir.Pos{Fn: fi, Block: bi, Index: ii}
 				switch in.Op {
 				case mir.OpCheckpoint:
-					cpPos[in.Site] = append(cpPos[in.Site], pos)
+					cpPos[int(in.Site)] = append(cpPos[int(in.Site)], pos)
 				case mir.OpRollback:
 					if in.Site <= 0 {
 						return fmt.Errorf("rollback at %v without a site id", pos)
 					}
-					if in.MaxRetry <= 0 {
+					if in.Imm <= 0 {
 						return fmt.Errorf("rollback at %v without a retry bound", pos)
 					}
 					if ii+1 >= len(f.Blocks[bi].Instrs) {
@@ -54,7 +54,7 @@ func CheckInvariants(m *mir.Module, res *analysis.Result) error {
 					}
 				case mir.OpBr:
 					if in.Site > 0 {
-						branchPos[in.Site] = append(branchPos[in.Site], pos)
+						branchPos[int(in.Site)] = append(branchPos[int(in.Site)], pos)
 						els := &f.Blocks[in.Else]
 						if len(els.Instrs) == 0 {
 							return fmt.Errorf("site %d recovery block empty", in.Site)

@@ -76,12 +76,8 @@ func (o *Options) withDefaults() Options {
 // hardened clone. The input module is left untouched.
 func Apply(m *mir.Module, res *analysis.Result, opts Options) *mir.Module {
 	opts = opts.withDefaults()
-	out := m.Clone()
 
 	// Group checkpoint plants and site rewrites by function.
-	type siteRewrite struct {
-		sa *analysis.SiteAnalysis
-	}
 	checkpointsByFn := map[int][]analysis.Checkpoint{}
 	for _, cp := range res.Checkpoints {
 		checkpointsByFn[cp.Pos.Fn] = append(checkpointsByFn[cp.Pos.Fn], cp)
@@ -94,23 +90,39 @@ func Apply(m *mir.Module, res *analysis.Result, opts Options) *mir.Module {
 		}
 	}
 
-	for fi := range out.Functions {
+	// Functions without plants or rewrites are cloned; the rest are built
+	// afresh from the original, so no clone of them is made to be thrown
+	// away.
+	out := &mir.Module{
+		Name:      m.Name,
+		Globals:   append([]mir.Global(nil), m.Globals...),
+		Functions: make([]mir.Function, len(m.Functions)),
+	}
+	for fi := range m.Functions {
 		cps := checkpointsByFn[fi]
 		rws := rewritesByFn[fi]
 		if len(cps) == 0 && len(rws) == 0 {
+			out.Functions[fi] = m.Functions[fi].Clone()
 			continue
 		}
-		rewriteFunction(&out.Functions[fi], cps, rws, opts)
+		out.Functions[fi] = rewriteFunction(&m.Functions[fi], cps, rws, opts)
 	}
 	return out
 }
 
-// rewriteFunction rebuilds every block of f, planting checkpoints and
-// rewriting failure sites. New recovery and continuation blocks are
+// siteGrowth is the number of instructions a site rewrite adds to its
+// block, by site kind (see the package comment).
+var siteGrowth = map[analysis.SiteKind]int{analysis.SiteSegfault: 2, analysis.SiteDeadlock: 1}
+
+// rewriteFunction returns src rebuilt with its checkpoints planted and its
+// failure sites rewritten. New recovery and continuation blocks are
 // appended after the original blocks so original block indices (and hence
-// branch targets) stay valid.
-func rewriteFunction(f *mir.Function, cps []analysis.Checkpoint,
-	rws []*analysis.SiteAnalysis, opts Options) {
+// branch targets) stay valid. The original and continuation blocks view
+// one exactly sized instruction array, each with cap == len.
+func rewriteFunction(src *mir.Function, cps []analysis.Checkpoint,
+	rws []*analysis.SiteAnalysis, opts Options) mir.Function {
+
+	f := src.CloneHeader()
 
 	// Per original (block, index): checkpoints to plant before it and the
 	// site rewrite to apply to it.
@@ -123,17 +135,19 @@ func rewriteFunction(f *mir.Function, cps []analysis.Checkpoint,
 		sort.Ints(cpAt[k])
 	}
 	rwAt := map[[2]int]*analysis.SiteAnalysis{}
+	size := src.NumInstrs() + len(cps)
 	for _, sa := range rws {
 		rwAt[[2]int{sa.Site.Pos.Block, sa.Site.Pos.Index}] = sa
+		size += siteGrowth[sa.Site.Kind]
 	}
 
-	nOrig := len(f.Blocks)
+	nOrig := len(src.Blocks)
 	newBlocks := make([]mir.Block, nOrig, nOrig+2*len(rws))
 
-	// Blocks with no checkpoint plant and no site rewrite carry over
+	// Blocks with no checkpoint plant and no site rewrite are copied
 	// verbatim; only touched blocks pay the instruction-by-instruction
 	// rebuild below. Hardened modules touch a handful of blocks, so this
-	// skips the bulk of the copy work.
+	// skips the bulk of the rewrite work.
 	touched := make([]bool, nOrig)
 	for k := range cpAt {
 		touched[k[0]] = true
@@ -143,63 +157,65 @@ func rewriteFunction(f *mir.Function, cps []analysis.Checkpoint,
 	}
 
 	// newReg appends a fresh compiler temporary.
-	newReg := func(name string) int {
+	newReg := func(name string) int32 {
 		f.RegNames = append(f.RegNames, name)
-		return len(f.RegNames) - 1
+		return int32(len(f.RegNames) - 1)
 	}
 	// appendBlock adds a block after the originals and returns its index.
-	// Deliberately no capacity pre-sizing: a block split by several sites
-	// would over-allocate the full remainder per split, which costs more
-	// than incremental append growth.
-	appendBlock := func(name string) int {
+	appendBlock := func(name string) int32 {
 		newBlocks = append(newBlocks, mir.Block{Name: name})
-		return len(newBlocks) - 1
+		return int32(len(newBlocks) - 1)
 	}
 
+	// Everything but the recovery blocks lands in one array of exactly
+	// size instructions, the blocks in order and each contiguous.
+	buf := make([]mir.Instr, 0, size)
+
 	for bi := 0; bi < nOrig; bi++ {
+		srcInstrs := src.Blocks[bi].Instrs
+		curName := src.Blocks[bi].Name
+		newBlocks[bi].Name = curName
 		if !touched[bi] {
-			// The function was cloned by Apply, so reusing the block (and
-			// its instruction slice) wholesale is safe.
-			newBlocks[bi] = f.Blocks[bi]
+			start := len(buf)
+			buf = append(buf, srcInstrs...)
+			newBlocks[bi].Instrs = buf[start:len(buf):len(buf)]
 			continue
 		}
-		src := f.Blocks[bi].Instrs
-		curName := f.Blocks[bi].Name
-		newBlocks[bi].Name = curName
 
-		// Everything emitted while rebuilding this block lands in one
-		// shared buffer; a site rewrite redirects subsequent emits into its
-		// continuation block by starting a new segment. The buffer is
-		// sliced into the per-block instruction lists only once it is
-		// complete, so one allocation (plus rare growth) replaces the
-		// per-block append churn this loop used to pay.
-		type segment struct{ block, start int }
-		buf := make([]mir.Instr, 0, len(src)+8)
-		segs := []segment{{bi, 0}}
+		// A site rewrite redirects subsequent emits into its continuation
+		// block by starting a new segment of buf; the segments become the
+		// block instruction lists once the block is complete.
+		type segment struct {
+			block int32
+			start int
+		}
+		segs := []segment{{int32(bi), len(buf)}}
 		emit := func(in mir.Instr) {
 			buf = append(buf, in)
 		}
-		startSegment := func(block int) {
+		startSegment := func(block int32) {
 			segs = append(segs, segment{block, len(buf)})
 		}
 
-		for ii := 0; ii < len(src); ii++ {
+		for ii := 0; ii < len(srcInstrs); ii++ {
 			for _, cpID := range cpAt[[2]int{bi, ii}] {
-				emit(mir.Instr{Op: mir.OpCheckpoint, Dst: -1, Site: cpID})
+				emit(mir.Instr{Op: mir.OpCheckpoint, Dst: -1, Site: int32(cpID)})
 			}
 			sa := rwAt[[2]int{bi, ii}]
 			if sa == nil {
-				emit(src[ii])
+				emit(srcInstrs[ii])
 				continue
 			}
 
 			site := sa.Site
-			in := src[ii]
+			siteID := int32(site.ID)
+			in := srcInstrs[ii]
 			label := fmt.Sprintf("%s.s%d", curName, site.ID)
 			switch site.Kind {
 			case analysis.SiteAssert, analysis.SiteWrongOutput:
 				// Figure 6: the assert's condition becomes a branch; the
-				// recovery block retries, then really fails.
+				// recovery block retries, then really fails with the
+				// assert's text, which stays in the same pool slot.
 				failKind := mir.FailAssert
 				if site.Kind == analysis.SiteWrongOutput {
 					failKind = mir.FailWrongOutput
@@ -208,11 +224,11 @@ func rewriteFunction(f *mir.Function, cps []analysis.Checkpoint,
 				cont := appendBlock(label + ".cont")
 				emit(mir.Instr{
 					Op: mir.OpBr, Dst: -1, A: in.A,
-					Then: cont, Else: recover, Site: site.ID,
+					Aux: cont, Else: recover, Site: siteID,
 				})
 				newBlocks[recover].Instrs = []mir.Instr{
-					{Op: mir.OpRollback, Dst: -1, Site: site.ID, MaxRetry: opts.MaxRetry},
-					{Op: mir.OpFail, Dst: -1, FailKind: failKind, Site: site.ID, Text: in.Text},
+					{Op: mir.OpRollback, Dst: -1, Site: siteID, Imm: opts.MaxRetry},
+					{Op: mir.OpFail, Dst: -1, FailKind: failKind, Site: siteID, Ext: in.Ext},
 				}
 				startSegment(cont)
 
@@ -227,16 +243,16 @@ func rewriteFunction(f *mir.Function, cps []analysis.Checkpoint,
 					A: in.A, B: mir.Imm(interp.LowerBound),
 				})
 				emit(mir.Instr{
-					Op: mir.OpBr, Dst: -1, A: mir.Reg(ok),
-					Then: cont, Else: recover, Site: site.ID,
+					Op: mir.OpBr, Dst: -1, A: mir.Reg(int(ok)),
+					Aux: cont, Else: recover, Site: siteID,
 				})
 				newBlocks[recover].Instrs = []mir.Instr{
-					{Op: mir.OpRollback, Dst: -1, Site: site.ID, MaxRetry: opts.MaxRetry},
-					{Op: mir.OpJmp, Dst: -1, Then: cont},
+					{Op: mir.OpRollback, Dst: -1, Site: siteID, Imm: opts.MaxRetry},
+					{Op: mir.OpJmp, Dst: -1, Aux: cont},
 				}
 				startSegment(cont)
 				deref := in
-				deref.Site = site.ID
+				deref.Site = siteID
 				emit(deref)
 
 			case analysis.SiteDeadlock:
@@ -253,7 +269,7 @@ func rewriteFunction(f *mir.Function, cps []analysis.Checkpoint,
 				cont := appendBlock(label + ".cont")
 				timed := mir.Instr{
 					Op: mir.OpTimedLock, Dst: got, A: in.A,
-					Timeout: opts.LockTimeout, Site: site.ID,
+					Imm: mir.Word(opts.LockTimeout), Site: siteID,
 				}
 				switch in.Op {
 				case mir.OpWait, mir.OpChSend:
@@ -269,14 +285,15 @@ func rewriteFunction(f *mir.Function, cps []analysis.Checkpoint,
 					failText = "channel send timed out after exhausted recovery"
 				}
 				emit(mir.Instr{
-					Op: mir.OpBr, Dst: -1, A: mir.Reg(got),
-					Then: cont, Else: recover, Site: site.ID,
+					Op: mir.OpBr, Dst: -1, A: mir.Reg(int(got)),
+					Aux: cont, Else: recover, Site: siteID,
 				})
+				fail := mir.Instr{Op: mir.OpFail, Dst: -1, FailKind: mir.FailDeadlock, Site: siteID}
+				f.SetText(&fail, failText)
 				newBlocks[recover].Instrs = []mir.Instr{
 					{Op: mir.OpSleepRand, Dst: -1, A: mir.Imm(opts.LivelockBackoff)},
-					{Op: mir.OpRollback, Dst: -1, Site: site.ID, MaxRetry: opts.MaxRetry},
-					{Op: mir.OpFail, Dst: -1, FailKind: mir.FailDeadlock, Site: site.ID,
-						Text: failText},
+					{Op: mir.OpRollback, Dst: -1, Site: siteID, Imm: opts.MaxRetry},
+					fail,
 				}
 				startSegment(cont)
 			}
@@ -285,15 +302,17 @@ func rewriteFunction(f *mir.Function, cps []analysis.Checkpoint,
 		// block only if the block's terminator was a destroyer, which
 		// terminators never are; nothing to flush.
 
-		// Slice the finished buffer into the rebuilt blocks. Three-index
-		// expressions keep the segments from ever sharing append capacity.
-		for k, s := range segs {
+		// Slice the block's part of buf into the rebuilt blocks.
+		// Three-index expressions keep the segments from ever sharing
+		// append capacity.
+		for k, sg := range segs {
 			end := len(buf)
 			if k+1 < len(segs) {
 				end = segs[k+1].start
 			}
-			newBlocks[s.block].Instrs = buf[s.start:end:end]
+			newBlocks[sg.block].Instrs = buf[sg.start:end:end]
 		}
 	}
 	f.Blocks = newBlocks
+	return f
 }
