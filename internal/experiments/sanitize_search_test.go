@@ -15,6 +15,7 @@ import (
 	"conair/internal/obs"
 	"conair/internal/replay"
 	"conair/internal/sanitizer"
+	"conair/internal/sanitizer/sanitizertest"
 )
 
 // SanitizeSearchRef is the test-only sequential oracle for SanitizeSearch:
@@ -23,7 +24,7 @@ import (
 // (seed, reports) pair against it.
 func SanitizeSearchRef(mod *mir.Module, budget, maxSteps int64) (int64, []sanitizer.Report) {
 	for seed := int64(0); seed < budget; seed++ {
-		san := sanitizer.NewReference(mod)
+		san := sanitizertest.NewReference(mod)
 		cfg := pctCfg(seed, maxSteps)
 		cfg.Sanitizer = san
 		interp.RunModule(mod, cfg)
@@ -76,7 +77,7 @@ func diffSanitize(t *testing.T, fast *sanitizer.Sanitizer, name string, mod *mir
 		cfgA.Sanitizer = fast
 		rA := interp.RunModule(mod, cfgA)
 
-		ref := sanitizer.NewReference(mod)
+		ref := sanitizertest.NewReference(mod)
 		cfgB := pctCfg(seed, maxSteps)
 		cfgB.Sanitizer = ref
 		rB := interp.RunModule(mod, cfgB)
@@ -266,7 +267,7 @@ func BenchmarkSanitizeSearch(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for seed := int64(0); seed < budget; seed++ {
-				san := sanitizer.NewReference(mod)
+				san := sanitizertest.NewReference(mod)
 				cfg := pctCfg(seed, maxSteps)
 				cfg.Sanitizer = san
 				eng.RunJob(mod, cfg, replay.Meta{Label: mod.Name + "-sanitize", Seed: seed})

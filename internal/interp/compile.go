@@ -157,18 +157,11 @@ func (a *carg) value(fr *frame) mir.Word {
 
 // fcode is one compiled function: its flat code stream plus the flat offset
 // of each source block (blockStart[b] is the pc of block b's first
-// instruction), the pre-bound call, spawn and cas arguments, plus the
-// superblock partition.
+// instruction) and the pre-bound call, spawn and cas arguments.
 type fcode struct {
 	code       []cinstr
 	blockStart []int32
 	args       []carg
-	// sbLen[pc] is the length of the maximal run of scheduling-irrelevant
-	// instructions starting at pc (0 when code[pc] is scheduling-relevant).
-	// Runs never span a basic-block boundary or a scheduling-relevant
-	// instruction; the run loop itself gates batching on code[pc].run !=
-	// nil, so sbLen is partition metadata for tests and tooling.
-	sbLen []int32
 }
 
 // Program is a compiled module: one fcode per function, in function order.
@@ -179,6 +172,58 @@ type Program struct {
 	// arenaWords sizes a VM's first frame-arena chunk: one frame of every
 	// function (pools reuse frames), capped at arenaChunk.
 	arenaWords int
+	// nSites and sparseSites number the rollback sites for the per-thread
+	// retry and episode tables; see siteSlot.
+	nSites      int32
+	sparseSites map[int32]int32
+}
+
+// maxDenseSite bounds the rollback site ids that index the per-thread
+// tables directly.
+const maxDenseSite = 1 << 16
+
+// siteSlot returns the index of failure site site in the per-thread retry
+// and episode tables, or -1 when no rollback carries the site (no episode
+// can then be open for it). Hardened programs number their sites densely
+// from 1, so the index is the id itself; a program with a negative or very
+// large rollback site id, which only hand-written text can have, numbers
+// its sites through a map instead.
+func (p *Program) siteSlot(site int32) int {
+	if p.sparseSites != nil {
+		if i, ok := p.sparseSites[site]; ok {
+			return int(i)
+		}
+		return -1
+	}
+	if site >= 0 && site < p.nSites {
+		return int(site)
+	}
+	return -1
+}
+
+// numberSites fills nSites, or sparseSites when the rollback site ids are
+// not all in [0, maxDenseSite).
+func (p *Program) numberSites() {
+	lo, hi := int32(0), int32(-1)
+	for fi := range p.funcs {
+		for _, c := range p.funcs[fi].code {
+			if c.op == cRollback {
+				lo, hi = min(lo, c.site), max(hi, c.site)
+			}
+		}
+	}
+	if lo >= 0 && hi < maxDenseSite {
+		p.nSites = hi + 1
+		return
+	}
+	p.sparseSites = map[int32]int32{}
+	for fi := range p.funcs {
+		for _, c := range p.funcs[fi].code {
+			if _, ok := p.sparseSites[c.site]; c.op == cRollback && !ok {
+				p.sparseSites[c.site] = int32(len(p.sparseSites))
+			}
+		}
+	}
 }
 
 var (
@@ -218,6 +263,7 @@ func compileModule(mod *mir.Module) *Program {
 		p.arenaWords += f.NumRegs() + len(f.SlotNames)
 	}
 	p.arenaWords = min(p.arenaWords, arenaChunk)
+	p.numberSites()
 	return p
 }
 
@@ -248,7 +294,6 @@ func compileFunc(mod *mir.Module, fi int) fcode {
 		}
 	}
 	closeFunc(&fc)
-	superblocks(&fc)
 	return fc
 }
 
@@ -491,34 +536,4 @@ func closureFor(c *cinstr) func(*frame) {
 		return func(fr *frame) { fr.pc = ep }
 	}
 	return nil
-}
-
-// superblocks computes the superblock partition: for each pc, the length of
-// the maximal closure-backed run starting there. Runs are bounded by basic
-// blocks (control can enter a block head directly, and blocks are the unit
-// the compiler laid code out in) and by scheduling-relevant instructions.
-func superblocks(fc *fcode) {
-	fc.sbLen = make([]int32, len(fc.code))
-	nb := len(fc.blockStart)
-	for b := 0; b < nb; b++ {
-		start := int(fc.blockStart[b])
-		end := len(fc.code)
-		if b+1 < nb {
-			end = int(fc.blockStart[b+1])
-		}
-		for i := start; i < end; {
-			if fc.code[i].run == nil {
-				i++
-				continue
-			}
-			j := i
-			for j < end && fc.code[j].run != nil {
-				j++
-			}
-			for k := i; k < j; k++ {
-				fc.sbLen[k] = int32(j - k)
-			}
-			i = j
-		}
-	}
 }

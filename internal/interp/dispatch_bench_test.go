@@ -4,8 +4,11 @@ import (
 	"runtime"
 	"testing"
 
+	"conair/internal/bugs"
+	"conair/internal/core"
 	"conair/internal/interp"
 	"conair/internal/mir"
+	"conair/internal/sanitizer"
 	"conair/internal/sched"
 )
 
@@ -255,4 +258,35 @@ loop:
 			}
 		})
 	}
+}
+
+// BenchmarkSearchLivelock is the detect phase's slowest sanitizer search
+// run: LGFrontier's survival-hardened light forced build under PCT seed 0
+// (the search's configuration) with a race detector attached. The
+// top-priority thread spins through about a million rollbacks while the
+// schedule never changes, so the run measures what a pick costs when it
+// cannot differ from the previous one.
+func BenchmarkSearchLivelock(b *testing.B) {
+	m := bugs.ByName("LGFrontier").Program(bugs.Config{Light: true, ForceBug: true})
+	h, err := core.Harden(m, core.DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	san := sanitizer.New(h.Module)
+	run := func() *interp.Result {
+		san.Reset(h.Module)
+		return interp.RunModule(h.Module, interp.Config{
+			Sched: sched.NewPCT(0, 3, 64), MaxSteps: 200_000_000, CollectOutput: true, Sanitizer: san,
+		})
+	}
+	r := run()
+	if r.Stats.Rollbacks < 100_000 {
+		b.Fatalf("PCT seed 0 rolled back %d times; the livelock is gone", r.Stats.Rollbacks)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+	b.ReportMetric(float64(r.Stats.Steps), "steps/op")
 }

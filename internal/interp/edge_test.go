@@ -1,6 +1,8 @@
 package interp
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -322,6 +324,62 @@ entry:
 		r := RunModule(m, Config{Sched: s})
 		if !r.Completed {
 			t.Fatalf("%s: %v", s.Name(), r.Failure)
+		}
+	}
+}
+
+// TestRollbackSiteSlots runs one program under three numberings of its
+// two rollback sites: dense ids, which index the per-thread retry and
+// episode tables directly, and a negative and a huge id, which go through
+// the program's site map. Retries, episodes and the failure must agree.
+func TestRollbackSiteSlots(t *testing.T) {
+	const src = `
+global cnt = 0
+func main() {
+entry:
+  checkpoint 1
+  %c = loadg @cnt
+  %c2 = add %c, 1
+  storeg @cnt, %c2
+  %ok = ge %c2, 3
+  br %ok, second, recover !site SITEA
+recover:
+  rollback SITEA, 10
+  fail assert, "first"
+second:
+  checkpoint 2
+  %z = const 0
+  br %z, done, again !site SITEB
+again:
+  rollback SITEB, 2
+  fail assert, "second" !site SITEB
+done:
+  ret 0
+}`
+	for _, ids := range [][2]int32{{1, 2}, {-7, 1 << 20}, {3, 70000}} {
+		text := strings.NewReplacer("SITEA", fmt.Sprint(ids[0]), "SITEB", fmt.Sprint(ids[1])).Replace(src)
+		m := mir.MustParse(text)
+		p := Compile(m)
+		if dense := ids[0] >= 0 && ids[1] < maxDenseSite; dense != (p.sparseSites == nil) {
+			t.Fatalf("sites %v: dense numbering %v, sparse map %v", ids, dense, p.sparseSites)
+		}
+		if p.siteSlot(ids[0]) < 0 || p.siteSlot(ids[1]) < 0 || p.siteSlot(ids[0]) == p.siteSlot(ids[1]) {
+			t.Fatalf("sites %v: slots %d and %d", ids, p.siteSlot(ids[0]), p.siteSlot(ids[1]))
+		}
+		r := RunModule(m, Config{Sched: sched.NewRandom(1)})
+		want := []Episode{
+			{Site: int(ids[0]), Thread: 0, Start: 6, End: 17, Retries: 2, Recovered: true},
+			{Site: int(ids[1]), Thread: 0, Start: 21, End: -1, Retries: 2},
+		}
+		if ids[0] < 0 {
+			// Only a positive site's passing check closes its episode.
+			want[0].End, want[0].Recovered = -1, false
+		}
+		if r.Stats.Rollbacks != 4 || !reflect.DeepEqual(r.Stats.Episodes, want) {
+			t.Fatalf("sites %v: rollbacks %d, episodes %+v, want 4 and %+v", ids, r.Stats.Rollbacks, r.Stats.Episodes, want)
+		}
+		if r.Failure == nil || r.Failure.Site != int(ids[1]) {
+			t.Fatalf("sites %v: failure %v, want the second site's fail", ids, r.Failure)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package interp
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync/atomic"
 
@@ -81,6 +82,28 @@ type VM struct {
 	liveT   []*thread // same order as live; lets the scan path range pointers
 	waiting int
 
+	// gen counts changes to what pickThread computes the runnable set
+	// from: thread statuses (setStatus), spawns, snapshot restores, lock
+	// ownership (acquireLock, releaseLock) and channel state (channel).
+	// runnableBuf holds the last scan's set, which stays exact while gen
+	// equals scanGen and the step is below scanUntil, the scan's next
+	// sleeper wake or lock, wait or send timeout.
+	gen       uint64
+	scanGen   uint64
+	scanUntil int64
+
+	// The stay budget, for schedulers that are sched.Stayers (never for
+	// *sched.Random, which keeps its inlined draws). After each real pick
+	// the scheduler is asked once how many coming picks are certainly the
+	// same thread; while gen equals stayGen the next stayLeft picks are
+	// stayTID without a Pick. The stayGrant-stayLeft picks taken that way
+	// are not yet committed with Advance (see settle).
+	stayer    sched.Stayer
+	stayTID   int
+	stayLeft  int64
+	stayGrant int64
+	stayGen   uint64
+
 	// pools recycles frame register/slot arrays per function, so the call
 	// hot path reuses zeroed arrays instead of allocating. Indexed by
 	// function; each entry stacks {regs, slots} pairs of retired frames.
@@ -131,6 +154,9 @@ func New(mod *mir.Module, cfg Config) *VM {
 			vm.rnd, vm.flight = inner, fr
 		}
 	}
+	if vm.rnd == nil {
+		vm.stayer, _ = cfg.Sched.(sched.Stayer)
+	}
 	vm.mainTID = vm.spawn(mi, nil)
 	if vm.san != nil {
 		vm.san.ThreadSpawn(-1, vm.mainTID)
@@ -153,6 +179,7 @@ func (vm *VM) setStatus(t *thread, s threadStatus) {
 		return
 	}
 	t.status = s
+	vm.gen++
 	if waits(old) {
 		vm.waiting--
 	}
@@ -183,6 +210,26 @@ func (vm *VM) setStatus(t *thread, s threadStatus) {
 	}
 }
 
+// acquireLock and releaseLock are the only writers of lock ownership,
+// which decides whether a thread blocked on the lock is runnable.
+func (vm *VM) acquireLock(mu *mutex, tid int) {
+	mu.held, mu.holder = true, tid
+	vm.gen++
+}
+
+func (vm *VM) releaseLock(mu *mutex) {
+	mu.held = false
+	vm.gen++
+}
+
+// channel returns the channel at addr for an operation that may create,
+// fill, drain or close it, all of which decide whether a thread blocked
+// on it is runnable.
+func (vm *VM) channel(addr mir.Word) *channel {
+	vm.gen++
+	return vm.chans.get(addr, vm.chanCap(addr))
+}
+
 // removeLive deletes id from the (ascending) live list.
 func (vm *VM) removeLive(id int) {
 	i := sort.SearchInts(vm.live, id)
@@ -196,6 +243,7 @@ func (vm *VM) removeLive(id int) {
 // statuses; snapshot restore replaces the thread set wholesale and calls
 // this instead of replaying transitions.
 func (vm *VM) rebuildLive() {
+	vm.gen++
 	vm.live = vm.live[:0]
 	vm.liveT = vm.liveT[:0]
 	vm.waiting = 0
@@ -274,7 +322,7 @@ func RunModule(mod *mir.Module, cfg Config) *Result {
 // closeEpisode closes any open recovery episode for site on t — the
 // site's failure check passed (or its timed lock was acquired).
 func (vm *VM) closeEpisode(t *thread, site int) {
-	if e := t.endEpisode(site, vm.step); e != nil {
+	if e := t.endEpisode(vm.prog.siteSlot(int32(site)), vm.step); e != nil {
 		vm.stats.Episodes = append(vm.stats.Episodes, *e)
 		if vm.sink != nil {
 			vm.sink.Record(obs.Event{
@@ -308,9 +356,21 @@ func (vm *VM) closeEpisode(t *thread, site int) {
 // the loop draws nothing per instruction and advances the stream in bulk
 // at the exit (Random.Skip(stay)), with one flight-ring note for the same
 // stay; the stream is left exactly where per-instruction draws would leave
-// it. Every other quantum takes pickThread per instruction. StepOnce
-// (single mode) runs one closure and returns, so a StepOnce-driven run
-// makes the same decisions one instruction at a time.
+// it. Every other quantum takes a pick per instruction. StepOnce (single
+// mode) runs one closure and returns, so a StepOnce-driven run makes the
+// same decisions one instruction at a time.
+//
+// Stayed runs obey it too. Under a sched.Stayer (PCT, segment replay, a
+// flight recorder around either), each real Pick is followed by one Stay
+// query, and the picks it grants are taken at the loop top or inside a
+// quantum, wherever they fall, without calling Pick. The budget holds
+// only while gen is unchanged, that is while no status, spawn, lock or
+// channel change could alter the runnable set, and only up to the set's
+// next wake or timeout. Before the next real Pick, when the result is
+// built and around snapshots, settle commits the taken picks with one
+// Advance. The scheduler then sits exactly where one Pick per instruction
+// would have left it, and every pick, sink event and flight segment is
+// the same.
 func (vm *VM) runLoop(max int64, single bool) bool {
 	executed := false
 	tid := -1
@@ -331,17 +391,20 @@ func (vm *VM) runLoop(max int64, single bool) bool {
 			vm.fail(mir.FailHang, mir.Pos{}, 0, -1, "interrupted by watchdog")
 			return executed
 		}
-		// Inlined pick fast path: every thread runnable under the default
-		// random scheduler. Same draw arithmetic (and draw count) as
-		// pickThread → Intn, minus two call frames per instruction.
 		var ntid int
-		if vm.rnd != nil && vm.waiting == 0 && len(vm.live) > 0 {
+		switch {
+		case vm.rnd != nil && vm.waiting == 0 && len(vm.live) > 0:
+			// Inlined pick fast path: every thread runnable under the
+			// default random scheduler. Same draw arithmetic (and draw
+			// count) as pickThread → Intn, minus two call frames per
+			// instruction.
 			ntid = vm.live[vm.rnd.ReduceDraw(vm.rnd.Int31(), int32(len(vm.live)))]
 			vm.noteFlight(ntid)
-		} else {
+		case vm.rnd == nil && vm.stay():
+			ntid = vm.stayTID
+		default:
 			var ok bool
-			ntid, ok = vm.pickThread()
-			if !ok {
+			if ntid, ok = vm.pickThread(); !ok {
 				return executed // deadlock already reported, or everything exited
 			}
 		}
@@ -412,9 +475,10 @@ func (vm *VM) runLoop(max int64, single bool) bool {
 				}
 			} else {
 				// More than one live thread, some thread waiting, or a
-				// scheduler other than Random: take the full pickThread
-				// per instruction so draws, wake-ups, timeouts and
-				// scheduler state advance exactly as under StepOnce.
+				// scheduler other than Random: take a full pick per
+				// instruction so draws, wake-ups, timeouts and scheduler
+				// state advance exactly as under StepOnce. A stay budget
+				// makes most of those picks a counter check.
 				for {
 					in.run(fr)
 					vm.step++
@@ -427,7 +491,10 @@ func (vm *VM) runLoop(max int64, single bool) bool {
 						vm.fail(mir.FailHang, mir.Pos{}, 0, -1, "interrupted by watchdog")
 						return true
 					}
-					nt, ok := vm.pickThread()
+					nt, ok := vm.stayTID, true
+					if vm.rnd != nil || !vm.stay() {
+						nt, ok = vm.pickThread()
+					}
 					if !ok {
 						return true
 					}
@@ -511,7 +578,7 @@ func (vm *VM) runLoop(max int64, single bool) bool {
 			mu := vm.lcks.get(addr)
 			switch {
 			case !mu.held:
-				mu.held, mu.holder = true, t.id
+				vm.acquireLock(mu, t.id)
 				vm.setStatus(t, statusRunnable)
 				if t.jmp != nil {
 					t.pushComp(compLock, addr)
@@ -558,7 +625,7 @@ func (vm *VM) runLoop(max int64, single bool) bool {
 			expired := waiting && vm.step-t.blockedSince >= t.blockTimeout
 			switch {
 			case !mu.held:
-				mu.held, mu.holder = true, t.id
+				vm.acquireLock(mu, t.id)
 				vm.setStatus(t, statusRunnable)
 				fr.regs[in.dst] = 1
 				if t.jmp != nil {
@@ -605,7 +672,7 @@ func (vm *VM) runLoop(max int64, single bool) bool {
 			addr := in.a(fr)
 			mu := vm.lcks.get(addr)
 			if mu.held && mu.holder == t.id {
-				mu.held = false
+				vm.releaseLock(mu)
 				if vm.san != nil {
 					vm.san.LockRelease(t.id, addr)
 				}
@@ -763,11 +830,11 @@ func (vm *VM) runLoop(max int64, single bool) bool {
 			fr.pc++
 
 		case cRollback:
-			site := int(in.site)
+			site, slot := int(in.site), vm.prog.siteSlot(in.site)
 			if t.jmp != nil && t.jmp.frameDepth < len(t.frames) &&
-				t.retryCount(site) < in.aImm {
-				t.bumpRetry(site)
-				e := t.beginEpisode(site, vm.step)
+				t.retryCount(slot) < in.aImm {
+				t.bumpRetry(slot)
+				e := t.beginEpisode(slot, site, vm.step)
 				if vm.sink != nil {
 					if e.Retries == 1 {
 						vm.sink.Record(obs.Event{
@@ -869,6 +936,7 @@ func (vm *VM) textOf(fr *frame, in *cinstr) string {
 }
 
 func (vm *VM) result() *Result {
+	vm.settle()
 	r := &Result{
 		Completed: vm.done && vm.failure == nil,
 		Failure:   vm.failure,
@@ -880,7 +948,9 @@ func (vm *VM) result() *Result {
 	// Surface episodes still open at program end as unrecovered.
 	for _, t := range vm.threads {
 		for _, e := range t.episodes {
-			r.Stats.Episodes = append(r.Stats.Episodes, *e)
+			if e != nil {
+				r.Stats.Episodes = append(r.Stats.Episodes, *e)
+			}
 		}
 	}
 	sort.Slice(r.Stats.Episodes, func(i, j int) bool {
@@ -910,6 +980,7 @@ func (vm *VM) spawn(fi int, args []mir.Word) int {
 	copy(fr.regs, args)
 	t.frames = append(t.frames, fr)
 	vm.threads = append(vm.threads, t)
+	vm.gen++
 	vm.live = append(vm.live, t.id) // ids ascend, so append keeps order
 	vm.liveT = append(vm.liveT, t)
 	vm.stats.ThreadsSpawned++
@@ -937,6 +1008,47 @@ func (vm *VM) noteFlightRun(tid int, n int64) {
 	}
 }
 
+// stay takes one pick from the stay budget, reporting whether it could:
+// while nothing that decides the pick has changed since the scheduler
+// granted the budget, the pick is stayTID and costs a counter check.
+// Callers fall back to pickThread; runs under sched.Random call
+// pickThread directly.
+func (vm *VM) stay() bool {
+	if vm.stayLeft > 0 && vm.gen == vm.stayGen {
+		vm.stayLeft--
+		return true
+	}
+	return false
+}
+
+// settle commits the picks taken from the stay budget to the scheduler
+// with one Advance, leaving it exactly where one Pick per pick would have.
+// It runs before every real Pick, when the result is built and around
+// snapshots.
+func (vm *VM) settle() {
+	if owed := vm.stayGrant - vm.stayLeft; owed > 0 {
+		vm.stayer.Advance(vm.stayTID, owed)
+		vm.stayGrant = vm.stayLeft
+	}
+}
+
+// schedPick asks the scheduler to choose from runnable, a set that stays
+// exact while gen holds and the step is below until. For a Stayer it first
+// settles the budget, then asks once how long the choice holds.
+func (vm *VM) schedPick(runnable []int, until int64) int {
+	if vm.stayer == nil {
+		return vm.cfg.Sched.Pick(runnable, vm.step)
+	}
+	vm.settle()
+	nt := vm.cfg.Sched.Pick(runnable, vm.step)
+	// Every pick advances the step by one while gen holds (AdvanceSteps
+	// bumps gen), so the set's horizon is a count of picks.
+	vm.stayTID, vm.stayGen = nt, vm.gen
+	vm.stayLeft = min(vm.stayer.Stay(nt, runnable, vm.step+1), until-vm.step-1)
+	vm.stayGrant = vm.stayLeft
+	return nt
+}
+
 // pickThread collects runnable threads (waking sleepers and expiring lock
 // timeouts) and asks the scheduler to choose. When nothing can run it
 // reports a deadlock or ends the program.
@@ -944,10 +1056,11 @@ func (vm *VM) noteFlightRun(tid int, n int64) {
 // The live list is maintained incrementally by setStatus, so when no live
 // thread waits the list is handed to the scheduler as-is — no scan at all.
 // Only when some thread sleeps or blocks does the (live-only) scan run to
-// wake sleepers, expire lock timeouts and resolve joins. Both paths
-// produce exactly the runnable set the historical all-threads rescan did:
-// membership and (ascending id) order are identical, so seeded schedules
-// are unchanged.
+// wake sleepers, expire lock timeouts and resolve joins, and its result is
+// reused until gen moves or the step reaches the scan's horizon. Every
+// path produces exactly the runnable set the historical all-threads rescan
+// did: membership and (ascending id) order are identical, so seeded
+// schedules are unchanged.
 func (vm *VM) pickThread() (int, bool) {
 	for {
 		if vm.waiting == 0 {
@@ -961,7 +1074,10 @@ func (vm *VM) pickThread() (int, bool) {
 				vm.noteFlight(nt)
 				return nt, true
 			}
-			return vm.cfg.Sched.Pick(vm.live, vm.step), true
+			return vm.schedPick(vm.live, math.MaxInt64), true
+		}
+		if vm.gen == vm.scanGen && vm.step < vm.scanUntil {
+			return vm.pickFrom(vm.runnableBuf, vm.scanUntil), true
 		}
 		runnable := vm.runnableBuf[:0]
 		var minWake int64 = -1
@@ -1043,12 +1159,12 @@ func (vm *VM) pickThread() (int, bool) {
 		}
 		vm.runnableBuf = runnable
 		if len(runnable) > 0 {
-			if vm.rnd != nil {
-				nt := runnable[vm.rnd.Intn(len(runnable))]
-				vm.noteFlight(nt)
-				return nt, true
+			// The scan's own wake-ups moved gen; the set is exact from here.
+			vm.scanGen, vm.scanUntil = vm.gen, math.MaxInt64
+			if minWake >= 0 {
+				vm.scanUntil = minWake
 			}
-			return vm.cfg.Sched.Pick(runnable, vm.step), true
+			return vm.pickFrom(runnable, vm.scanUntil), true
 		}
 		if !anyLive {
 			return 0, false
@@ -1065,6 +1181,16 @@ func (vm *VM) pickThread() (int, bool) {
 			fmt.Sprintf("no runnable threads at step %d (deadlock)", vm.step))
 		return 0, false
 	}
+}
+
+// pickFrom picks from a scanned runnable set that holds until step until.
+func (vm *VM) pickFrom(runnable []int, until int64) int {
+	if vm.rnd != nil {
+		nt := runnable[vm.rnd.Intn(len(runnable))]
+		vm.noteFlight(nt)
+		return nt
+	}
+	return vm.schedPick(runnable, until)
 }
 
 func (vm *VM) threadByID(id int) *thread {
@@ -1098,7 +1224,7 @@ func (vm *VM) rollback(t *thread) {
 		case compLock:
 			mu := vm.lcks.get(ce.addr)
 			if mu.held && mu.holder == t.id {
-				mu.held = false
+				vm.releaseLock(mu)
 				if vm.san != nil {
 					vm.san.LockRelease(t.id, ce.addr)
 				}

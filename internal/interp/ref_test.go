@@ -17,7 +17,9 @@ import (
 // for what lowering is trusted least about: the pc↔position mapping
 // (VM.posOf) and the flat branch targets (fcode.blockStart), both of
 // which the differential sweep therefore exercises against the original
-// instruction semantics.
+// instruction semantics. It also schedules independently: refPick scans
+// every thread and asks the scheduler once per step, with none of the
+// compiled path's runnable-set cache, stay budget or inlined draws.
 
 // RunReference executes the module with the reference (pre-compilation)
 // interpreter. It is deliberately slow and exists only in test builds.
@@ -29,7 +31,7 @@ func RunReference(mod *mir.Module, cfg Config) *Result {
 			vm.fail(mir.FailHang, mir.Pos{}, 0, -1, "step limit exceeded (hang)")
 			break
 		}
-		tid, ok := vm.pickThread()
+		tid, ok := vm.refPick()
 		if !ok {
 			break
 		}
@@ -42,6 +44,93 @@ func RunReference(mod *mir.Module, cfg Config) *Result {
 		vm.step++
 	}
 	return vm.result()
+}
+
+// refPick is the scheduling step as it was before the runnable-set cache
+// and the stay budget: scan every thread (waking sleepers and resolving
+// joins), then one Pick through the Scheduler interface. When nothing can
+// run it fast-forwards to the next wake, reports a deadlock or ends the
+// run, as pickThread does.
+func (vm *VM) refPick() (int, bool) {
+	for {
+		var runnable []int
+		var minWake int64 = -1
+		anyLive := false
+		wake := func(at int64) {
+			if minWake < 0 || at < minWake {
+				minWake = at
+			}
+		}
+		for _, t := range vm.threads {
+			switch t.status {
+			case statusRunnable:
+				runnable = append(runnable, t.id)
+			case statusSleeping:
+				anyLive = true
+				if t.wakeAt <= vm.step {
+					vm.setStatus(t, statusRunnable)
+					runnable = append(runnable, t.id)
+				} else {
+					wake(t.wakeAt)
+				}
+			case statusBlockedLock:
+				anyLive = true
+				mu := vm.lcks.get(t.blockAddr)
+				switch {
+				case !mu.held:
+					runnable = append(runnable, t.id)
+				case t.blockTimeout > 0 && vm.step-t.blockedSince >= t.blockTimeout:
+					runnable = append(runnable, t.id)
+				case t.blockTimeout > 0:
+					wake(t.blockedSince + t.blockTimeout)
+				}
+			case statusBlockedJoin:
+				anyLive = true
+				if tt := vm.threadByID(t.joinTarget); tt == nil || tt.status == statusDone {
+					vm.setStatus(t, statusRunnable)
+					runnable = append(runnable, t.id)
+				}
+			case statusBlockedCond:
+				anyLive = true
+				if t.blockTimeout > 0 {
+					if vm.step-t.blockedSince >= t.blockTimeout {
+						runnable = append(runnable, t.id)
+					} else {
+						wake(t.blockedSince + t.blockTimeout)
+					}
+				}
+			case statusBlockedSend:
+				anyLive = true
+				ch := vm.chans.peek(t.blockAddr)
+				switch {
+				case ch == nil || !ch.full() || ch.closed:
+					runnable = append(runnable, t.id)
+				case t.blockTimeout > 0 && vm.step-t.blockedSince >= t.blockTimeout:
+					runnable = append(runnable, t.id)
+				case t.blockTimeout > 0:
+					wake(t.blockedSince + t.blockTimeout)
+				}
+			case statusBlockedRecv:
+				anyLive = true
+				if ch := vm.chans.peek(t.blockAddr); ch == nil || !ch.empty() || ch.closed {
+					runnable = append(runnable, t.id)
+				}
+			}
+		}
+		if len(runnable) > 0 {
+			return vm.cfg.Sched.Pick(runnable, vm.step), true
+		}
+		if !anyLive {
+			return 0, false
+		}
+		if minWake > vm.step {
+			vm.step = minWake
+			continue
+		}
+		vm.fail(mir.FailHang, mir.Pos{}, 0, -1,
+			fmt.Sprintf("no runnable threads at step %d (deadlock)", vm.step))
+		return 0, false
+	}
 }
 
 // eval resolves an operand against the current frame.
@@ -135,7 +224,7 @@ func (vm *VM) refExec(t *thread) {
 		mu := vm.lcks.get(addr)
 		switch {
 		case !mu.held:
-			mu.held, mu.holder = true, t.id
+			vm.acquireLock(mu, t.id)
 			vm.setStatus(t, statusRunnable)
 			if t.jmp != nil {
 				t.pushComp(compLock, addr)
@@ -181,7 +270,7 @@ func (vm *VM) refExec(t *thread) {
 		expired := waiting && vm.step-t.blockedSince >= t.blockTimeout
 		switch {
 		case !mu.held:
-			mu.held, mu.holder = true, t.id
+			vm.acquireLock(mu, t.id)
 			vm.setStatus(t, statusRunnable)
 			fr.regs[in.Dst] = 1
 			if t.jmp != nil {
@@ -225,7 +314,7 @@ func (vm *VM) refExec(t *thread) {
 		addr := eval(fr, in.A)
 		mu := vm.lcks.get(addr)
 		if mu.held && mu.holder == t.id {
-			mu.held = false
+			vm.releaseLock(mu)
 			if vm.san != nil {
 				vm.san.LockRelease(t.id, addr)
 			}
@@ -358,11 +447,11 @@ func (vm *VM) refExec(t *thread) {
 		}
 
 	case mir.OpRollback:
-		site := int(in.Site)
+		site, slot := int(in.Site), vm.prog.siteSlot(in.Site)
 		if t.jmp != nil && t.jmp.frameDepth < len(t.frames) &&
-			t.retryCount(site) < in.Imm {
-			t.bumpRetry(site)
-			e := t.beginEpisode(site, vm.step)
+			t.retryCount(slot) < in.Imm {
+			t.bumpRetry(slot)
+			e := t.beginEpisode(slot, site, vm.step)
 			if vm.sink != nil {
 				if e.Retries == 1 {
 					vm.sink.Record(obs.Event{

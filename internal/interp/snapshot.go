@@ -1,6 +1,8 @@
 package interp
 
 import (
+	"slices"
+
 	"conair/internal/mir"
 )
 
@@ -36,6 +38,7 @@ func (vm *VM) CurrentFailure() *Failure { return vm.failure }
 func (vm *VM) AdvanceSteps(n int64) {
 	if n > 0 {
 		vm.step += n
+		vm.gen++ // the stay budget counts one step per pick
 	}
 }
 
@@ -99,6 +102,7 @@ type Snapshot struct {
 
 // TakeSnapshot deep-copies the program state (memory, locks, threads).
 func (vm *VM) TakeSnapshot() *Snapshot {
+	vm.settle()
 	s := &Snapshot{
 		step:    vm.step,
 		mem:     vm.mem.snapshot(),
@@ -123,6 +127,7 @@ func (vm *VM) TakeSnapshot() *Snapshot {
 // snapshot is discarded, modeling the baseline's required output
 // buffering. Virtual time is NOT rewound: recovery costs time.
 func (vm *VM) RestoreSnapshot(s *Snapshot) {
+	vm.settle()
 	vm.mem = s.mem.snapshot()
 	vm.lcks = s.lcks.snapshot()
 	vm.conds = s.conds.snapshot()
@@ -169,17 +174,12 @@ func cloneThread(t *thread) *thread {
 		c.jmp = &j
 	}
 	c.comp = append([]compEntry(nil), t.comp...)
-	if t.retries != nil {
-		c.retries = make(map[int]int64, len(t.retries))
-		for k, v := range t.retries {
-			c.retries[k] = v
-		}
-	}
-	if t.episodes != nil {
-		c.episodes = make(map[int]*Episode, len(t.episodes))
-		for k, v := range t.episodes {
-			e := *v
-			c.episodes[k] = &e
+	c.retries = slices.Clone(t.retries)
+	c.episodes = slices.Clone(t.episodes)
+	for i, e := range c.episodes {
+		if e != nil {
+			cp := *e
+			c.episodes[i] = &cp
 		}
 	}
 	return &c

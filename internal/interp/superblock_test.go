@@ -28,6 +28,40 @@ var sbAllowed = map[cop]bool{
 	cBr:     true, // only when site == 0, checked separately
 }
 
+// sbPartition computes the superblock partition of fc: sbLen[pc] is the
+// length of the maximal run of closure-backed (scheduling-irrelevant)
+// instructions starting at pc, 0 when code[pc] is scheduling-relevant.
+// Runs are bounded by basic blocks (control can enter a block head
+// directly) and by scheduling-relevant instructions. The run loop needs no
+// partition, it gates batching on code[pc].run != nil; the test derives it
+// to check that the closures it chains form such runs.
+func sbPartition(fc *fcode) []int32 {
+	sbLen := make([]int32, len(fc.code))
+	nb := len(fc.blockStart)
+	for b := 0; b < nb; b++ {
+		start := int(fc.blockStart[b])
+		end := len(fc.code)
+		if b+1 < nb {
+			end = int(fc.blockStart[b+1])
+		}
+		for i := start; i < end; {
+			if fc.code[i].run == nil {
+				i++
+				continue
+			}
+			j := i
+			for j < end && fc.code[j].run != nil {
+				j++
+			}
+			for k := i; k < j; k++ {
+				sbLen[k] = int32(j - k)
+			}
+			i = j
+		}
+	}
+	return sbLen
+}
+
 // checkSuperblocks asserts the compile-time superblock invariants for one
 // compiled module:
 //
@@ -41,10 +75,7 @@ func checkSuperblocks(t *testing.T, name string, p *Program) {
 	t.Helper()
 	for fi := range p.funcs {
 		fc := &p.funcs[fi]
-		if len(fc.sbLen) != len(fc.code) {
-			t.Fatalf("%s func %d: sbLen has %d entries for %d slots",
-				name, fi, len(fc.sbLen), len(fc.code))
-		}
+		sbLen := sbPartition(fc)
 		for pc := range fc.code {
 			c := &fc.code[pc]
 			if (c.run != nil) != sbEligible(c) {
@@ -61,9 +92,9 @@ func checkSuperblocks(t *testing.T, name string, p *Program) {
 						name, fi, pc, c.site)
 				}
 			}
-			if (fc.sbLen[pc] > 0) != (c.run != nil) {
+			if (sbLen[pc] > 0) != (c.run != nil) {
 				t.Fatalf("%s func %d pc %d: sbLen=%d but run=%v",
-					name, fi, pc, fc.sbLen[pc], c.run != nil)
+					name, fi, pc, sbLen[pc], c.run != nil)
 			}
 		}
 
@@ -82,7 +113,7 @@ func checkSuperblocks(t *testing.T, name string, p *Program) {
 				}
 				// pc is a run head: either the block's first slot or
 				// preceded by a scheduling-relevant slot.
-				L := int(fc.sbLen[pc])
+				L := int(sbLen[pc])
 				if pc+L > end {
 					t.Fatalf("%s func %d pc %d: superblock of length %d crosses block end %d",
 						name, fi, pc, L, end)
@@ -92,7 +123,7 @@ func checkSuperblocks(t *testing.T, name string, p *Program) {
 						t.Fatalf("%s func %d pc %d: scheduling-relevant slot inside superblock [%d,%d)",
 							name, fi, pc+k, pc, pc+L)
 					}
-					if got, want := int(fc.sbLen[pc+k]), L-k; got != want {
+					if got, want := int(sbLen[pc+k]), L-k; got != want {
 						t.Fatalf("%s func %d pc %d: sbLen=%d, want %d (suffix of run at %d)",
 							name, fi, pc+k, got, want, pc)
 					}
@@ -161,7 +192,7 @@ func TestSuperblockBoundaries(t *testing.T) {
 		p := Compile(m)
 		checkSuperblocks(t, name, p)
 		for fi := range p.funcs {
-			for _, l := range p.funcs[fi].sbLen {
+			for _, l := range sbPartition(&p.funcs[fi]) {
 				if l >= 2 {
 					sawRun = true
 				}

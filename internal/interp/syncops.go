@@ -44,7 +44,7 @@ func (vm *VM) execWait(t *thread, fr *frame, cvAddr, mtxAddr mir.Word, timeout i
 		if mu.held {
 			return false // still contended; pickThread re-wakes us
 		}
-		mu.held, mu.holder = true, t.id
+		vm.acquireLock(mu, t.id)
 		t.condSignaled = false
 		vm.setStatus(t, statusRunnable)
 		if t.jmp != nil {
@@ -90,7 +90,7 @@ func (vm *VM) execWait(t *thread, fr *frame, cvAddr, mtxAddr mir.Word, timeout i
 		// simply a no-op — and park in FIFO order.
 		mu := vm.lcks.get(mtxAddr)
 		if mu.held && mu.holder == t.id {
-			mu.held = false
+			vm.releaseLock(mu)
 			if vm.san != nil {
 				vm.san.LockRelease(t.id, mtxAddr)
 			}
@@ -150,7 +150,7 @@ func (vm *VM) chanCap(addr mir.Word) mir.Word {
 // deadline expires (writes 0; the hardened recovery path re-checks the
 // shared condition that made the peer stop receiving).
 func (vm *VM) execChSend(t *thread, fr *frame, chAddr, val mir.Word, timeout int64, dst, site int, pos mir.Pos) bool {
-	ch := vm.chans.get(chAddr, vm.chanCap(chAddr))
+	ch := vm.channel(chAddr)
 	blocked := t.status == statusBlockedSend
 	switch {
 	case ch.closed:
@@ -199,7 +199,7 @@ func (vm *VM) execChSend(t *thread, fr *frame, chAddr, val mir.Word, timeout int
 // close), otherwise block (statusBlockedRecv) until a value or a close
 // arrives.
 func (vm *VM) execChRecv(t *thread, fr *frame, chAddr mir.Word, dst int, pos mir.Pos) bool {
-	ch := vm.chans.get(chAddr, vm.chanCap(chAddr))
+	ch := vm.channel(chAddr)
 	switch {
 	case !ch.empty():
 		fr.regs[dst] = ch.buf[0]
@@ -232,7 +232,7 @@ func (vm *VM) execChRecv(t *thread, fr *frame, chAddr mir.Word, dst int, pos mir
 // pickThread's scan: a closed channel makes receivers runnable (they
 // drain, then read zeros) and senders runnable (they fail).
 func (vm *VM) execChClose(t *thread, chAddr mir.Word, site int, pos mir.Pos) bool {
-	ch := vm.chans.get(chAddr, vm.chanCap(chAddr))
+	ch := vm.channel(chAddr)
 	if ch.closed {
 		vm.fail(mir.FailAssert, pos, site, t.id,
 			fmt.Sprintf("close of closed channel %d", chAddr))

@@ -87,30 +87,32 @@ type thread struct {
 	condSignaled bool
 	waitMutex    mir.Word // mutex to re-acquire when the wait completes
 
-	// ConAir recovery state.
+	// ConAir recovery state. retries and episodes are indexed by the
+	// failure site's slot (Program.siteSlot) and grow at the first
+	// rollback of a site.
 	jmp       *jmpbuf
 	regionCtr int64
-	retries   map[int]int64 // per failure-site retry counters
+	retries   []int64 // rollbacks per site
 	comp      []compEntry
 
-	// Open recovery episodes, one per site.
-	episodes map[int]*Episode
+	// Open recovery episodes, at most one per site.
+	episodes []*Episode
 }
 
 func (t *thread) top() *frame { return &t.frames[len(t.frames)-1] }
 
-func (t *thread) retryCount(site int) int64 {
-	if t.retries == nil {
+func (t *thread) retryCount(slot int) int64 {
+	if slot >= len(t.retries) {
 		return 0
 	}
-	return t.retries[site]
+	return t.retries[slot]
 }
 
-func (t *thread) bumpRetry(site int) {
-	if t.retries == nil {
-		t.retries = map[int]int64{}
+func (t *thread) bumpRetry(slot int) {
+	if slot >= len(t.retries) {
+		t.retries = append(t.retries, make([]int64, slot+1-len(t.retries))...)
 	}
-	t.retries[site]++
+	t.retries[slot]++
 }
 
 // pushComp records a compensable acquisition under the current region
@@ -135,27 +137,29 @@ func (t *thread) takeComp() []compEntry {
 	return out
 }
 
-// beginEpisode opens (or continues) the recovery episode for site at step.
-func (t *thread) beginEpisode(site int, step int64) *Episode {
-	if t.episodes == nil {
-		t.episodes = map[int]*Episode{}
+// beginEpisode opens (or continues) the recovery episode for site, whose
+// slot is slot, at step.
+func (t *thread) beginEpisode(slot, site int, step int64) *Episode {
+	if slot >= len(t.episodes) {
+		t.episodes = append(t.episodes, make([]*Episode, slot+1-len(t.episodes))...)
 	}
-	e := t.episodes[site]
+	e := t.episodes[slot]
 	if e == nil {
 		e = &Episode{Site: site, Thread: t.id, Start: step, End: -1}
-		t.episodes[site] = e
+		t.episodes[slot] = e
 	}
 	e.Retries++
 	return e
 }
 
-// endEpisode closes the open episode for site, if any, marking recovery.
-func (t *thread) endEpisode(site int, step int64) *Episode {
-	e := t.episodes[site]
-	if e == nil {
+// endEpisode closes the open episode in slot, if any, marking recovery.
+// A negative slot (a site no rollback carries) never has one.
+func (t *thread) endEpisode(slot int, step int64) *Episode {
+	if slot < 0 || slot >= len(t.episodes) || t.episodes[slot] == nil {
 		return nil
 	}
-	delete(t.episodes, site)
+	e := t.episodes[slot]
+	t.episodes[slot] = nil
 	e.End = step
 	e.Recovered = true
 	return e

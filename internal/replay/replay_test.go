@@ -274,3 +274,40 @@ func BenchmarkRecordTiny(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkReplayMinimize shrinks one recorded failing schedule of each
+// of the 13 programs' light forced builds with ddmin on triage's probe
+// budget. Every probe replays an edited stream under sched.SegmentReplay,
+// so the benchmark measures segment replay as much as the search.
+func BenchmarkReplayMinimize(b *testing.B) {
+	type target struct {
+		mod *mir.Module
+		rec *replay.Recording
+	}
+	var targets []target
+	for _, bug := range append(bugs.All(), bugs.Corpus()...) {
+		mod := bug.Program(bugs.Config{Light: true, ForceBug: true})
+		rec := recordFailure(mod, 64, randCfg)
+		if rec == nil {
+			rec = recordFailure(mod, 64, pctCfg)
+		}
+		if rec == nil {
+			b.Fatalf("%s: no failing schedule in 64 random and 64 PCT seeds", bug.Name)
+		}
+		targets = append(targets, target{mod, rec})
+	}
+	opt := replay.MinimizeOptions{ProbeBudget: 512}
+	b.ReportAllocs()
+	b.ResetTimer()
+	probes := 0
+	for i := 0; i < b.N; i++ {
+		for _, tg := range targets {
+			min, err := replay.Minimize(tg.mod, tg.rec, opt)
+			if err != nil {
+				b.Fatal(err)
+			}
+			probes += min.Probes
+		}
+	}
+	b.ReportMetric(float64(probes)/float64(b.N), "probes/op")
+}

@@ -1,10 +1,12 @@
-package sanitizer
+package sanitizer_test
 
 import (
 	"testing"
 
 	"conair/internal/interp"
 	"conair/internal/mir"
+	"conair/internal/sanitizer"
+	"conair/internal/sanitizer/sanitizertest"
 )
 
 // benchModule gives the detectors a module with enough globals that the
@@ -45,13 +47,13 @@ func driveHooks(s interp.Sanitizer, rounds int) {
 }
 
 // BenchmarkSanitizerAccess drives the identical hook trace through the
-// epoch Sanitizer and the Reference detector. The epoch leg reuses one
+// epoch Sanitizer and the reference detector. The epoch leg reuses one
 // instance via Reset, which is how SanitizeSearch runs it.
 func BenchmarkSanitizerAccess(b *testing.B) {
 	mod := benchModule()
 	const rounds = 100
 	b.Run("epoch", func(b *testing.B) {
-		s := New(mod)
+		s := sanitizer.New(mod)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -64,7 +66,7 @@ func BenchmarkSanitizerAccess(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			s := NewReference(mod)
+			s := sanitizertest.NewReference(mod)
 			driveHooks(s, rounds)
 			s.Finish()
 		}
@@ -77,7 +79,7 @@ func BenchmarkSanitizerAccess(b *testing.B) {
 // arena regions, edges and report state are all recycled in place.
 func TestAccessFastPathZeroAllocs(t *testing.T) {
 	mod := benchModule()
-	s := New(mod)
+	s := sanitizer.New(mod)
 	run := func() {
 		s.Reset(mod)
 		driveHooks(s, 20)

@@ -93,11 +93,8 @@ func rw(write bool) string {
 	return "read"
 }
 
-// reporter is the report-emission state shared by the epoch Sanitizer and
-// the Reference detector: dedup sets, the capped report list, and the
-// module used to resolve names and positions. Both detectors emit through
-// the same code so that report equality in the differential sweep compares
-// detection logic, not formatting.
+// reporter is the Sanitizer's report-emission state: dedup sets, the
+// capped report list, and the module used to resolve names and positions.
 type reporter struct {
 	// MaxReports caps stored reports (default DefaultMaxReports).
 	MaxReports int
@@ -246,12 +243,6 @@ func (s *Sanitizer) Races() []Report { return splitKind(s.Reports(), false) }
 
 // Deadlocks returns the deadlock reports (finishing the analysis).
 func (s *Sanitizer) Deadlocks() []Report { return splitKind(s.Reports(), true) }
-
-// Races returns the race reports (finishing the analysis).
-func (s *Reference) Races() []Report { return splitKind(s.Reports(), false) }
-
-// Deadlocks returns the deadlock reports (finishing the analysis).
-func (s *Reference) Deadlocks() []Report { return splitKind(s.Reports(), true) }
 
 // Verdict summarizes a report set as a compact cell for tables:
 // "none", "race(counter)", "deadlock(la,lb)", with "[+N]" appended when

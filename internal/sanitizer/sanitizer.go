@@ -29,9 +29,9 @@
 // resolve against the last-access epoch without touching any other
 // thread's clock, release clocks live in one grow-only arena, and
 // Reset(mod) recycles the whole structure across runs with zero
-// steady-state allocation. Reference is the original map-based detector,
-// kept as the differential-testing oracle; the two must produce identical
-// reports on every trace.
+// steady-state allocation. The original map-based detector lives on as
+// the differential-testing oracle sanitizertest.Reference, which only
+// tests import; the two must produce identical reports on every trace.
 package sanitizer
 
 import (
@@ -546,8 +546,8 @@ func (s *Sanitizer) cellFor(addr mir.Word) *cell {
 // its read set) belongs to the accessing thread, no other thread's clock
 // entry is consulted — the access resolves against the stored epoch in
 // O(1). Cross-thread state falls through to the full happens-before
-// comparison, which emits exactly the reports the Reference detector
-// would.
+// comparison, which emits exactly the reports the reference detector
+// (sanitizertest.Reference) would.
 func (s *Sanitizer) Access(tid int, addr mir.Word, write bool, pos mir.Pos) {
 	s.accesses++
 	if tid >= len(s.clocks) || len(s.clocks[tid]) == 0 {

@@ -22,8 +22,9 @@ package sched
 // and Intn return exactly what the inner scheduler returns, so an
 // attached flight recorder never changes a run.
 type FlightRecorder struct {
-	inner Scheduler
-	limit int // ring capacity, in segments (and in Intn draws)
+	inner  Scheduler
+	stayer Stayer // inner as a Stayer, or nil
+	limit  int    // ring capacity, in segments (and in Intn draws)
 
 	segs  []Segment // ring; logical order starts at segStart once full
 	start int       // index of the oldest segment when len(segs) == limit
@@ -49,7 +50,9 @@ func NewFlightRecorder(inner Scheduler, limit int) *FlightRecorder {
 	if limit <= 0 {
 		limit = DefaultFlightSegments
 	}
-	return &FlightRecorder{inner: inner, limit: limit}
+	f := &FlightRecorder{inner: inner, limit: limit}
+	f.stayer, _ = inner.(Stayer)
+	return f
 }
 
 // lastIdx returns the ring index of the newest segment; only valid when
@@ -66,6 +69,25 @@ func (f *FlightRecorder) Pick(runnable []int, step int64) int {
 	t := f.inner.Pick(runnable, step)
 	f.Note(int32(t))
 	return t
+}
+
+// Stay implements Stayer by asking the inner scheduler; an inner
+// scheduler that is not a Stayer never stays.
+func (f *FlightRecorder) Stay(tid int, runnable []int, step int64) int64 {
+	if f.stayer == nil {
+		return 0
+	}
+	return f.stayer.Stay(tid, runnable, step)
+}
+
+// Advance implements Stayer: the inner scheduler commits the picks and
+// the ring records them as one run.
+func (f *FlightRecorder) Advance(tid int, k int64) {
+	if k <= 0 {
+		return
+	}
+	f.stayer.Advance(tid, k)
+	f.NoteRun(int32(tid), k)
 }
 
 // Note records one pick of tid without consulting the inner scheduler.

@@ -1,5 +1,10 @@
 package sched
 
+import (
+	"math"
+	"slices"
+)
+
 // PCT is a randomized priority scheduler in the style of probabilistic
 // concurrency testing (Burckhardt et al.): each thread gets a random
 // priority when first seen, the runnable thread with the highest priority
@@ -8,34 +13,54 @@ package sched
 // (like the unserializable interleavings behind atomicity violations) with
 // provable probability — a useful complement to the forced-sleep
 // methodology when hunting for bugs the test author has not located yet.
+//
+// A change point fires at most once, and only on a Pick at exactly its
+// step: one the run steps over (sleep fast-forward jumps virtual time)
+// never fires. Between change points, and while the runnable set holds,
+// every pick is the same thread, so PCT is a Stayer.
 type PCT struct {
-	src    source
-	prio   map[int]int
-	next   int
-	change map[int64]bool
+	src source
+	// prio is indexed by thread id; unseen marks a thread not seen yet.
+	prio []int
+	// change holds the distinct change-point steps in ascending order, and
+	// fired[i] whether change[i] has fired.
+	change []int64
+	fired  []bool
 	floor  int
 }
+
+// unseen is the priority slot of a thread PCT has not seen yet: below any
+// drawn priority and any demotion floor.
+const unseen = math.MinInt
 
 // NewPCT returns a PCT scheduler with depth d (the number of priority
 // change points) spread over an expected run of maxSteps steps.
 func NewPCT(seed int64, d int, maxSteps int64) *PCT {
-	p := &PCT{prio: map[int]int{}, change: map[int64]bool{}}
+	p := &PCT{}
 	p.src.seed(seed)
 	if maxSteps < 1 {
 		maxSteps = 1
 	}
 	for i := 0; i < d-1; i++ {
-		p.change[p.src.Int63n(maxSteps)] = true
+		p.change = append(p.change, p.src.Int63n(maxSteps))
 	}
+	slices.Sort(p.change)
+	p.change = slices.Compact(p.change)
+	p.fired = make([]bool, len(p.change))
 	return p
 }
 
-// Pick implements Scheduler.
-func (p *PCT) Pick(runnable []int, step int64) int {
+// best returns the highest-priority thread of runnable, the first in
+// runnable order on a tie, drawing a priority for each thread seen for
+// the first time, in runnable order.
+func (p *PCT) best(runnable []int) int {
 	best, bestPrio := runnable[0], -1<<30
 	for _, t := range runnable {
-		pr, ok := p.prio[t]
-		if !ok {
+		for t >= len(p.prio) {
+			p.prio = append(p.prio, unseen)
+		}
+		pr := p.prio[t]
+		if pr == unseen {
 			// Random initial priority, distinct per thread.
 			pr = p.src.Intn(1 << 16)
 			p.prio[t] = pr
@@ -44,16 +69,53 @@ func (p *PCT) Pick(runnable []int, step int64) int {
 			best, bestPrio = t, pr
 		}
 	}
-	if p.change[step] {
-		// Demote the chosen thread below everything seen so far.
-		p.floor--
-		p.prio[best] = p.floor
-		// Re-pick under the new priorities.
-		delete(p.change, step)
-		return p.Pick(runnable, step)
+	return best
+}
+
+// Pick implements Scheduler.
+func (p *PCT) Pick(runnable []int, step int64) int {
+	best := p.best(runnable)
+	for i, c := range p.change {
+		if c == step && !p.fired[i] {
+			// Demote the chosen thread below everything seen so far and
+			// re-pick under the new priorities.
+			p.fired[i] = true
+			p.floor--
+			p.prio[best] = p.floor
+			return p.best(runnable)
+		}
 	}
 	return best
 }
+
+// Stay implements Stayer: tid keeps running until the next change point
+// that has not fired, provided it is the highest-priority thread of
+// runnable and every thread there already has its priority.
+func (p *PCT) Stay(tid int, runnable []int, step int64) int64 {
+	best, bestPrio := runnable[0], -1<<30
+	for _, t := range runnable {
+		if t >= len(p.prio) || p.prio[t] == unseen {
+			return 0
+		}
+		if pr := p.prio[t]; pr > bestPrio {
+			best, bestPrio = t, pr
+		}
+	}
+	if best != tid {
+		return 0
+	}
+	for i, c := range p.change {
+		if c >= step && !p.fired[i] {
+			return c - step
+		}
+	}
+	return math.MaxInt64
+}
+
+// Advance implements Stayer. A pick before the next change point over
+// threads that all have priorities draws nothing and demotes nothing, so
+// committing picks that Stay allowed changes no state.
+func (p *PCT) Advance(int, int64) {}
 
 // Intn implements Scheduler.
 func (p *PCT) Intn(n int) int { return p.src.Intn(n) }

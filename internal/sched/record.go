@@ -1,5 +1,7 @@
 package sched
 
+import "math"
+
 // This file is the sched-level half of record-and-replay: the segment
 // stream a FlightRecorder captures (see flight.go) and the SegmentReplay
 // that consumes it. A SegmentReplay reproduces the exact recorded
@@ -107,6 +109,50 @@ func (s *SegmentReplay) Pick(runnable []int, step int64) int {
 	}
 	s.tailPicks++
 	return runnable[0]
+}
+
+// Stay implements Stayer: tid keeps running for the rest of the stream's
+// consecutive tid segments (empty ones skipped), and for good once the
+// stream is used up if tid is runnable[0], the tail's fallback pick. A
+// segment of another thread ends the stay even when that thread cannot
+// run: abandoning it is a divergence Pick has to count.
+func (s *SegmentReplay) Stay(tid int, runnable []int, _ int64) int64 {
+	var k int64
+	used := s.used
+	for i := s.si; i < len(s.segs); i++ {
+		seg := s.segs[i]
+		if left := seg.N - used; left > 0 {
+			if int(seg.TID) != tid {
+				return k
+			}
+			if left >= math.MaxInt64-k {
+				return math.MaxInt64
+			}
+			k += left
+		}
+		used = 0
+	}
+	if tid == runnable[0] {
+		return math.MaxInt64
+	}
+	return k
+}
+
+// Advance implements Stayer.
+func (s *SegmentReplay) Advance(_ int, k int64) {
+	for k > 0 && s.si < len(s.segs) {
+		left := s.segs[s.si].N - s.used
+		if left > k {
+			s.used += k
+			return
+		}
+		if left > 0 {
+			k -= left
+		}
+		s.si++
+		s.used = 0
+	}
+	s.tailPicks += k
 }
 
 // Intn implements Scheduler.

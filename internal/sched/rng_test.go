@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -89,7 +90,8 @@ func TestRoundRobinIntnMatchesMathRand(t *testing.T) {
 }
 
 // TestPCTMatchesMathRand rebuilds PCT's change points and priorities with
-// the math/rand calls NewPCT and Pick made before the port.
+// the math/rand calls NewPCT and Pick made before the port. The change
+// points are a sorted, duplicate-free slice; the set must be math/rand's.
 func TestPCTMatchesMathRand(t *testing.T) {
 	for _, seed := range sourceSeeds {
 		const d, maxSteps = 6, 5000
@@ -103,9 +105,12 @@ func TestPCTMatchesMathRand(t *testing.T) {
 			t.Fatalf("seed %d: %d change points, math/rand gives %d", seed, len(p.change), len(change))
 		}
 		for step := range change {
-			if !p.change[step] {
+			if _, ok := slices.BinarySearch(p.change, step); !ok {
 				t.Fatalf("seed %d: change point %d missing", seed, step)
 			}
+		}
+		if !slices.IsSorted(p.change) || len(p.fired) != len(p.change) || slices.Contains(p.fired, true) {
+			t.Fatalf("seed %d: change points %v (fired %v) not sorted and unfired", seed, p.change, p.fired)
 		}
 		// First sight of each thread draws its priority, in runnable order.
 		p.Pick([]int{0, 1, 2, 3}, -1)

@@ -14,12 +14,36 @@ package sched
 // reproducible from one seed.
 type Scheduler interface {
 	// Pick returns an element of runnable. runnable is never empty and is
-	// sorted by thread id.
+	// sorted by thread id. Pick must neither keep nor modify runnable: the
+	// interpreter hands it the slice it caches the runnable set in, and
+	// reuses that slice for later picks while the set cannot have changed.
 	Pick(runnable []int, step int64) int
 	// Intn returns a uniform value in [0, n); n > 0.
 	Intn(n int) int
 	// Name identifies the scheduler in reports.
 	Name() string
+}
+
+// Stayer is an optional Scheduler extension for schedules that hold
+// still. Between two changes of the runnable set, PCT keeps picking its
+// highest-priority thread until the next change point, and a replay keeps
+// picking a segment's thread until the segment ends; asking Pick once per
+// instruction re-decides what cannot have changed. A Stayer says how long
+// a decision holds, and the interpreter takes the picks in between without
+// calling Pick.
+//
+// Both methods are keyed to a pick that just returned tid over runnable.
+// The coming picks are over the same runnable set at the consecutive steps
+// step, step+1, ...
+type Stayer interface {
+	// Stay returns how many of the coming picks are certainly tid: k >= 0,
+	// or math.MaxInt64 when the decision holds for good. It is a pure
+	// query and changes no state.
+	Stay(tid int, runnable []int, step int64) int64
+	// Advance commits k of the picks Stay allowed (several calls may
+	// split them), leaving the scheduler exactly as k Pick calls
+	// returning tid would.
+	Advance(tid int, k int64)
 }
 
 // Random schedules uniformly at random among runnable threads.
