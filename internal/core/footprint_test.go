@@ -52,7 +52,7 @@ func TestIRFootprint(t *testing.T) {
 	}
 	const (
 		maxModuleBytes   = 160 // per instruction
-		maxCompiledBytes = 100 // per instruction
+		maxCompiledBytes = 61  // per instruction
 	)
 	base := liveHeap()
 	mods := recoverySet(t)

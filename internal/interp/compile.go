@@ -19,34 +19,83 @@ import (
 //     sanitizer paths rebuild its mir.Pos in O(1) from the pc and the
 //     block's start (VM.posOf); texts and call arguments, which only
 //     cold paths and calls read, live outside the code stream;
-//   - scheduling-irrelevant instructions (sbEligible) are lowered to
-//     direct Go closures (cinstr.run), which are their only implementation:
-//     the run loop chains them through a superblock — a maximal
-//     straight-line run of such instructions — as one scheduler quantum,
-//     and its dispatch switch handles only the scheduling-relevant rest.
+//   - scheduling-irrelevant instructions (sbEligible) get opcodes of
+//     their own, numbered as one contiguous low range of cop, so that
+//     eligibility is one compare; execLocal's switch is their only
+//     implementation, and the run loop hands it a whole superblock — a
+//     maximal straight-line run of such instructions — as one scheduler
+//     quantum, while its dispatch switch handles only the scheduling-
+//     relevant rest. Binary operators with a register left operand are
+//     specialized per operator, so the hot arithmetic never calls
+//     mir.BinOp.Eval.
 //
 // Source instructions map 1:1 onto code slots, and neither form changes
 // observable behaviour: the scheduler's stream advances one decision per
 // executed instruction (a one-thread superblock quantum advances it in
 // bulk with sched.Random.Skip; see runLoop).
 
-// cop enumerates compiled opcodes. cBin* split by operand shape so the hot
-// arithmetic path loads registers without per-operand branches; a bin with
-// two immediate operands is constant-folded to cConst at compile time.
+// cop enumerates compiled opcodes. The scheduling-irrelevant ones come
+// first: every opcode below cLoadG is sbEligible, and execLocal runs it.
+// Binary operators with a register left operand get one opcode per
+// operator and right-operand shape, in mir.BinOp order (cAddRR+cop(bin),
+// cAddRI+cop(bin)), so the executor dispatches straight to the
+// arithmetic; a bin with an immediate left operand is rare enough to stay
+// generic (cBinIR), and one with two immediates is constant-folded to
+// cConst at compile time.
 type cop uint8
 
 const (
-	cConst cop = iota
-	cBinRR     // dst = regs[a] <bin> regs[b]
-	cBinRI     // dst = regs[a] <bin> bImm
-	cBinIR     // dst = aImm <bin> regs[b]
+	cConst cop = iota // dst = aImm
+	cAddrG            // dst = aImm, the global's address
+
+	cAddRR // dst = regs[a] <op> regs[b], one opcode per mir.BinOp
+	cSubRR
+	cMulRR
+	cDivRR
+	cModRR
+	cAndRR
+	cOrRR
+	cXorRR
+	cShlRR
+	cShrRR
+	cEqRR
+	cNeRR
+	cLtRR
+	cLeRR
+	cGtRR
+	cGeRR
+
+	cAddRI // dst = regs[a] <op> bImm, one opcode per mir.BinOp
+	cSubRI
+	cMulRI
+	cDivRI
+	cModRI
+	cAndRI
+	cOrRI
+	cXorRI
+	cShlRI
+	cShrRI
+	cEqRI
+	cNeRI
+	cLtRI
+	cLeRI
+	cGtRI
+	cGeRI
+
+	cBinIR   // dst = aImm <bin> regs[b]
+	cLoadS   // dst = slots[aux]
+	cStoreS  // slots[aux] = regs[a]
+	cStoreSI // slots[aux] = aImm
+	cNop
+	cYield
+	cJmp
+	cBr // a plain branch on a register; a constant one lowers to cJmp
+
+	// Scheduling-relevant opcodes, dispatched by runLoop's switch.
 	cLoadG
 	cStoreG
-	cAddrG
 	cLoad
 	cStore
-	cLoadS
-	cStoreS
 	cAlloc
 	cFree
 	cLock
@@ -57,19 +106,15 @@ const (
 	cJoin
 	cOutput
 	cAssert
-	cYield
 	cSleep
 	cSleepRand
-	cNop
-	cCheckpoint
+	cCheckpoint // aux = the checkpoint's counter (Program.ckptSites)
 	cRollback
 	cFail
-	cBr
-	cJmp
+	cBrSite // a branch at a failure site: passing closes recovery episodes
 	cRet
 	// Synchronization extensions: all scheduling-relevant (they block,
-	// wake threads, fail, or touch shared state), so none are superblock-
-	// eligible and all dispatch through the central switch.
+	// wake threads, fail, or touch shared state).
 	cWait   // a=condvar, b=mutex, aux=timeout (0 = untimed)
 	cSignal // a=condvar
 	cBroadcast
@@ -87,22 +132,23 @@ type carg struct {
 	imm mir.Word
 }
 
-// cinstr is one compiled instruction, 64 bytes. Which fields are
+// cinstr is one compiled instruction, 56 bytes. Which fields are
 // meaningful depends on op; field use mirrors mir.Instr with operands
 // pre-bound:
 //
 //	aReg/aImm, bReg/bImm — generic operands (reg slot, or imm when reg < 0);
-//	                       aImm doubles as the const value (cConst), the
-//	                       rollback retry bound (cRollback); bImm doubles as
-//	                       the timedlock timeout (cTimedLock);
-//	aux                  — global, slot or callee index; doubles as the
-//	                       wait/chsend timeout (their b slot is occupied);
+//	                       aImm doubles as the const value (cConst, cAddrG)
+//	                       and the rollback retry bound (cRollback); bImm
+//	                       doubles as the timedlock timeout (cTimedLock);
+//	aux                  — global, slot or callee index, or a checkpoint's
+//	                       counter; doubles as the wait/chsend timeout
+//	                       (their b slot is occupied);
 //	thenPC/elsePC        — absolute flat branch targets; for call, spawn
 //	                       and cas they double as the offset and length of
 //	                       the arguments in fcode.args (fcode.argsOf);
 //	site                 — failure-site id;
 //	blk                  — the source block, for VM.posOf and VM.textOf;
-//	bin                  — the binary operator of cBin*.
+//	bin                  — the binary operator of cBinIR.
 type cinstr struct {
 	op    cop
 	bin   mir.BinOp
@@ -120,15 +166,6 @@ type cinstr struct {
 
 	aImm mir.Word
 	bImm mir.Word
-
-	// run is the direct-threaded form: non-nil exactly when the instruction
-	// is scheduling-irrelevant (sbEligible), in which case calling run(fr)
-	// performs the instruction's full effect — registers, slots, and pc —
-	// with no possible failure, no thread-state change, no sink event and no
-	// sanitizer hook. It is the instruction's only implementation: the run
-	// loop chains these closures inside a superblock quantum (or calls one
-	// under StepOnce), and the dispatch switch has no case for them.
-	run func(fr *frame)
 }
 
 // a resolves the first generic operand against fr.
@@ -169,13 +206,18 @@ type fcode struct {
 type Program struct {
 	mod   *mir.Module
 	funcs []fcode
-	// arenaWords sizes a VM's first frame-arena chunk: one frame of every
-	// function (pools reuse frames), capped at arenaChunk.
+	// arenaWords sizes a VM's first frame-arena chunk: its checkpoint
+	// counters and one frame of every function (pools reuse frames),
+	// capped at arenaChunk.
 	arenaWords int
 	// nSites and sparseSites number the rollback sites for the per-thread
 	// retry and episode tables; see siteSlot.
 	nSites      int32
 	sparseSites map[int32]int32
+	// ckptSites holds the site id of each checkpoint counter: a VM counts
+	// the executions of a cCheckpoint in its counter aux, one per
+	// distinct site id.
+	ckptSites []int32
 }
 
 // maxDenseSite bounds the rollback site ids that index the per-thread
@@ -226,6 +268,31 @@ func (p *Program) numberSites() {
 	}
 }
 
+// numberCheckpoints gives every distinct checkpoint site id a dense
+// counter and stores its index in the checkpoints' aux.
+func (p *Program) numberCheckpoints() {
+	var index map[int32]int32
+	for fi := range p.funcs {
+		code := p.funcs[fi].code
+		for pc := range code {
+			c := &code[pc]
+			if c.op != cCheckpoint {
+				continue
+			}
+			i, ok := index[c.site]
+			if !ok {
+				if index == nil {
+					index = map[int32]int32{}
+				}
+				i = int32(len(p.ckptSites))
+				index[c.site] = i
+				p.ckptSites = append(p.ckptSites, c.site)
+			}
+			c.aux = i
+		}
+	}
+}
+
 var (
 	progMu    sync.Mutex
 	progCache = map[*mir.Module]*Program{}
@@ -262,8 +329,9 @@ func compileModule(mod *mir.Module) *Program {
 		f := &mod.Functions[fi]
 		p.arenaWords += f.NumRegs() + len(f.SlotNames)
 	}
-	p.arenaWords = min(p.arenaWords, arenaChunk)
 	p.numberSites()
+	p.numberCheckpoints()
+	p.arenaWords = min(p.arenaWords+len(p.ckptSites), arenaChunk)
 	return p
 }
 
@@ -293,7 +361,6 @@ func compileFunc(mod *mir.Module, fi int) fcode {
 			fc.code = append(fc.code, fc.lower(f, &f.Blocks[b].Instrs[i], int32(b)))
 		}
 	}
-	closeFunc(&fc)
 	return fc
 }
 
@@ -313,14 +380,16 @@ func (fc *fcode) lower(f *mir.Function, in *mir.Instr, blk int32) cinstr {
 	case mir.OpConst:
 		c.op, c.aImm, c.aReg = cConst, in.Imm, -1
 	case mir.OpBin:
-		c.bin = in.Bin
 		switch {
+		case in.Bin > mir.BinGe:
+			// mir.BinOp.Eval gives 0 for an operator it does not know.
+			c.op, c.aImm, c.aReg, c.bReg = cConst, 0, -1, -1
 		case c.aReg >= 0 && c.bReg >= 0:
-			c.op = cBinRR
+			c.op = cAddRR + cop(in.Bin)
 		case c.aReg >= 0:
-			c.op = cBinRI
+			c.op = cAddRI + cop(in.Bin)
 		case c.bReg >= 0:
-			c.op = cBinIR
+			c.op, c.bin = cBinIR, in.Bin
 		default:
 			// Both operands immediate: fold at compile time.
 			c.op, c.aImm, c.bImm = cConst, in.Bin.Eval(c.aImm, c.bImm), 0
@@ -330,7 +399,7 @@ func (fc *fcode) lower(f *mir.Function, in *mir.Instr, blk int32) cinstr {
 	case mir.OpStoreG:
 		c.op, c.aux = cStoreG, in.Aux
 	case mir.OpAddrG:
-		c.op, c.aux = cAddrG, in.Aux
+		c.op, c.aImm = cAddrG, globalAddr(int(in.Aux))
 	case mir.OpLoad:
 		c.op = cLoad
 	case mir.OpStore:
@@ -339,6 +408,9 @@ func (fc *fcode) lower(f *mir.Function, in *mir.Instr, blk int32) cinstr {
 		c.op, c.aux = cLoadS, in.Aux
 	case mir.OpStoreS:
 		c.op, c.aux = cStoreS, in.Aux
+		if c.aReg < 0 {
+			c.op = cStoreSI
+		}
 	case mir.OpAlloc:
 		c.op = cAlloc
 	case mir.OpFree:
@@ -377,6 +449,16 @@ func (fc *fcode) lower(f *mir.Function, in *mir.Instr, blk int32) cinstr {
 		c.op, c.fkind = cFail, in.FailKind
 	case mir.OpBr:
 		c.op, c.thenPC, c.elsePC = cBr, offs[in.Aux], offs[in.Else]
+		switch {
+		case in.Site != 0:
+			c.op = cBrSite
+		case c.aReg < 0:
+			// A constant condition: the target is fixed at compile time.
+			c.op = cJmp
+			if c.aImm == 0 {
+				c.thenPC = c.elsePC
+			}
+		}
 	case mir.OpJmp:
 		c.op, c.thenPC = cJmp, offs[in.Aux]
 	case mir.OpRet:
@@ -420,120 +502,6 @@ func (fc *fcode) lowerArgs(c *cinstr, args []mir.Operand) {
 // instruction costs. Executing a run of such instructions as one quantum is
 // observably identical to stepping them individually, provided the
 // scheduler's random stream still consumes one decision per instruction —
-// which the run loop guarantees.
-func sbEligible(c *cinstr) bool {
-	switch c.op {
-	case cConst, cBinRR, cBinRI, cBinIR, cLoadS, cStoreS, cAddrG, cNop,
-		cYield, cJmp:
-		return true
-	case cBr:
-		// A branch at a failure site closes recovery episodes and is
-		// therefore scheduling-relevant; a plain branch only moves the pc.
-		return c.site == 0
-	}
-	return false
-}
-
-// closeFunc lowers every eligible instruction to its direct-threaded
-// closure. Shapes are specialized so the hot arithmetic ops run without a
-// BinOp dispatch; everything else falls back to the (never-panicking)
-// mir.BinOp.Eval.
-func closeFunc(fc *fcode) {
-	for i := range fc.code {
-		fc.code[i].run = closureFor(&fc.code[i])
-	}
-}
-
-// advance is the shared closure for instructions with no effect but pc++.
-func advance(fr *frame) { fr.pc++ }
-
-func closureFor(c *cinstr) func(*frame) {
-	if !sbEligible(c) {
-		return nil
-	}
-	switch c.op {
-	case cConst:
-		dst, imm := c.dst, c.aImm
-		return func(fr *frame) { fr.regs[dst] = imm; fr.pc++ }
-	case cBinRR:
-		dst, a, b := c.dst, c.aReg, c.bReg
-		switch c.bin {
-		case mir.BinAdd:
-			return func(fr *frame) { fr.regs[dst] = fr.regs[a] + fr.regs[b]; fr.pc++ }
-		case mir.BinSub:
-			return func(fr *frame) { fr.regs[dst] = fr.regs[a] - fr.regs[b]; fr.pc++ }
-		case mir.BinMul:
-			return func(fr *frame) { fr.regs[dst] = fr.regs[a] * fr.regs[b]; fr.pc++ }
-		}
-		bin := c.bin
-		return func(fr *frame) { fr.regs[dst] = bin.Eval(fr.regs[a], fr.regs[b]); fr.pc++ }
-	case cBinRI:
-		dst, a, imm := c.dst, c.aReg, c.bImm
-		switch c.bin {
-		case mir.BinAdd:
-			return func(fr *frame) { fr.regs[dst] = fr.regs[a] + imm; fr.pc++ }
-		case mir.BinSub:
-			return func(fr *frame) { fr.regs[dst] = fr.regs[a] - imm; fr.pc++ }
-		case mir.BinLt:
-			return func(fr *frame) {
-				if fr.regs[a] < imm {
-					fr.regs[dst] = 1
-				} else {
-					fr.regs[dst] = 0
-				}
-				fr.pc++
-			}
-		case mir.BinEq:
-			return func(fr *frame) {
-				if fr.regs[a] == imm {
-					fr.regs[dst] = 1
-				} else {
-					fr.regs[dst] = 0
-				}
-				fr.pc++
-			}
-		}
-		bin := c.bin
-		return func(fr *frame) { fr.regs[dst] = bin.Eval(fr.regs[a], imm); fr.pc++ }
-	case cBinIR:
-		dst, imm, b, bin := c.dst, c.aImm, c.bReg, c.bin
-		return func(fr *frame) { fr.regs[dst] = bin.Eval(imm, fr.regs[b]); fr.pc++ }
-	case cLoadS:
-		dst, slot := c.dst, c.aux
-		return func(fr *frame) { fr.regs[dst] = fr.slots[slot]; fr.pc++ }
-	case cStoreS:
-		slot := c.aux
-		if c.aReg >= 0 {
-			a := c.aReg
-			return func(fr *frame) { fr.slots[slot] = fr.regs[a]; fr.pc++ }
-		}
-		imm := c.aImm
-		return func(fr *frame) { fr.slots[slot] = imm; fr.pc++ }
-	case cAddrG:
-		dst, v := c.dst, globalAddr(int(c.aux))
-		return func(fr *frame) { fr.regs[dst] = v; fr.pc++ }
-	case cNop, cYield:
-		return advance
-	case cJmp:
-		tgt := int(c.thenPC)
-		return func(fr *frame) { fr.pc = tgt }
-	case cBr:
-		tp, ep := int(c.thenPC), int(c.elsePC)
-		if c.aReg >= 0 {
-			a := c.aReg
-			return func(fr *frame) {
-				if fr.regs[a] != 0 {
-					fr.pc = tp
-				} else {
-					fr.pc = ep
-				}
-			}
-		}
-		// Constant condition: the target is fixed at compile time.
-		if c.aImm != 0 {
-			return func(fr *frame) { fr.pc = tp }
-		}
-		return func(fr *frame) { fr.pc = ep }
-	}
-	return nil
-}
+// which the run loop guarantees. A branch at a failure site closes
+// recovery episodes and is therefore lowered to the relevant cBrSite.
+func sbEligible(c *cinstr) bool { return c.op < cLoadG }

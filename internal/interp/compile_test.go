@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"fmt"
 	"testing"
 	"unsafe"
 
@@ -53,11 +54,11 @@ func compileTestModule(t *testing.T) *mir.Module {
 	return m
 }
 
-// TestCinstrLayout pins the compiled instruction at 64 bytes: positions,
+// TestCinstrLayout pins the compiled instruction at 56 bytes: positions,
 // texts and arguments live outside the code stream.
 func TestCinstrLayout(t *testing.T) {
-	if got := unsafe.Sizeof(cinstr{}); got > 64 {
-		t.Errorf("cinstr is %d bytes, want at most 64", got)
+	if got := unsafe.Sizeof(cinstr{}); got > 56 {
+		t.Errorf("cinstr is %d bytes, want at most 56", got)
 	}
 }
 
@@ -159,14 +160,14 @@ func TestCompileOperandBinding(t *testing.T) {
 	m := compileTestModule(t)
 	p := Compile(m)
 
-	// helper: %b = add %a, 1 → cBinRI.
-	ri := findSlot(t, p, 0, func(c *cinstr) bool { return c.op == cBinRI })
+	// helper: %b = add %a, 1 → cAddRI.
+	ri := findSlot(t, p, 0, func(c *cinstr) bool { return c.op == cAddRI })
 	if ri < 0 {
-		t.Fatal("no cBinRI slot in helper")
+		t.Fatal("no cAddRI slot in helper")
 	}
 	c := &p.funcs[0].code[ri]
 	if c.aReg < 0 || c.bReg >= 0 || c.bImm != 1 {
-		t.Fatalf("cBinRI binding: aReg=%d bReg=%d bImm=%d", c.aReg, c.bReg, c.bImm)
+		t.Fatalf("cAddRI binding: aReg=%d bReg=%d bImm=%d", c.aReg, c.bReg, c.bImm)
 	}
 
 	// helper: %c = add 20, 22 → folded to cConst 42.
@@ -188,5 +189,63 @@ func TestCompileCache(t *testing.T) {
 	}
 	if Compile(compileTestModule(t)) == Compile(m) {
 		t.Fatal("distinct modules share a Program")
+	}
+}
+
+// eligibleModule builds a module of nf functions, each a loop of n
+// scheduling-irrelevant instructions of every kind, called from main.
+func eligibleModule(nf, n int) *mir.Module {
+	b := mir.NewBuilder("eligible")
+	g := b.Global("g", 0)
+	for fi := 0; fi < nf; fi++ {
+		f := b.Func(fmt.Sprintf("f%d", fi), "x")
+		loop := f.Label("loop")
+		x := f.R("x")
+		for i := 0; i < n; i++ {
+			r := fmt.Sprintf("r%d", i%8)
+			switch i % 6 {
+			case 0:
+				f.Bin(r, mir.BinOp(i%16), x, mir.Imm(mir.Word(i)))
+			case 1:
+				f.Bin(r, mir.BinOp(i%16), x, f.R(fmt.Sprintf("r%d", (i+1)%8)))
+			case 2:
+				f.StoreS("s", f.R(r))
+			case 3:
+				f.LoadS(r, "s")
+			case 4:
+				f.AddrG(r, g)
+			default:
+				f.Const(r, mir.Word(i))
+			}
+		}
+		done := f.NewBlock("done")
+		f.Br(f.R("r0"), loop, done)
+		f.SetBlock(done)
+		f.Ret(x)
+	}
+	main := b.Func("main")
+	for fi := 0; fi < nf; fi++ {
+		main.Call("v", fmt.Sprintf("f%d", fi), mir.Imm(1))
+	}
+	main.Ret(mir.Imm(0))
+	return b.MustModule()
+}
+
+// TestCompileAllocs pins that compiling allocates per function, not per
+// instruction: growing every function a hundredfold adds no allocation,
+// and the total stays within a few per function.
+func TestCompileAllocs(t *testing.T) {
+	const nf = 4
+	allocs := func(n int) float64 {
+		m := eligibleModule(nf, n)
+		return testing.AllocsPerRun(10, func() { compileModule(m) })
+	}
+	small, large := allocs(30), allocs(3000)
+	t.Logf("%d functions: %.0f allocations at 30 instructions each, %.0f at 3000", nf+1, small, large)
+	if large != small {
+		t.Errorf("Compile allocates per instruction: %.0f allocations at 30 instructions per function, %.0f at 3000", small, large)
+	}
+	if limit := float64(4*(nf+1) + 4); large > limit {
+		t.Errorf("Compile made %.0f allocations for %d functions, want at most %.0f", large, nf+1, limit)
 	}
 }

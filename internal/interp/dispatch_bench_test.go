@@ -113,7 +113,7 @@ func BenchmarkHeapLoadStore(b *testing.B) { benchRun(b, heapLoadStoreSrc, defaul
 
 // superblockSrc is the batching-dominant shape: a long straight-line run
 // of thread-local arithmetic per loop iteration, so nearly every
-// instruction rides the closure chain inside one superblock quantum.
+// instruction retires inside one superblock quantum's execLocal batch.
 const superblockSrc = `
 func main() {
 entry:
@@ -133,7 +133,7 @@ done:
   ret 0
 }`
 
-// BenchmarkSuperblockDispatch measures the closure-chain fast path; the
+// BenchmarkSuperblockDispatch measures the superblock fast path; the
 // Reference variant tree-walks the original mir.Instr stream one
 // pickThread round-trip per instruction:
 //
@@ -142,6 +142,59 @@ func BenchmarkSuperblockDispatch(b *testing.B) { benchRun(b, superblockSrc, defa
 func BenchmarkSuperblockDispatchReference(b *testing.B) {
 	benchRunRef(b, superblockSrc)
 }
+
+// binOpsSrc runs every binary operator twice per iteration, once with a
+// register and once with an immediate right operand, so each of the 32
+// specialized arithmetic opcodes retires 3000 times a run.
+const binOpsSrc = `
+func main() {
+entry:
+  %i = const 3000
+  %k = const 5
+  jmp loop
+loop:
+  %a = add %i, %k
+  %a = add %a, 3
+  %b = sub %a, %k
+  %b = sub %b, 1
+  %c = mul %b, %k
+  %c = mul %c, 3
+  %d = div %c, %k
+  %d = div %d, 7
+  %e = mod %d, %k
+  %e = mod %c, 11
+  %f = and %c, %i
+  %f = and %f, 255
+  %g = or %f, %e
+  %g = or %g, 16
+  %h = xor %g, %i
+  %h = xor %h, 9
+  %s = shl %h, %k
+  %s = shl %s, 2
+  %t = shr %s, %k
+  %t = shr %t, 1
+  %u = eq %t, %h
+  %u = eq %t, 0
+  %v = ne %u, %t
+  %v = ne %v, 0
+  %w = lt %t, %i
+  %w = lt %w, 1
+  %x = le %w, %v
+  %x = le %t, 100
+  %y = gt %x, %w
+  %y = gt %y, -1
+  %z = ge %y, %x
+  %z = ge %i, 1
+  %i = sub %i, %z
+  %more = gt %i, 0
+  br %more, loop, done
+done:
+  ret 0
+}`
+
+// BenchmarkBinOps measures execLocal's arithmetic over all 16 operators
+// in both register-left shapes: go test ./internal/interp -bench BinOps
+func BenchmarkBinOps(b *testing.B) { benchRun(b, binOpsSrc, defaultCfg) }
 
 // The Reference variants run the same programs through RunReference — the
 // pre-compilation execution path kept as a test-only oracle — so the
@@ -218,8 +271,8 @@ loop:
   %c = gt %i, 0
   br %c, loop, loop
 }`},
-		// The closure-chain (superblock) path: a long straight-line run of
-		// eligible instructions per iteration, so almost every step executes
+		// The superblock path: a long straight-line run of eligible
+		// instructions per iteration, so almost every step executes
 		// inside a batched quantum rather than the dispatch switch.
 		{"superblock", `
 func main() {

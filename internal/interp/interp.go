@@ -22,6 +22,37 @@ func (vm *VM) interrupted(step int64) bool {
 	return vm.intr != nil && step&interruptMask == 0 && vm.intr.Load()
 }
 
+// hangAt returns why the run must stop before executing at step — the
+// step limit max, or the watchdog — or "" when it may go on.
+func (vm *VM) hangAt(step, max int64) string {
+	if step >= max {
+		return hangStepLimit
+	}
+	if vm.interrupted(step) {
+		return hangWatchdog
+	}
+	return ""
+}
+
+// The messages of the two hang stops.
+const (
+	hangStepLimit = "step limit exceeded (hang)"
+	hangWatchdog  = "interrupted by watchdog"
+)
+
+// quantumBudget returns how many instructions may retire from step
+// before hangAt can next stop the run: up to max, and with a watchdog
+// armed, up to its next poll. It is at least one: the instruction at step
+// already has its pick, and a pick that fast-forwarded past max to wake a
+// sleeper still runs it.
+func (vm *VM) quantumBudget(step, limit int64) int64 {
+	b := limit - step
+	if vm.intr != nil {
+		b = min(b, (step|interruptMask)+1-step)
+	}
+	return max(b, 1)
+}
+
 // VM executes one MIR module run. Create with New, drive with Run.
 type VM struct {
 	mod   *mir.Module
@@ -112,6 +143,7 @@ type VM struct {
 	// arena is the VM's frame backing store: pool misses carve register/slot
 	// arrays out of one chunked allocation instead of calling make per
 	// frame, so a run's allocation count is O(arena chunks), not O(calls).
+	// The checkpoint counters come from its first chunk too.
 	arena    []mir.Word
 	arenaOff int
 
@@ -121,6 +153,11 @@ type VM struct {
 	// registry once per run by result().
 	sbQuanta int64
 	sbInstrs int64
+
+	// ckptExecs counts executions per checkpoint counter (Program.ckptSites),
+	// in words of the first arena chunk; result() turns it into
+	// Stats.CheckpointExecs.
+	ckptExecs []int64
 }
 
 // New prepares a VM for the module, compiling it to the flat code stream
@@ -147,6 +184,9 @@ func New(mod *mir.Module, cfg Config) *VM {
 		sink:  cfg.Sink,
 		san:   cfg.Sanitizer,
 		intr:  cfg.Interrupt,
+	}
+	if n := len(vm.prog.ckptSites); n > 0 {
+		vm.ckptExecs = vm.arenaAlloc(n)
 	}
 	vm.rnd, _ = cfg.Sched.(*sched.Random)
 	if fr, ok := cfg.Sched.(*sched.FlightRecorder); ok {
@@ -280,10 +320,11 @@ func (vm *VM) newFrame(fi, retDst int) frame {
 }
 
 // arenaAlloc carves an n-word array out of the VM's frame arena, growing it
-// by chunks: the first sized to the program's frames (Program.arenaWords),
-// later ones fixed. Fresh chunks are zeroed by make, and every span is
-// handed out exactly once (recycling goes through the per-function pools,
-// which zero on reuse), so callers always see zeroed memory.
+// by chunks: the first sized by Program.arenaWords (the checkpoint counters
+// and one frame of every function), later ones fixed. Fresh chunks are
+// zeroed by make, and every span is handed out exactly once (recycling
+// goes through the per-function pools, which zero on reuse), so callers
+// always see zeroed memory.
 func (vm *VM) arenaAlloc(n int) []mir.Word {
 	if vm.arenaOff+n > len(vm.arena) {
 		c := arenaChunk
@@ -340,30 +381,46 @@ func (vm *VM) closeEpisode(t *thread, site int) {
 // instruction retires, and reports whether any instruction executed.
 //
 // Every instruction has exactly one implementation. A scheduling-
-// irrelevant instruction (in.run != nil — see sbEligible) is its compiled
-// closure; every other instruction is a case of the dispatch switch.
+// irrelevant instruction (sbEligible) is a case of execLocal's switch;
+// every other instruction is a case of the dispatch switch below.
 //
 // Determinism contract: every executed instruction advances the
 // scheduler's stream by exactly one decision — one Pick, hence one
 // sched.Random draw — and a sink sees exactly one KindSchedPick for it.
-// Superblock quanta obey it. Outside single mode, reaching a closure-backed
-// instruction enters a quantum: the loop chains the closures directly
-// until it reaches a scheduling-relevant instruction or the scheduler
-// picks another thread. Eligible instructions cannot fail, block, wake,
-// spawn or finish threads, so the runnable set is fixed for the whole
-// quantum. With one live thread and none waiting under sched.Random — the
-// overwhelmingly common quantum — every decision in it is that thread, so
-// the loop draws nothing per instruction and advances the stream in bulk
-// at the exit (Random.Skip(stay)), with one flight-ring note for the same
-// stay; the stream is left exactly where per-instruction draws would leave
-// it. Every other quantum takes a pick per instruction. StepOnce (single
-// mode) runs one closure and returns, so a StepOnce-driven run makes the
-// same decisions one instruction at a time.
+// Superblock quanta obey it. Outside single mode, reaching an eligible
+// instruction enters a quantum (VM.quantum), which hands execLocal a
+// budget: the most instructions it may retire before the quantum must
+// look again. A budget never reaches past the step limit or the next
+// watchdog poll (quantumBudget), so the hang checks run once per call, at
+// its edge, and see exactly the steps they would see one instruction at a
+// time. Eligible instructions cannot fail, block, wake, spawn or finish
+// threads, so the runnable set is fixed for the whole quantum, and the
+// picks a batch owns are recorded to the sink after it, in step order;
+// eligible instructions emit nothing else, so the event stream is
+// unchanged.
 //
-// Stayed runs obey it too. Under a sched.Stayer (PCT, segment replay, a
-// flight recorder around either), each real Pick is followed by one Stay
-// query, and the picks it grants are taken at the loop top or inside a
-// quantum, wherever they fall, without calling Pick. The budget holds
+//   - With one live thread and none waiting under sched.Random — the
+//     overwhelmingly common quantum — every decision in it is that thread,
+//     so the budget is the hang budget alone, the loop draws nothing per
+//     instruction and advances the stream in bulk at the exit
+//     (Random.Skip(stay)), with one flight-ring note for the same stay;
+//     the stream is left exactly where per-instruction draws would leave
+//     it.
+//   - Under a sched.Stayer (PCT, segment replay, a flight recorder around
+//     either) the picks the stay budget has granted are certainly this
+//     thread, so a batch may run one instruction past them (its last pick
+//     is a real one) within the hang budget.
+//   - Every other quantum (several live threads, or one waiting, under
+//     Random) runs one instruction per call and takes a real pick after
+//     each.
+//
+// StepOnce (single mode) runs execLocal with a budget of one and returns,
+// so a StepOnce-driven run makes the same decisions one instruction at a
+// time.
+//
+// Stayed runs obey the contract too. Each real Pick is followed by one
+// Stay query, and the picks it grants are taken at the loop top or inside
+// a quantum, wherever they fall, without calling Pick. The budget holds
 // only while gen is unchanged, that is while no status, spawn, lock or
 // channel change could alter the runnable set, and only up to the set's
 // next wake or timeout. Before the next real Pick, when the result is
@@ -384,11 +441,11 @@ func (vm *VM) runLoop(max int64, single bool) bool {
 			return executed
 		}
 		if vm.step >= max {
-			vm.fail(mir.FailHang, mir.Pos{}, 0, -1, "step limit exceeded (hang)")
+			vm.fail(mir.FailHang, mir.Pos{}, 0, -1, hangStepLimit)
 			return executed
 		}
 		if vm.interrupted(vm.step) {
-			vm.fail(mir.FailHang, mir.Pos{}, 0, -1, "interrupted by watchdog")
+			vm.fail(mir.FailHang, mir.Pos{}, 0, -1, hangWatchdog)
 			return executed
 		}
 		var ntid int
@@ -423,101 +480,27 @@ func (vm *VM) runLoop(max int64, single bool) bool {
 	dispatch:
 		in := &code[fr.pc]
 
-		if in.run != nil {
+		if sbEligible(in) {
 			if single {
-				in.run(fr)
+				execLocal(code, fr, 1)
 				vm.step++
 				return true
 			}
-			// Superblock quantum: chain closures until the superblock ends or
-			// the scheduler switches threads. The pick for the current
-			// instruction was already consumed (and sink-recorded) above;
-			// every further retired instruction owns exactly one more.
 			executed = true
-			vm.sbQuanta++
-			if vm.rnd != nil && vm.waiting == 0 && len(vm.live) == 1 {
-				// One live thread, none waiting, and no eligible instruction
-				// can spawn, wake or end a thread: every pick in the quantum
-				// is tid. Draw nothing per instruction; advance the stream
-				// and the flight ring by the whole stay at the exit.
-				step := vm.step
-				var stay int64
-				hang := ""
-				for {
-					in.run(fr)
-					step++
-					if step >= max {
-						hang = "step limit exceeded (hang)"
-						break
-					}
-					if vm.interrupted(step) {
-						hang = "interrupted by watchdog"
-						break
-					}
-					stay++
-					if vm.sink != nil {
-						vm.sink.Record(obs.Event{
-							Step: step, Kind: obs.KindSchedPick, TID: int32(tid),
-						})
-					}
-					in = &code[fr.pc]
-					if in.run == nil {
-						break
-					}
-				}
-				vm.sbInstrs += step - vm.step
-				vm.step = step
-				vm.rnd.Skip(stay)
-				vm.noteFlightRun(tid, stay)
-				if hang != "" {
-					vm.fail(mir.FailHang, mir.Pos{}, 0, -1, hang)
-					return true
-				}
-			} else {
-				// More than one live thread, some thread waiting, or a
-				// scheduler other than Random: take a full pick per
-				// instruction so draws, wake-ups, timeouts and scheduler
-				// state advance exactly as under StepOnce. A stay budget
-				// makes most of those picks a counter check.
-				for {
-					in.run(fr)
-					vm.step++
-					vm.sbInstrs++
-					if vm.step >= max {
-						vm.fail(mir.FailHang, mir.Pos{}, 0, -1, "step limit exceeded (hang)")
-						return true
-					}
-					if vm.interrupted(vm.step) {
-						vm.fail(mir.FailHang, mir.Pos{}, 0, -1, "interrupted by watchdog")
-						return true
-					}
-					nt, ok := vm.stayTID, true
-					if vm.rnd != nil || !vm.stay() {
-						nt, ok = vm.pickThread()
-					}
-					if !ok {
-						return true
-					}
-					if vm.sink != nil {
-						vm.sink.Record(obs.Event{
-							Step: vm.step, Kind: obs.KindSchedPick, TID: int32(nt),
-						})
-					}
-					if nt != tid {
-						tid = nt
-						t = vm.threads[tid]
-						fr = t.top()
-						code = vm.prog.funcs[fr.fn].code
-						goto dispatch
-					}
-					in = &code[fr.pc]
-					if in.run == nil {
-						break
-					}
-				}
+			nt, ok := vm.quantum(tid, fr, max)
+			if !ok {
+				return true
 			}
-			// in is scheduling-relevant and its pick is already consumed:
-			// fall through to the dispatch switch below.
+			if nt != tid {
+				tid = nt
+				t = vm.threads[tid]
+				fr = t.top()
+				code = vm.prog.funcs[fr.fn].code
+				goto dispatch
+			}
+			// The instruction at fr.pc is scheduling-relevant and its pick
+			// is already consumed: fall through to the dispatch switch.
+			in = &code[fr.pc]
 		}
 
 		switch in.op {
@@ -817,10 +800,7 @@ func (vm *VM) runLoop(max int64, single bool) bool {
 			jb.pc = fr.pc + 1
 			jb.regionCtr = t.regionCtr
 			vm.stats.Checkpoints++
-			if vm.stats.CheckpointExecs == nil {
-				vm.stats.CheckpointExecs = map[int]int64{}
-			}
-			vm.stats.CheckpointExecs[int(in.site)]++
+			vm.ckptExecs[in.aux]++
 			if vm.sink != nil {
 				vm.sink.Record(obs.Event{
 					Step: vm.step, Kind: obs.KindCheckpoint,
@@ -860,11 +840,10 @@ func (vm *VM) runLoop(max int64, single bool) bool {
 		case cFail:
 			vm.fail(in.fkind, vm.posOf(fr, in), int(in.site), t.id, vm.textOf(fr, in))
 
-		case cBr:
-			// Only site-tagged branches reach the switch (a plain branch is
-			// a closure). Those with a positive site are transformed failure
-			// checks with the convention Then = pass, Else = recover;
-			// passing closes any open recovery episode for the site.
+		case cBrSite:
+			// A branch with a positive site is a transformed failure check
+			// with the convention Then = pass, Else = recover; passing
+			// closes any open recovery episode for the site.
 			if in.a(fr) != 0 {
 				if in.site > 0 {
 					vm.closeEpisode(t, int(in.site))
@@ -919,6 +898,230 @@ func (vm *VM) runLoop(max int64, single bool) bool {
 	}
 }
 
+// quantum runs a superblock quantum of thread tid, whose frame fr is at an
+// eligible instruction that already has its pick, and returns the thread
+// picked for the step after it: tid when the quantum ran into a
+// scheduling-relevant instruction of its own, another thread when the
+// scheduler switched. It reports false when the run stopped (a hang, or
+// nothing left to pick).
+func (vm *VM) quantum(tid int, fr *frame, max int64) (int, bool) {
+	vm.sbQuanta++
+	code := vm.prog.funcs[fr.fn].code
+	if vm.rnd != nil && vm.waiting == 0 && len(vm.live) == 1 {
+		// One live thread, none waiting, and no eligible instruction can
+		// spawn, wake or end a thread: every pick in the quantum is tid.
+		// Draw nothing per instruction; advance the stream and the flight
+		// ring by the whole stay at the exit.
+		step := vm.step
+		var stay int64
+		hang := ""
+		for {
+			n := execLocal(code, fr, vm.quantumBudget(step, max))
+			// The n instructions own the picks of the steps after them,
+			// except the last when a hang check stops the run there.
+			picks := n
+			if hang = vm.hangAt(step+n, max); hang != "" {
+				picks--
+			}
+			if vm.sink != nil {
+				vm.recordPicks(tid, step+1, step+1+picks)
+			}
+			stay += picks
+			step += n
+			if hang != "" || !sbEligible(&code[fr.pc]) {
+				break
+			}
+		}
+		vm.sbInstrs += step - vm.step
+		vm.step = step
+		vm.rnd.Skip(stay)
+		vm.noteFlightRun(tid, stay)
+		if hang != "" {
+			vm.fail(mir.FailHang, mir.Pos{}, 0, -1, hang)
+			return tid, false
+		}
+		return tid, true
+	}
+	// More than one live thread, some thread waiting, or a scheduler other
+	// than Random: take a full pick after each batch so draws, wake-ups,
+	// timeouts and scheduler state advance exactly as under StepOnce. A
+	// batch is one instruction, or, inside a stay budget, one past the
+	// picks the budget still grants; a valid budget is always tid's, since
+	// the pick that granted it chose tid and only tid has run since.
+	for {
+		budget := int64(1)
+		if vm.rnd == nil && vm.stayLeft > 0 && vm.gen == vm.stayGen {
+			budget += min(vm.stayLeft, vm.quantumBudget(vm.step, max)-1)
+		}
+		n := execLocal(code, fr, budget)
+		if vm.sink != nil {
+			vm.recordPicks(tid, vm.step+1, vm.step+n)
+		}
+		vm.stayLeft -= n - 1
+		vm.step += n
+		vm.sbInstrs += n
+		if hang := vm.hangAt(vm.step, max); hang != "" {
+			vm.fail(mir.FailHang, mir.Pos{}, 0, -1, hang)
+			return tid, false
+		}
+		nt, ok := vm.stayTID, true
+		if vm.rnd != nil || !vm.stay() {
+			nt, ok = vm.pickThread()
+		}
+		if !ok {
+			return tid, false
+		}
+		if vm.sink != nil {
+			vm.sink.Record(obs.Event{
+				Step: vm.step, Kind: obs.KindSchedPick, TID: int32(nt),
+			})
+		}
+		if nt != tid || !sbEligible(&code[fr.pc]) {
+			return nt, true
+		}
+	}
+}
+
+// execLocal runs the scheduling-irrelevant instructions of code from
+// fr.pc — at most budget of them, stopping before the first one that is
+// not sbEligible — and returns how many it ran. It is the only
+// implementation of every eligible opcode. The pc, registers and slots
+// stay in locals throughout: an eligible instruction never calls, returns,
+// fails or touches the VM, so the loop makes no call and checks no VM
+// state per instruction; the caller does the step accounting, scheduling
+// and hang checks once per call.
+func execLocal(code []cinstr, fr *frame, budget int64) int64 {
+	pc, regs, slots := fr.pc, fr.regs, fr.slots
+	n := int64(0)
+	for ; n < budget; n++ {
+		in := &code[pc]
+		switch in.op {
+		case cConst, cAddrG:
+			regs[in.dst] = in.aImm
+		case cAddRR:
+			regs[in.dst] = regs[in.aReg] + regs[in.bReg]
+		case cSubRR:
+			regs[in.dst] = regs[in.aReg] - regs[in.bReg]
+		case cMulRR:
+			regs[in.dst] = regs[in.aReg] * regs[in.bReg]
+		case cDivRR:
+			regs[in.dst] = div(regs[in.aReg], regs[in.bReg])
+		case cModRR:
+			regs[in.dst] = mod(regs[in.aReg], regs[in.bReg])
+		case cAndRR:
+			regs[in.dst] = regs[in.aReg] & regs[in.bReg]
+		case cOrRR:
+			regs[in.dst] = regs[in.aReg] | regs[in.bReg]
+		case cXorRR:
+			regs[in.dst] = regs[in.aReg] ^ regs[in.bReg]
+		case cShlRR:
+			regs[in.dst] = regs[in.aReg] << (uint64(regs[in.bReg]) & 63)
+		case cShrRR:
+			regs[in.dst] = regs[in.aReg] >> (uint64(regs[in.bReg]) & 63)
+		case cEqRR:
+			regs[in.dst] = b2w(regs[in.aReg] == regs[in.bReg])
+		case cNeRR:
+			regs[in.dst] = b2w(regs[in.aReg] != regs[in.bReg])
+		case cLtRR:
+			regs[in.dst] = b2w(regs[in.aReg] < regs[in.bReg])
+		case cLeRR:
+			regs[in.dst] = b2w(regs[in.aReg] <= regs[in.bReg])
+		case cGtRR:
+			regs[in.dst] = b2w(regs[in.aReg] > regs[in.bReg])
+		case cGeRR:
+			regs[in.dst] = b2w(regs[in.aReg] >= regs[in.bReg])
+		case cAddRI:
+			regs[in.dst] = regs[in.aReg] + in.bImm
+		case cSubRI:
+			regs[in.dst] = regs[in.aReg] - in.bImm
+		case cMulRI:
+			regs[in.dst] = regs[in.aReg] * in.bImm
+		case cDivRI:
+			regs[in.dst] = div(regs[in.aReg], in.bImm)
+		case cModRI:
+			regs[in.dst] = mod(regs[in.aReg], in.bImm)
+		case cAndRI:
+			regs[in.dst] = regs[in.aReg] & in.bImm
+		case cOrRI:
+			regs[in.dst] = regs[in.aReg] | in.bImm
+		case cXorRI:
+			regs[in.dst] = regs[in.aReg] ^ in.bImm
+		case cShlRI:
+			regs[in.dst] = regs[in.aReg] << (uint64(in.bImm) & 63)
+		case cShrRI:
+			regs[in.dst] = regs[in.aReg] >> (uint64(in.bImm) & 63)
+		case cEqRI:
+			regs[in.dst] = b2w(regs[in.aReg] == in.bImm)
+		case cNeRI:
+			regs[in.dst] = b2w(regs[in.aReg] != in.bImm)
+		case cLtRI:
+			regs[in.dst] = b2w(regs[in.aReg] < in.bImm)
+		case cLeRI:
+			regs[in.dst] = b2w(regs[in.aReg] <= in.bImm)
+		case cGtRI:
+			regs[in.dst] = b2w(regs[in.aReg] > in.bImm)
+		case cGeRI:
+			regs[in.dst] = b2w(regs[in.aReg] >= in.bImm)
+		case cBinIR:
+			regs[in.dst] = in.bin.Eval(in.aImm, regs[in.bReg])
+		case cLoadS:
+			regs[in.dst] = slots[in.aux]
+		case cStoreS:
+			slots[in.aux] = regs[in.aReg]
+		case cStoreSI:
+			slots[in.aux] = in.aImm
+		case cNop, cYield:
+		case cJmp:
+			pc = int(in.thenPC)
+			continue
+		case cBr:
+			if regs[in.aReg] != 0 {
+				pc = int(in.thenPC)
+			} else {
+				pc = int(in.elsePC)
+			}
+			continue
+		default:
+			fr.pc = pc
+			return n
+		}
+		pc++
+	}
+	fr.pc = pc
+	return n
+}
+
+// div and mod are mir.BinOp.Eval's division: zero for a zero divisor.
+func div(x, y mir.Word) mir.Word {
+	if y == 0 {
+		return 0
+	}
+	return x / y
+}
+
+func mod(x, y mir.Word) mir.Word {
+	if y == 0 {
+		return 0
+	}
+	return x % y
+}
+
+// b2w is a comparison's result: 1 or 0.
+func b2w(b bool) mir.Word {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// recordPicks records the sink's KindSchedPick events of tid for the
+// steps from..to-1: the picks a batch of execLocal took.
+func (vm *VM) recordPicks(tid int, from, to int64) {
+	for s := from; s < to; s++ {
+		vm.sink.Record(obs.Event{Step: s, Kind: obs.KindSchedPick, TID: int32(tid)})
+	}
+}
+
 // posOf returns the source position of in, the instruction at fr.pc: its
 // block is compiled in, and its index is the pc's offset from the block's
 // start.
@@ -945,6 +1148,7 @@ func (vm *VM) result() *Result {
 		Stats:     vm.stats,
 	}
 	r.Stats.Steps = vm.step
+	r.Stats.CheckpointExecs = vm.checkpointExecs()
 	// Surface episodes still open at program end as unrecovered.
 	for _, t := range vm.threads {
 		for _, e := range t.episodes {
@@ -970,6 +1174,22 @@ func (vm *VM) result() *Result {
 		}
 	}
 	return r
+}
+
+// checkpointExecs returns the executions per checkpoint site id of every
+// checkpoint that ran, or nil when none did.
+func (vm *VM) checkpointExecs() map[int]int64 {
+	var m map[int]int64
+	for i, n := range vm.ckptExecs {
+		if n == 0 {
+			continue
+		}
+		if m == nil {
+			m = map[int]int64{}
+		}
+		m[int(vm.prog.ckptSites[i])] = n
+	}
+	return m
 }
 
 // spawn creates a thread running function fi with the given arguments.

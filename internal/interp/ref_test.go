@@ -43,7 +43,11 @@ func RunReference(mod *mir.Module, cfg Config) *Result {
 		vm.refExec(vm.threads[tid])
 		vm.step++
 	}
-	return vm.result()
+	// refExec counts checkpoints in vm.stats' own map, independently of
+	// the compiled path's dense counters, which result() reads.
+	r := vm.result()
+	r.Stats.CheckpointExecs = vm.stats.CheckpointExecs
+	return r
 }
 
 // refPick is the scheduling step as it was before the runnable-set cache

@@ -16,9 +16,10 @@ import (
 // returns false once the run has ended (completion, failure, or nothing
 // left to schedule). Mixing StepOnce with Run is not supported.
 //
-// Single-stepping runs the same compiled dispatch loop as Run, but a
-// closure-backed instruction runs alone instead of opening a superblock
-// quantum, so exactly one instruction retires per call.
+// Single-stepping runs the same compiled dispatch loop as Run, but an
+// eligible instruction runs alone (execLocal with a budget of one) instead
+// of opening a superblock quantum, so exactly one instruction retires per
+// call.
 func (vm *VM) StepOnce() bool {
 	return vm.runLoop(vm.cfg.maxSteps(), true)
 }

@@ -2,10 +2,12 @@ package interp_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -333,6 +335,202 @@ func TestSuperblockParitySinkFreeLongQuantum(t *testing.T) {
 		}
 		if w := want.Intn(1 << 30); r.next != w {
 			t.Fatalf("%s: next draw %d, want %d (math/rand after %d draws)", name, r.next, w, r.res.Stats.Steps)
+		}
+	}
+}
+
+// The budget-edge tests pin the batched quanta exactly where their
+// budgets end: a one-thread sched.Random quantum and a stayed PCT quantum,
+// each cut by MaxSteps and by the watchdog's 65,536-step poll, and the
+// stayed one also at, just before and just after the end of a stay
+// budget. Each run is traced and flight-recorded, so Run and StepOnce must
+// agree on the Result, the sink's pick stream, the scheduler's next draw
+// and the flight segments.
+
+// spin2Src runs two threads through the slot-counter loop of spinSrc, so
+// under PCT the quanta are stayed picks over a two-thread runnable set.
+const spin2Src = `module spin2
+global g = 0
+
+func worker() {
+entry:
+  jmp loop
+loop:
+  %i = loads $i
+  %n = add %i, 1
+  stores $i, %n
+  %c = lt %n, 10000
+  br %c, loop, done
+done:
+  ret 0
+}
+
+func main() {
+entry:
+  %g = loadg @g
+  %t = spawn worker()
+  jmp loop
+loop:
+  %i = loads $i
+  %n = add %i, 1
+  stores $i, %n
+  %c = lt %n, 10000
+  br %c, loop, done
+done:
+  join %t
+  output "i", %n
+  ret 0
+}
+`
+
+// edgeRun is the observable outcome of one traced, flight-recorded run.
+type edgeRun struct {
+	res   *interp.Result
+	picks []schedPick
+	next  int // the scheduler's next Intn(1<<30) after the run
+	segs  []sched.Segment
+	intns []int64
+}
+
+// stayEdges wraps PCT and logs the step at which each finite stay budget
+// it grants ends: the step of the next real pick.
+type stayEdges struct {
+	*sched.PCT
+	edges []int64
+}
+
+func (s *stayEdges) Stay(tid int, runnable []int, step int64) int64 {
+	k := s.PCT.Stay(tid, runnable, step)
+	if k < math.MaxInt64-step {
+		s.edges = append(s.edges, step+k)
+	}
+	return k
+}
+
+func runEdge(t *testing.T, m *mir.Module, s sched.Scheduler, c plainCase, stepped bool) edgeRun {
+	t.Helper()
+	fr := sched.NewFlightRecorder(s, 1<<20)
+	tr := obs.NewTracer(parityTracerCap)
+	cfg := interp.Config{Sched: fr, MaxSteps: c.maxSteps, CollectOutput: true, Sink: tr}
+	if c.watchdog {
+		var flag atomic.Bool
+		cfg.Interrupt = &flag
+		cfg.Sanitizer = &tripSan{Sanitizer: sanitizer.New(m), flag: &flag}
+	}
+	r := edgeRun{res: runModule(m, cfg, stepped)}
+	if d := tr.Dropped(); d != 0 {
+		t.Fatalf("tracer dropped %d events; raise parityTracerCap", d)
+	}
+	for _, e := range tr.Events() {
+		if e.Kind == obs.KindSchedPick {
+			r.picks = append(r.picks, schedPick{e.Step, e.TID})
+		}
+	}
+	if fr.Truncated() {
+		t.Fatalf("flight ring truncated after %d picks; raise its limit", fr.Picks())
+	}
+	r.next = s.Intn(1 << 30)
+	r.segs, r.intns = fr.Segments(), fr.Intns()
+	return r
+}
+
+// edgeCompare runs m with Run and with StepOnce under fresh schedulers
+// from mk and fails on the first divergence.
+func edgeCompare(t *testing.T, name string, m *mir.Module, mk func() sched.Scheduler, c plainCase) *interp.Result {
+	t.Helper()
+	batched := runEdge(t, m, mk(), c, false)
+	stepped := runEdge(t, m, mk(), c, true)
+	where := fmt.Sprintf("%s max=%d watchdog=%v", name, c.maxSteps, c.watchdog)
+	switch {
+	case !reflect.DeepEqual(batched.res, stepped.res):
+		t.Errorf("%s: results differ\nRun:      %+v\nStepOnce: %+v", where, batched.res, stepped.res)
+	case !reflect.DeepEqual(batched.picks, stepped.picks):
+		t.Errorf("%s: pick streams differ (%d and %d picks)", where, len(batched.picks), len(stepped.picks))
+	case batched.next != stepped.next:
+		t.Errorf("%s: next draw %d Run, %d StepOnce", where, batched.next, stepped.next)
+	case !reflect.DeepEqual(batched.segs, stepped.segs) || !reflect.DeepEqual(batched.intns, stepped.intns):
+		t.Errorf("%s: flight streams differ\nRun:      %v %v\nStepOnce: %v %v",
+			where, batched.segs, batched.intns, stepped.segs, stepped.intns)
+	}
+	return batched.res
+}
+
+// TestBudgetEdgeOneThread cuts the one-thread Random quantum of spinSrc by
+// MaxSteps, by the watchdog poll, and by both at once.
+func TestBudgetEdgeOneThread(t *testing.T) {
+	m, err := mir.Parse(spinSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []plainCase{
+		{maxSteps: parityMaxSteps, watchdog: true},
+		{maxSteps: 1 << 16, watchdog: true},
+		{maxSteps: 1<<16 + 1, watchdog: true},
+	}
+	for _, max := range []int64{3, 4, 1000, 1<<16 - 1, 1 << 16, 1<<16 + 1, 100_003} {
+		cases = append(cases, plainCase{maxSteps: max})
+	}
+	for _, c := range cases {
+		mk := func() sched.Scheduler { return sched.NewRandom(5) }
+		r := edgeCompare(t, "spin random", m, mk, c)
+		want := c.maxSteps
+		if c.watchdog {
+			want = min(want, 1<<16)
+		}
+		if r.Failure == nil || r.Stats.Steps != want {
+			t.Errorf("max=%d watchdog=%v: stopped at step %d (%v), want a hang at %d",
+				c.maxSteps, c.watchdog, r.Stats.Steps, r.Failure, want)
+		}
+	}
+}
+
+// TestBudgetEdgeStayed cuts the stayed PCT quanta of spinSrc (one thread)
+// and spin2Src (two) by the watchdog poll, and by MaxSteps at, around and
+// between the ends of the stay budgets PCT grants.
+func TestBudgetEdgeStayed(t *testing.T) {
+	for _, src := range []string{spinSrc, spin2Src} {
+		m, err := mir.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, seed := range []int64{1, 4} {
+			name := fmt.Sprintf("%s pct(%d)", m.Name, seed)
+			mk := func() sched.Scheduler { return sched.NewPCT(seed, 4, 60_000) }
+			// The uncut run logs where its stay budgets end (the first
+			// scheduler made is the batched run's).
+			var probe *stayEdges
+			full := edgeCompare(t, name, m, func() sched.Scheduler {
+				s := &stayEdges{PCT: sched.NewPCT(seed, 4, 60_000)}
+				if probe == nil {
+					probe = s
+				}
+				return s
+			}, plainCase{maxSteps: parityMaxSteps})
+			if !full.Completed {
+				t.Fatalf("%s: did not complete: %v", name, full.Failure)
+			}
+			var edges []int64
+			for _, e := range probe.edges {
+				if e > 1 && e < full.Stats.Steps && !slices.Contains(edges, e) {
+					edges = append(edges, e)
+				}
+			}
+			if len(edges) == 0 {
+				t.Fatalf("%s: no stay budget ended inside the run", name)
+			}
+			t.Logf("%s: stay budgets end at steps %v", name, edges)
+			cases := []plainCase{{maxSteps: parityMaxSteps, watchdog: true}}
+			for _, e := range edges {
+				for _, max := range []int64{e - 1, e, e + 1, e + 2} {
+					cases = append(cases, plainCase{maxSteps: max})
+				}
+			}
+			for _, c := range cases {
+				r := edgeCompare(t, name, m, mk, c)
+				if c.watchdog && r.Stats.Steps != 1<<16 {
+					t.Errorf("%s: watchdog stopped the run at step %d, want 65536", name, r.Stats.Steps)
+				}
+			}
 		}
 	}
 }

@@ -15,26 +15,37 @@ import (
 // conscious review of the observation-equivalence argument, because a
 // wrongly-admitted opcode silently breaks schedule bit-identity.
 var sbAllowed = map[cop]bool{
-	cConst:  true,
-	cBinRR:  true,
-	cBinRI:  true,
-	cBinIR:  true,
-	cLoadS:  true,
-	cStoreS: true,
-	cAddrG:  true,
-	cNop:    true,
-	cYield:  true,
-	cJmp:    true,
-	cBr:     true, // only when site == 0, checked separately
+	cConst:   true,
+	cAddrG:   true,
+	cBinIR:   true,
+	cLoadS:   true,
+	cStoreS:  true,
+	cStoreSI: true,
+	cNop:     true,
+	cYield:   true,
+	cJmp:     true,
+	cBr:      true, // only when site == 0, checked separately
 }
 
+func init() {
+	// Both specialized binary-operator ranges, one opcode per mir.BinOp.
+	for bin := mir.BinAdd; bin <= mir.BinGe; bin++ {
+		sbAllowed[cAddRR+cop(bin)] = true
+		sbAllowed[cAddRI+cop(bin)] = true
+	}
+}
+
+// local reports whether c's opcode is in the allowlist: the test's
+// independent stand-in for the run loop's sbEligible gate.
+func local(c *cinstr) bool { return sbAllowed[c.op] }
+
 // sbPartition computes the superblock partition of fc: sbLen[pc] is the
-// length of the maximal run of closure-backed (scheduling-irrelevant)
+// length of the maximal run of allowlisted (scheduling-irrelevant)
 // instructions starting at pc, 0 when code[pc] is scheduling-relevant.
 // Runs are bounded by basic blocks (control can enter a block head
 // directly) and by scheduling-relevant instructions. The run loop needs no
-// partition, it gates batching on code[pc].run != nil; the test derives it
-// to check that the closures it chains form such runs.
+// partition, it gates batching on sbEligible(code[pc]); the test derives
+// it to check that the instructions execLocal runs form such runs.
 func sbPartition(fc *fcode) []int32 {
 	sbLen := make([]int32, len(fc.code))
 	nb := len(fc.blockStart)
@@ -45,12 +56,12 @@ func sbPartition(fc *fcode) []int32 {
 			end = int(fc.blockStart[b+1])
 		}
 		for i := start; i < end; {
-			if fc.code[i].run == nil {
+			if !local(&fc.code[i]) {
 				i++
 				continue
 			}
 			j := i
-			for j < end && fc.code[j].run != nil {
+			for j < end && local(&fc.code[j]) {
 				j++
 			}
 			for k := i; k < j; k++ {
@@ -65,11 +76,10 @@ func sbPartition(fc *fcode) []int32 {
 // checkSuperblocks asserts the compile-time superblock invariants for one
 // compiled module:
 //
-//   - a slot is closure-backed (run != nil) exactly when sbEligible says
-//     so, and only for opcodes in the independent allowlist above;
-//   - a br closure exists only at site 0 — site-tagged branches close
+//   - a slot is allowlisted exactly when sbEligible says so;
+//   - an eligible br exists only at site 0 — site-tagged branches close
 //     recovery episodes and must stay on the dispatch switch;
-//   - sbLen describes maximal contiguous closure-backed runs that never
+//   - sbLen describes maximal contiguous allowlisted runs that never
 //     cross a basic-block boundary or a scheduling-relevant slot.
 func checkSuperblocks(t *testing.T, name string, p *Program) {
 	t.Helper()
@@ -78,23 +88,23 @@ func checkSuperblocks(t *testing.T, name string, p *Program) {
 		sbLen := sbPartition(fc)
 		for pc := range fc.code {
 			c := &fc.code[pc]
-			if (c.run != nil) != sbEligible(c) {
-				t.Fatalf("%s func %d pc %d: run=%v but sbEligible=%v (op %d)",
-					name, fi, pc, c.run != nil, sbEligible(c), c.op)
+			if local(c) != sbEligible(c) {
+				t.Fatalf("%s func %d pc %d: allowlisted=%v but sbEligible=%v (op %d)",
+					name, fi, pc, local(c), sbEligible(c), c.op)
 			}
-			if c.run != nil {
+			if sbEligible(c) {
 				if !sbAllowed[c.op] {
-					t.Fatalf("%s func %d pc %d: op %d is closure-backed but not in the allowlist",
+					t.Fatalf("%s func %d pc %d: op %d is eligible but not in the allowlist",
 						name, fi, pc, c.op)
 				}
 				if c.op == cBr && c.site != 0 {
-					t.Fatalf("%s func %d pc %d: site-tagged br (site %d) is closure-backed",
+					t.Fatalf("%s func %d pc %d: site-tagged br (site %d) is eligible",
 						name, fi, pc, c.site)
 				}
 			}
-			if (sbLen[pc] > 0) != (c.run != nil) {
-				t.Fatalf("%s func %d pc %d: sbLen=%d but run=%v",
-					name, fi, pc, sbLen[pc], c.run != nil)
+			if (sbLen[pc] > 0) != local(c) {
+				t.Fatalf("%s func %d pc %d: sbLen=%d but allowlisted=%v",
+					name, fi, pc, sbLen[pc], local(c))
 			}
 		}
 
@@ -107,7 +117,7 @@ func checkSuperblocks(t *testing.T, name string, p *Program) {
 				end = int(fc.blockStart[b+1])
 			}
 			for pc := start; pc < end; {
-				if fc.code[pc].run == nil {
+				if !local(&fc.code[pc]) {
 					pc++
 					continue
 				}
@@ -119,7 +129,7 @@ func checkSuperblocks(t *testing.T, name string, p *Program) {
 						name, fi, pc, L, end)
 				}
 				for k := 0; k < L; k++ {
-					if fc.code[pc+k].run == nil {
+					if !local(&fc.code[pc+k]) {
 						t.Fatalf("%s func %d pc %d: scheduling-relevant slot inside superblock [%d,%d)",
 							name, fi, pc+k, pc, pc+L)
 					}
@@ -128,7 +138,7 @@ func checkSuperblocks(t *testing.T, name string, p *Program) {
 							name, fi, pc+k, got, want, pc)
 					}
 				}
-				if pc+L < end && fc.code[pc+L].run != nil {
+				if pc+L < end && local(&fc.code[pc+L]) {
 					t.Fatalf("%s func %d pc %d: superblock of length %d is not maximal",
 						name, fi, pc, L)
 				}
