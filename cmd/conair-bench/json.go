@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"conair/internal/experiments"
-	"conair/internal/interp"
 )
 
 // benchDoc is the machine-readable output of -json: the selected sections'
@@ -84,7 +83,9 @@ func runJSON(w io.Writer, sel selection) bool {
 		Sections: map[string]any{},
 	}
 
-	runs0, steps0 := interp.Totals()
+	reg := experiments.Registry()
+	runs0 := reg.Counter("interp_runs_total").Value()
+	steps0 := reg.Counter("interp_steps_total").Value()
 	start := time.Now()
 
 	section := func(name string, fn func() any) {
@@ -123,18 +124,17 @@ func runJSON(w io.Writer, sel selection) bool {
 	}
 
 	elapsed := time.Since(start).Seconds()
-	runs1, steps1 := interp.Totals()
 	doc.Perf = benchPerf{
 		WallSeconds: elapsed,
-		Runs:        runs1 - runs0,
-		Steps:       steps1 - steps0,
+		Runs:        reg.Counter("interp_runs_total").Value() - runs0,
+		Steps:       reg.Counter("interp_steps_total").Value() - steps0,
 	}
 	if elapsed > 0 {
 		doc.Perf.RunsPerSec = float64(doc.Perf.Runs) / elapsed
 		doc.Perf.StepsPerSec = float64(doc.Perf.Steps) / elapsed
 	}
 	if sel.metrics {
-		doc.Metrics = experiments.Registry().Snapshot()
+		doc.Metrics = reg.Snapshot()
 	}
 
 	enc := json.NewEncoder(w)

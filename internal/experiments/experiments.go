@@ -17,7 +17,6 @@
 package experiments
 
 import (
-	"sync"
 	"time"
 
 	"conair/internal/analysis"
@@ -39,46 +38,15 @@ func runCfg(seed int64) interp.Config {
 // and backoff are the transform defaults.
 func hardenOpts() core.Options { return core.DefaultOptions() }
 
-// mustHarden memoizes core.Harden by (module pointer, options): several
-// sections harden the same prepared module under the paper's default
-// configuration (Table 5/6, §6.4), and hardening is pure — same module,
-// same options, same result — so duplicates reuse the first Hardened.
-// Sharing is safe because no caller mutates a Hardened. A sync.Once per
-// key keeps concurrent pool workers from hardening the same pair twice.
-// Note for §6.4: a cache hit still reports a genuine measurement, since
-// Report.AnalysisTime is recorded inside the original core.Harden call.
-type hardenKey struct {
-	m    *mir.Module
-	opts core.Options
-}
-
-type hardenEntry struct {
-	once sync.Once
-	h    *core.Hardened
-	err  error
-}
-
-var (
-	hardenMu    sync.Mutex
-	hardenCache = map[hardenKey]*hardenEntry{}
-)
-
+// mustHarden is core.Harden for programs that must harden; it panics on
+// error. It keeps no memo: each section hardens what it reports, so the
+// §6.4 times are measured in that section's own sequential sweep.
 func mustHarden(m *mir.Module, opts core.Options) *core.Hardened {
-	k := hardenKey{m, opts}
-	hardenMu.Lock()
-	e := hardenCache[k]
-	if e == nil {
-		e = &hardenEntry{}
-		hardenCache[k] = e
+	h, err := core.Harden(m, opts)
+	if err != nil {
+		panic(err)
 	}
-	hardenMu.Unlock()
-	e.once.Do(func() {
-		e.h, e.err = core.Harden(m, opts)
-	})
-	if e.err != nil {
-		panic(e.err)
-	}
-	return e.h
+	return h
 }
 
 // ---------------------------------------------------------------- Table 2
@@ -507,7 +475,8 @@ type AnalysisTimeRow struct {
 // AnalysisTimes regenerates the §6.4 analysis-time measurements. The
 // sweep stays sequential on purpose: it measures wall-clock hardening
 // time, and parallel workers contending for cores would inflate every
-// sample.
+// sample. Both configurations are hardened here, so no reported time
+// comes from another section's (possibly parallel) hardening.
 func AnalysisTimes() []AnalysisTimeRow {
 	var out []AnalysisTimeRow
 	for _, b := range bugs.All() {

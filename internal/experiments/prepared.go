@@ -86,22 +86,24 @@ type preparedBug struct {
 	cleanSurv  *core.Hardened
 }
 
-var (
-	prepMu    sync.Mutex
-	prepCache = map[string]*preparedBug{}
-)
-
-// prep returns the cached preparation for b, building it on first use.
-// The per-entry once lets distinct bugs build concurrently while repeat
-// callers block only on their own bug.
-func prep(b *bugs.Bug) *preparedBug {
-	prepMu.Lock()
-	p, ok := prepCache[b.Name]
-	if !ok {
-		p = &preparedBug{bug: b}
-		prepCache[b.Name] = p
+// prepared has one entry per paper and corpus bug. It is filled when the
+// package initializes and only read afterwards; each entry builds itself
+// on first use under its own once, so distinct bugs build concurrently
+// while repeat callers block only on their own bug.
+var prepared = func() map[string]*preparedBug {
+	m := map[string]*preparedBug{}
+	for _, b := range append(bugs.All(), bugs.Corpus()...) {
+		m[b.Name] = &preparedBug{bug: b}
 	}
-	prepMu.Unlock()
+	return m
+}()
+
+// prep returns the preparation for b, building it on first use.
+func prep(b *bugs.Bug) *preparedBug {
+	p := prepared[b.Name]
+	if p == nil {
+		panic("experiments: " + b.Name + " is neither a paper nor a corpus bug")
+	}
 	p.once.Do(p.build)
 	return p
 }

@@ -307,7 +307,10 @@ const progCacheMax = 1024
 // Compile lowers the module to its flat compiled form, memoizing by module
 // pointer. Callers must treat a module as immutable once it has been
 // compiled or run — the rest of the repository already does (transform
-// Clones before rewriting; bugs and mirgen build fresh modules).
+// Clones before rewriting; bugs and mirgen build fresh modules). The
+// cache holds every module it compiled until the next clear-all eviction;
+// it is the last process-wide cache keyed by module (the printed text and
+// hash live on the module, see mir.Module.Text).
 func Compile(mod *mir.Module) *Program {
 	progMu.Lock()
 	p := progCache[mod]

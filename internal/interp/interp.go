@@ -1164,10 +1164,6 @@ func (vm *VM) result() *Result {
 		// Count each run once even if result() is built repeatedly
 		// (Finish may be called more than once on a StepOnce-driven VM).
 		vm.counted = true
-		totalRuns.Add(1)
-		totalSteps.Add(vm.step)
-		totalSBQuanta.Add(vm.sbQuanta)
-		totalSBSaved.Add(vm.sbInstrs - vm.sbQuanta)
 		if reg := metricsRegistry.Load(); reg != nil {
 			recordRunMetrics(reg, r)
 			recordSuperblockMetrics(reg, vm.sbQuanta, vm.sbInstrs)

@@ -49,10 +49,14 @@ func TestDisabledTracingZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestTotalsReset exercises the process-wide counters: runs advance them,
-// ResetTotals zeroes them so tests never see a previous test's runs.
-func TestTotalsReset(t *testing.T) {
-	ResetTotals()
+// TestRunMetricsCountEachRunOnce: a finished run adds exactly one run and
+// its step count to the installed registry, however often its Result is
+// built (Finish may be called again on a StepOnce-driven VM). These are
+// the counters conair-bench's -json perf block reports.
+func TestRunMetricsCountEachRunOnce(t *testing.T) {
+	reg := obs.NewRegistry()
+	defer SetMetricsRegistry(metricsRegistry.Load())
+	SetMetricsRegistry(reg)
 	m, err := mir.Parse(`
 func main() {
 entry:
@@ -62,20 +66,17 @@ entry:
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := RunModule(m, Config{Sched: sched.NewRandom(3)})
+	vm := New(m, Config{Sched: sched.NewRandom(3)})
+	r := vm.Run()
 	if !r.Completed {
 		t.Fatalf("run failed: %+v", r.Failure)
 	}
-	runs, steps := Totals()
-	if runs != 1 {
+	vm.Finish()
+	if runs := reg.Counter("interp_runs_total").Value(); runs != 1 {
 		t.Errorf("runs = %d, want 1", runs)
 	}
-	if steps != r.Stats.Steps {
+	if steps := reg.Counter("interp_steps_total").Value(); steps != r.Stats.Steps {
 		t.Errorf("steps = %d, want %d", steps, r.Stats.Steps)
-	}
-	ResetTotals()
-	if runs, steps := Totals(); runs != 0 || steps != 0 {
-		t.Errorf("after reset: runs=%d steps=%d, want 0/0", runs, steps)
 	}
 }
 

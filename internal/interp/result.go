@@ -2,44 +2,9 @@ package interp
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"conair/internal/mir"
 )
-
-// Process-wide cumulative counters, maintained by every finished run.
-// They cost one atomic add per run (not per step) and feed the
-// throughput numbers (runs/sec, steps/sec) in conair-bench -json.
-var (
-	totalRuns     atomic.Int64
-	totalSteps    atomic.Int64
-	totalSBQuanta atomic.Int64
-	totalSBSaved  atomic.Int64
-)
-
-// Totals reports how many interpreter runs have finished in this process
-// and how many instructions they executed in aggregate.
-func Totals() (runs, steps int64) {
-	return totalRuns.Load(), totalSteps.Load()
-}
-
-// SuperblockTotals reports, across all finished runs in this process, how
-// many superblock quanta were executed and how many dispatch round-trips
-// they saved (instructions retired inside quanta minus quanta entered —
-// the scheduler still consumed one decision per instruction either way).
-func SuperblockTotals() (quanta, saved int64) {
-	return totalSBQuanta.Load(), totalSBSaved.Load()
-}
-
-// ResetTotals zeroes the process-wide run/step counters. Tests and bench
-// sections that assert on Totals deltas call it so counts never leak
-// across test cases or sections.
-func ResetTotals() {
-	totalRuns.Store(0)
-	totalSteps.Store(0)
-	totalSBQuanta.Store(0)
-	totalSBSaved.Store(0)
-}
 
 // Failure describes why a run failed.
 type Failure struct {

@@ -30,7 +30,10 @@
 // rewrites them.
 package mir
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // Word is the machine word of the MIR virtual machine. Every register,
 // stack slot, global and heap cell holds one Word. Pointers are Words too:
@@ -503,6 +506,10 @@ type Module struct {
 	Name      string
 	Globals   []Global
 	Functions []Function
+
+	// printed holds the canonical text and its hash once Text or Hash has
+	// computed them; it lives and dies with the module.
+	printed atomic.Pointer[printedText]
 }
 
 // FuncIndex returns the index of the named function, or -1.

@@ -1,6 +1,8 @@
 package mir
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"math/bits"
 	"strconv"
 	"strings"
@@ -49,6 +51,35 @@ func Print(m *Module) string {
 		sb.WriteString("}\n")
 	}
 	return sb.String()
+}
+
+// printedText is a module's canonical text and the hex SHA-256 of it.
+type printedText struct{ text, hash string }
+
+// Text returns Print(m), computed on the first call of Text or Hash and
+// kept with the module. The module must not be mutated after that call:
+// the interpreter and the replay layer already treat a module as
+// immutable once it has been run, recorded or hashed.
+func (m *Module) Text() string { return m.textAndHash().text }
+
+// Hash returns the hex SHA-256 of Text(), the identity a schedule
+// recording uses to check that it is replayed over the program it was
+// captured from.
+func (m *Module) Hash() string { return m.textAndHash().hash }
+
+func (m *Module) textAndHash() *printedText {
+	if p := m.printed.Load(); p != nil {
+		return p
+	}
+	p := &printedText{text: Print(m)}
+	sum := sha256.Sum256([]byte(p.text))
+	p.hash = hex.EncodeToString(sum[:])
+	// Concurrent first callers print the same text; the first store wins
+	// so every caller sees one string.
+	if !m.printed.CompareAndSwap(nil, p) {
+		p = m.printed.Load()
+	}
+	return p
 }
 
 // printSize estimates Print's output length: names and texts are

@@ -20,8 +20,8 @@ func runPCT(m *mir.Module, seed int64) *interp.Result {
 
 func TestBugTemplatesWellFormedAndLabeled(t *testing.T) {
 	want := map[BugKind]BugInfo{
-		BugOrder:         {Kind: BugOrder, Global: "bug_flag", ThreadFns: [2]string{"bugreader", "bugwriter"}},
-		BugAtomicity:     {Kind: BugAtomicity, Global: "bug_val", ThreadFns: [2]string{"bugchecker", "bugmutator"}},
+		BugOrder:           {Kind: BugOrder, Global: "bug_flag", ThreadFns: [2]string{"bugreader", "bugwriter"}},
+		BugAtomicity:       {Kind: BugAtomicity, Global: "bug_val", ThreadFns: [2]string{"bugchecker", "bugmutator"}},
 		BugLockInversion:   {Kind: BugLockInversion, LockA: "bug_lka", LockB: "bug_lkb", ThreadFns: [2]string{"bugleft", "bugright"}},
 		BugLostSignal:      {Kind: BugLostSignal, Global: "bug_ready", ThreadFns: [2]string{"bugwaiter", "bugsignaler"}},
 		BugMissedBroadcast: {Kind: BugMissedBroadcast, Global: "bug_stage", ThreadFns: [2]string{"bugwaiters", "bugcaster"}},

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"conair/internal/bugs"
+	"conair/internal/interp"
 	"conair/internal/mir"
 	"conair/internal/obs"
 	"conair/internal/replay"
@@ -35,7 +36,9 @@ func newServedEngine() (*Server, runner.Engine) {
 // module it ran.
 func sweep(e runner.Engine) *mir.Module {
 	mod := bugs.ByName("ZSNES").Program(bugs.Config{Light: true, ForceBug: true})
-	e.RunSeeds(mod, []int64{0, 1, 2, 3}, 0)
+	runner.Map(e, 4, func(i int) *interp.Result {
+		return e.RunJob(mod, runner.SeedConfig(int64(i), 0), replay.Meta{Seed: int64(i), Label: mod.Name})
+	})
 	return mod
 }
 

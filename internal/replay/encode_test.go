@@ -28,7 +28,7 @@ func sample() *Recording {
 			Checkpoints: 7, Rollbacks: 3, CompFrees: 1, CompUnlocks: 2,
 			Episodes: 2, EpisodeRetries: 9, EpisodeSteps: 400, ThreadsSpawned: 4,
 			Failed: true, FailKind: mir.FailDeadlock,
-			FailPos: mir.Pos{Fn: 2, Block: 1, Index: 3},
+			FailPos:  mir.Pos{Fn: 2, Block: 1, Index: 3},
 			FailSite: 5, FailThread: 2, FailStep: 99999, FailMsg: "lock cycle",
 		},
 		Segments: []sched.Segment{{TID: 0, N: 100}, {TID: 2, N: 1}, {TID: 0, N: 50}},

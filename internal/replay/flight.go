@@ -62,10 +62,9 @@ func (fc *FlightCapture) Finish(r *interp.Result) *Recording {
 	if fc.rec.Truncated() {
 		return nil
 	}
-	text, hash := artifactOf(fc.mod)
 	out := &Recording{
 		ModuleName:       fc.mod.Name,
-		ModuleHash:       hash,
+		ModuleHash:       fc.mod.Hash(),
 		SchedName:        fc.inner,
 		Seed:             fc.meta.Seed,
 		Label:            fc.meta.Label,
@@ -78,7 +77,7 @@ func (fc *FlightCapture) Finish(r *interp.Result) *Recording {
 		Intns:            fc.rec.Intns(),
 	}
 	if !fc.meta.OmitModule {
-		out.ModuleText = text
+		out.ModuleText = fc.mod.Text()
 	}
 	return out
 }

@@ -118,9 +118,11 @@ func (fp Fingerprint) SameFailure(other Fingerprint) bool {
 // Recording is one captured run: the program's identity (and usually its
 // full text), the interpreter knobs that affect execution, the scheduler
 // decision stream, and the result fingerprint the stream reproduces.
+// The text and hash come from the module's own Text and Hash, printed
+// once per module however many runs of it are recorded.
 type Recording struct {
 	ModuleName string
-	// ModuleHash is the sha256 of the canonical module text (mir.Print).
+	// ModuleHash is the sha256 of the canonical module text (Module.Hash).
 	ModuleHash string
 	// ModuleText embeds the program source; "" when the artifact was
 	// written without it (replay then needs the module supplied).
@@ -164,17 +166,9 @@ func (r *Recording) Picks() int64 {
 // Switches returns the number of context switches in the recording.
 func (r *Recording) Switches() int { return sched.Switches(r.Segments) }
 
-// HashModule returns the artifact hash of a module: hex sha256 of its
-// canonical printed text. The hash is memoized per module pointer along
-// with the text recordings embed (see artifactOf), so the module must
-// not be mutated after the first call.
-func HashModule(mod *mir.Module) string {
-	_, hash := artifactOf(mod)
-	return hash
-}
-
 // Module materializes the embedded program, verifying it against the
-// stored hash.
+// stored hash. The embedded text is outside input, so it is hashed here
+// rather than trusted.
 func (r *Recording) Module() (*mir.Module, error) {
 	if r.ModuleText == "" {
 		return nil, fmt.Errorf("replay: recording of %q has no embedded module text", r.ModuleName)
@@ -191,10 +185,10 @@ func (r *Recording) Module() (*mir.Module, error) {
 }
 
 // CheckModule verifies that mod is the program this recording was
-// captured from, by HashModule: a module already recorded, verified or
+// captured from, by mod.Hash(): a module already recorded, verified or
 // hashed is not printed again.
 func (r *Recording) CheckModule(mod *mir.Module) error {
-	if got := HashModule(mod); got != r.ModuleHash {
+	if got := mod.Hash(); got != r.ModuleHash {
 		return fmt.Errorf("replay: module hash %s does not match recording %s (program changed?)",
 			got[:12], r.ModuleHash[:12])
 	}

@@ -1,8 +1,15 @@
 package replay_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"math"
 	"reflect"
+	"runtime"
+	"sync"
 	"testing"
+	"unsafe"
+	"weak"
 
 	"conair/internal/bugs"
 	"conair/internal/core"
@@ -218,7 +225,7 @@ func TestVerifyDetectsWrongModule(t *testing.T) {
 	}
 }
 
-// TestModuleHashesPinned pins HashModule on three modules, raw and
+// TestModuleHashesPinned pins Module.Hash on three modules, raw and
 // hardened, to the hashes of their canonical text, and checks that a
 // recording and a repeated call agree: the memoized hash must stay the
 // hash of exactly the printed text.
@@ -238,19 +245,100 @@ func TestModuleHashesPinned(t *testing.T) {
 		{"MySQL2 survival", h.Module, "03db3340e9414696453c188cd82057c355eda21cb2c2f73c5ee371932ec130ee"},
 		{"mirgen atomicity", gen, "2133225b13ba70c8d9a8d780e22c26da3a23fd6afb632f9c8df402da81a2c6aa"},
 	} {
-		if got := replay.HashModule(c.mod); got != c.want {
+		if got := c.mod.Hash(); got != c.want {
 			t.Errorf("%s: hash %s, want %s", c.name, got, c.want)
 		}
-		if got := replay.HashModule(c.mod); got != c.want {
+		if got := c.mod.Hash(); got != c.want {
 			t.Errorf("%s: repeated hash %s, want %s", c.name, got, c.want)
+		}
+		if c.mod.Text() != mir.Print(c.mod) {
+			t.Errorf("%s: Text differs from mir.Print", c.name)
 		}
 	}
 	_, rec := replay.Record(gen, randCfg(1), replay.Meta{})
-	if rec.ModuleHash != replay.HashModule(gen) {
-		t.Errorf("recording hash %s, HashModule %s", rec.ModuleHash, replay.HashModule(gen))
+	if rec.ModuleHash != gen.Hash() {
+		t.Errorf("recording hash %s, Module.Hash %s", rec.ModuleHash, gen.Hash())
 	}
 	if err := rec.CheckModule(gen); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestModuleTextConcurrent has eight goroutines race to be the first to
+// print one module, through Text, Hash, Record and CheckModule. Every
+// caller must see the one stored text (the same string, not just an equal
+// one), and its hash must be the SHA-256 of mir.Print.
+func TestModuleTextConcurrent(t *testing.T) {
+	mod := mirgen.Gen(mirgen.Config{Seed: 11, Threads: 2, Bug: mirgen.BugOrder})
+	want := mir.Print(mod)
+	sum := sha256.Sum256([]byte(want))
+	wantHash := hex.EncodeToString(sum[:])
+
+	const n = 8
+	texts := make([]string, n)
+	var wg sync.WaitGroup
+	for g := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			switch g % 4 {
+			case 0:
+				texts[g] = mod.Text()
+			case 1:
+				if h := mod.Hash(); h != wantHash {
+					t.Errorf("goroutine %d: hash %s, want %s", g, h, wantHash)
+				}
+				texts[g] = mod.Text()
+			case 2:
+				_, rec := replay.Record(mod, randCfg(int64(g)), replay.Meta{})
+				if rec.ModuleHash != wantHash {
+					t.Errorf("goroutine %d: recording hash %s, want %s", g, rec.ModuleHash, wantHash)
+				}
+				texts[g] = rec.ModuleText
+			case 3:
+				rec := &replay.Recording{ModuleHash: wantHash}
+				if err := rec.CheckModule(mod); err != nil {
+					t.Errorf("goroutine %d: %v", g, err)
+				}
+				texts[g] = mod.Text()
+			}
+		}()
+	}
+	wg.Wait()
+	for g, s := range texts {
+		if s != want {
+			t.Fatalf("goroutine %d: text differs from mir.Print", g)
+		}
+		if unsafe.StringData(s) != unsafe.StringData(texts[0]) {
+			t.Errorf("goroutine %d saw a second copy of the text", g)
+		}
+	}
+}
+
+// TestRecordedModuleCollectable: recording and checking a module keeps
+// its text and hash with the module, so once nothing refers to the module
+// the garbage collector frees it. The run itself goes through a clone,
+// because the interpreter's compiled-program cache holds every module it
+// runs; the recording is of the same program either way.
+func TestRecordedModuleCollectable(t *testing.T) {
+	mod := mirgen.Gen(mirgen.Config{Seed: 12, Threads: 2, Bug: mirgen.BugAtomicity})
+	cfg, fc := replay.CaptureFlight(mod, randCfg(3), replay.Meta{}, math.MaxInt)
+	rec := fc.Finish(interp.RunModule(mod.Clone(), cfg))
+	if err := rec.CheckModule(mod); err != nil {
+		t.Fatal(err)
+	}
+	if rec.ModuleText != mod.Text() {
+		t.Fatal("recording does not embed the module's text")
+	}
+	wp := weak.Make(mod)
+	mod, fc = nil, nil
+	runtime.GC()
+	if wp.Value() != nil {
+		t.Fatal("a recorded and checked module is still reachable after its last reference was dropped")
+	}
+	// The recording outlives the module and still carries the program.
+	if m, err := rec.Module(); err != nil || m.Hash() != rec.ModuleHash {
+		t.Fatalf("recording no longer yields its module: %v", err)
 	}
 }
 

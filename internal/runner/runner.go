@@ -52,22 +52,21 @@ type Engine struct {
 	// exhaustive. SIGINT handling in conair-bench sets it.
 	Stop *atomic.Bool
 	// JobTimeout, when positive, arms a per-run wall-clock watchdog on
-	// every interpreter job the engine executes (Run, RunSeeds,
-	// AllComplete, RunJob): the run is interrupted cooperatively via
-	// interp.Config.Interrupt and comes back as a hang failure instead of
-	// wedging a worker forever.
+	// every interpreter job the engine executes (AllComplete, RunJob): the
+	// run is interrupted cooperatively via interp.Config.Interrupt and
+	// comes back as a hang failure instead of wedging a worker forever.
 	JobTimeout time.Duration
 	// Recorder, when non-nil, captures the schedule of every interpreter
 	// job the engine executes and writes failing runs to disk as
 	// replayable artifacts (see replay.AutoRecorder).
 	Recorder *replay.AutoRecorder
 	// RunHook, when non-nil, is called after every interpreter job the
-	// engine executes (Run, RunSeeds, AllComplete, RunJob) with the run's
-	// provenance, result, latency, and — when FlightLimit or Recorder is
-	// set — its schedule recording. It is the telemetry feed: the live
-	// run registry (internal/obs/serve) installs itself here. The hook
-	// runs on worker goroutines and must be safe for concurrent use; it
-	// observes results, never alters them.
+	// engine executes (AllComplete, RunJob) with the run's provenance,
+	// result, latency, and — when FlightLimit or Recorder is set — its
+	// schedule recording. It is the telemetry feed: the live run registry
+	// (internal/obs/serve) installs itself here. The hook runs on worker
+	// goroutines and must be safe for concurrent use; it observes results,
+	// never alters them.
 	RunHook RunHook
 	// FlightLimit, when positive, arms an always-on bounded flight
 	// recorder on every job (a sched.FlightRecorder ring of at most
@@ -132,15 +131,6 @@ func Map[T any](e Engine, n int, fn func(i int) T) []T {
 		return true
 	})
 	return out
-}
-
-// Each runs fn(0..n-1) across the pool for side effects (fn typically
-// writes into disjoint elements of a caller-owned slice).
-func (e Engine) Each(n int, fn func(i int)) {
-	e.each(n, func(i int) bool {
-		fn(i)
-		return true
-	})
 }
 
 // All runs pred(0..n-1) across the pool and reports whether every call
@@ -286,14 +276,6 @@ func (e Engine) each(n int, fn func(i int) bool) bool {
 	return !failed.Load() && !e.stopped()
 }
 
-// Job is one seeded interpreter run.
-type Job struct {
-	Mod *mir.Module
-	// Cfg builds the run's Config; it must return a fresh scheduler per
-	// call (schedulers are stateful and must never be shared across runs).
-	Cfg func() interp.Config
-}
-
 // RunJob executes one interpreter run with the engine's hardening
 // attached: the wall-clock watchdog (JobTimeout), schedule capture
 // (Recorder or FlightLimit) and panic containment. A panic inside the
@@ -369,23 +351,9 @@ func (e Engine) RunJob(mod *mir.Module, cfg interp.Config, meta replay.Meta) (re
 	return interp.RunModule(mod, cfg)
 }
 
-// Run executes the jobs and returns results in job order.
-func (e Engine) Run(jobs []Job) []*interp.Result {
-	return Map(e, len(jobs), func(i int) *interp.Result {
-		return e.RunJob(jobs[i].Mod, jobs[i].Cfg(), replay.Meta{Label: jobs[i].Mod.Name})
-	})
-}
-
 // SeedConfig is the standard experiment configuration for one seed.
 func SeedConfig(seed, maxSteps int64) interp.Config {
 	return interp.Config{Sched: sched.NewRandom(seed), MaxSteps: maxSteps}
-}
-
-// RunSeeds executes mod once per seed and returns results in seed order.
-func (e Engine) RunSeeds(mod *mir.Module, seeds []int64, maxSteps int64) []*interp.Result {
-	return Map(e, len(seeds), func(i int) *interp.Result {
-		return e.RunJob(mod, SeedConfig(seeds[i], maxSteps), replay.Meta{Seed: seeds[i], Label: mod.Name})
-	})
 }
 
 // AllComplete runs mod under seeds 0..runs-1 and reports whether every run
@@ -396,7 +364,3 @@ func (e Engine) AllComplete(mod *mir.Module, runs int, maxSteps int64) bool {
 		return e.RunJob(mod, SeedConfig(int64(i), maxSteps), replay.Meta{Seed: int64(i), Label: mod.Name}).Completed
 	})
 }
-
-// Seq returns an engine pinned to one worker — the reference sequential
-// path the determinism tests compare against.
-func Seq() Engine { return Engine{Workers: 1} }

@@ -25,7 +25,7 @@ func TestQueueDepthReturnsToZeroAfterCompletion(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		reg := obs.NewRegistry()
 		e := Engine{Workers: workers, Reg: reg}
-		e.Each(257, func(i int) {})
+		Map(e, 257, func(i int) int { return i })
 		if d := queueDepth(reg); d != 0 {
 			t.Errorf("workers=%d: queue depth %d after completion, want 0", workers, d)
 		}
@@ -57,10 +57,11 @@ func TestQueueDepthReturnsToZeroAfterStopDrain(t *testing.T) {
 		reg := obs.NewRegistry()
 		var stop atomic.Bool
 		e := Engine{Workers: workers, Reg: reg, Stop: &stop}
-		e.Each(10_000, func(i int) {
+		Map(e, 10_000, func(i int) int {
 			if i == 5 {
 				stop.Store(true)
 			}
+			return i
 		})
 		if !stop.Load() {
 			t.Fatalf("workers=%d: stop flag never set (job 5 did not run?)", workers)
@@ -84,10 +85,11 @@ func TestQueueDepthReturnsToZeroAfterPanicDrain(t *testing.T) {
 					t.Fatal("panic did not propagate to the caller")
 				}
 			}()
-			e.Each(10_000, func(i int) {
+			Map(e, 10_000, func(i int) int {
 				if i == 7 {
 					panic("boom")
 				}
+				return i
 			})
 		}()
 		if d := queueDepth(reg); d != 0 {
@@ -122,7 +124,7 @@ func TestRunHookObservesEveryJob(t *testing.T) {
 
 	hook, infos := collectHook()
 	e := Engine{Workers: 4, RunHook: hook, FlightLimit: DefaultFlightLimit}
-	results := e.RunSeeds(mod, seeds, 0)
+	results := runSeeds(e, mod, seeds)
 
 	got := infos()
 	if len(got) != len(seeds) {
@@ -180,9 +182,8 @@ func TestFlightRecordingDoesNotPerturbResults(t *testing.T) {
 	mod := b.Program(bugs.Config{Light: true, ForceBug: true})
 	seeds := []int64{0, 1, 2, 3, 4, 5}
 
-	plain := Seq().RunSeeds(mod, seeds, 0)
-	flight := Engine{Workers: 1, FlightLimit: DefaultFlightLimit, RunHook: func(RunInfo) {}}.
-		RunSeeds(mod, seeds, 0)
+	plain := runSeeds(Engine{Workers: 1}, mod, seeds)
+	flight := runSeeds(Engine{Workers: 1, FlightLimit: DefaultFlightLimit, RunHook: func(RunInfo) {}}, mod, seeds)
 	for i := range seeds {
 		if !reflect.DeepEqual(normalize(plain[i]), normalize(flight[i])) {
 			t.Errorf("seed %d: flight-recorded result differs from plain run", seeds[i])
@@ -198,7 +199,7 @@ func TestFlightRingTruncationReported(t *testing.T) {
 
 	hook, infos := collectHook()
 	e := Engine{Workers: 1, RunHook: hook, FlightLimit: 2}
-	e.RunSeeds(mod, []int64{1}, 0)
+	runSeeds(e, mod, []int64{1})
 
 	got := infos()
 	if len(got) != 1 {

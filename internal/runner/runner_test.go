@@ -49,14 +49,22 @@ func TestAllReportsFailureAndCancels(t *testing.T) {
 	}
 }
 
-func TestEachCoversEveryIndex(t *testing.T) {
+func TestMapCoversEveryIndex(t *testing.T) {
 	hit := make([]atomic.Bool, 257)
-	Engine{Workers: 8}.Each(len(hit), func(i int) { hit[i].Store(true) })
+	Map(Engine{Workers: 8}, len(hit), func(i int) bool { hit[i].Store(true); return true })
 	for i := range hit {
 		if !hit[i].Load() {
 			t.Fatalf("index %d never executed", i)
 		}
 	}
+}
+
+// runSeeds runs mod once per seed through e's RunJob and returns the
+// results in seed order, the way the experiment sweeps drive the engine.
+func runSeeds(e Engine, mod *mir.Module, seeds []int64) []*interp.Result {
+	return Map(e, len(seeds), func(i int) *interp.Result {
+		return e.RunJob(mod, SeedConfig(seeds[i], 0), replay.Meta{Seed: seeds[i], Label: mod.Name})
+	})
 }
 
 // TestParallelMatchesSequentialRuns is the engine-level determinism check:
@@ -67,8 +75,8 @@ func TestParallelMatchesSequentialRuns(t *testing.T) {
 	mod := b.Program(bugs.Config{Light: true, ForceBug: true})
 	seeds := []int64{0, 1, 2, 3, 4, 5, 6, 7}
 
-	seq := Seq().RunSeeds(mod, seeds, 0)
-	par := Engine{Workers: 4}.RunSeeds(mod, seeds, 0)
+	seq := runSeeds(Engine{Workers: 1}, mod, seeds)
+	par := runSeeds(Engine{Workers: 4}, mod, seeds)
 
 	for i := range seeds {
 		if !reflect.DeepEqual(normalize(seq[i]), normalize(par[i])) {
@@ -90,7 +98,7 @@ func normalize(r *interp.Result) *interp.Result {
 func TestAllCompleteMatchesSequentialVerdict(t *testing.T) {
 	b := bugs.ByName("HawkNL")
 	forced := b.Program(bugs.Config{Light: true, ForceBug: true})
-	want := Seq().AllComplete(forced, 16, 0)
+	want := Engine{Workers: 1}.AllComplete(forced, 16, 0)
 	got := Engine{Workers: 4}.AllComplete(forced, 16, 0)
 	if got != want {
 		t.Errorf("parallel verdict %v, sequential %v", got, want)
@@ -144,17 +152,14 @@ func TestRunJobContainsPanic(t *testing.T) {
 // and land at its own index.
 func TestPanickingJobDoesNotKillBatch(t *testing.T) {
 	bad, good := panickingModule(), okModule()
-	jobs := make([]Job, 8)
-	for i := range jobs {
+	e := Engine{Workers: 4}
+	out := Map(e, 8, func(i int) *interp.Result {
 		m := good
 		if i == 3 {
 			m = bad
 		}
-		jobs[i] = Job{Mod: m, Cfg: func() interp.Config {
-			return interp.Config{Sched: sched.NewRandom(1), MaxSteps: 1000}
-		}}
-	}
-	out := Engine{Workers: 4}.Run(jobs)
+		return e.RunJob(m, interp.Config{Sched: sched.NewRandom(1), MaxSteps: 1000}, replay.Meta{})
+	})
 	for i, r := range out {
 		if i == 3 {
 			if r.Failure == nil || r.Failure.Kind != mir.FailPanic {
@@ -168,21 +173,22 @@ func TestPanickingJobDoesNotKillBatch(t *testing.T) {
 	}
 }
 
-// TestEachRepanicsFromCaller: a panic in a raw pool callback (not routed
+// TestMapRepanicsFromCaller: a panic in a raw pool callback (not routed
 // through RunJob) is re-raised on the caller's goroutine after the pool
 // drains, never silently swallowed and never fatal to the process.
-func TestEachRepanicsFromCaller(t *testing.T) {
+func TestMapRepanicsFromCaller(t *testing.T) {
 	defer func() {
 		if p := recover(); p != "boom" {
 			t.Fatalf("recovered %v, want the job's panic value", p)
 		}
 	}()
-	Engine{Workers: 4}.Each(100, func(i int) {
+	Map(Engine{Workers: 4}, 100, func(i int) int {
 		if i == 5 {
 			panic("boom")
 		}
+		return i
 	})
-	t.Fatal("Each returned normally despite a panicking job")
+	t.Fatal("Map returned normally despite a panicking job")
 }
 
 // TestJobTimeoutWatchdog: a wedged run (unbounded self-loop) under a

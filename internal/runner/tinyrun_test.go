@@ -35,7 +35,7 @@ func runTiny(tb testing.TB, e Engine, mod *mir.Module, seed int64) {
 func TestRunJobTinyAllocs(t *testing.T) {
 	const maxAllocs, maxBytes = 51, 10 << 10
 	mod := tinyModule(t)
-	e := Seq()
+	e := Engine{Workers: 1}
 	runTiny(t, e, mod, 7) // compile once, outside the measurement
 	allocs := testing.AllocsPerRun(50, func() { runTiny(t, e, mod, 7) })
 
@@ -56,7 +56,7 @@ func TestRunJobTinyAllocs(t *testing.T) {
 
 func BenchmarkRunJobTiny(b *testing.B) {
 	mod := tinyModule(b)
-	e := Seq()
+	e := Engine{Workers: 1}
 	runTiny(b, e, mod, 0)
 	b.ReportAllocs()
 	b.ResetTimer()
