@@ -68,13 +68,7 @@ func main() {
 	serveAddr := flag.String("serve", "", "serve live telemetry on this address (/metrics, /runs, /events, /healthz, /debug/pprof/) and arm the always-on flight recorder")
 	serveWait := flag.Bool("serve-wait", false, "with -serve: keep the telemetry server up after the sections finish, until SIGINT")
 	flightDir := flag.String("flight-dir", "conair-flight", "with -serve: directory flight recordings of failing runs are flushed into on interrupt")
-	checkExposition := flag.String("check-exposition", "", "validate a Prometheus text exposition file (e.g. a scraped /metrics) and exit")
 	flag.Parse()
-
-	if *checkExposition != "" {
-		runCheckExposition(*checkExposition)
-		return
-	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"conair/internal/experiments"
-	"conair/internal/obs"
 	"conair/internal/obs/serve"
 	"conair/internal/runner"
 )
@@ -70,19 +69,4 @@ func finishTelemetry(wait bool, flightDir string, interrupted <-chan struct{}, s
 		}
 	}
 	telemetry.Close()
-}
-
-// runCheckExposition validates a Prometheus text exposition file (the
-// -check-exposition mode CI uses on scraped /metrics output) and exits.
-func runCheckExposition(path string) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		logger.Error("check-exposition", "err", err)
-		os.Exit(1)
-	}
-	if err := obs.ValidateExposition(data); err != nil {
-		logger.Error("check-exposition: invalid exposition", "file", path, "err", err)
-		os.Exit(1)
-	}
-	logger.Info("check-exposition: exposition valid", "file", path, "bytes", len(data))
 }

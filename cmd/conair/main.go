@@ -1,5 +1,6 @@
 // Command conair hardens a MIR program with ConAir's rollback-recovery
-// transformation and writes the transformed program.
+// transformation and writes the transformed program, then runs, traces,
+// sanitizes, records and replays programs: the whole workflow is one tool.
 //
 // Usage:
 //
@@ -11,6 +12,18 @@
 // e.g. -site "reporter:assert:0" for the first assert in reporter, or
 // "worker:load:2" for its third pointer dereference.
 //
+// Run mode executes a program (typically a hardened one) under one seed,
+// prints its output to stdout and, unless -q is set, the run statistics
+// and recovered episodes to stderr:
+//
+//	conair -run [-seed N] [-sched random|pct|rr] [-max-steps N] [-sanitize]
+//	       [-trace out.json] [-trace-jsonl events.jsonl] [-q] prog.mir
+//
+// It exits with the program's exit code, or 1 on a detected failure or,
+// with -sanitize, on a race/deadlock report. -trace and -trace-jsonl write
+// the run's events as a Chrome trace and as JSON lines (-trace-jsonl
+// /dev/stderr streams them to the terminal).
+//
 // Trace mode replays one benchmark (bug, seed) pair deterministically with
 // the observability sink attached, writes a Chrome trace_event JSON file
 // (loadable in chrome://tracing or https://ui.perfetto.dev), and prints the
@@ -19,20 +32,28 @@
 //	conair -trace out.json -bug MySQL1 [-seed 7] [-mode survival|fix]
 //	       [-clean] [-trace-jsonl events.jsonl] [-trace-buf N]
 //
-// Sanitize mode searches adversarial PCT schedules with the dynamic
-// race/deadlock sanitizer attached and prints every report — the
+// Sanitize mode (without -run) searches adversarial PCT schedules with the
+// dynamic race/deadlock sanitizer attached and prints every report — the
 // detect-before-recover front-end to the hardening transformation:
 //
 //	conair -sanitize [-sanitize-budget N] [-max-steps N] prog.mir
 //
 // It exits 1 when the sanitizer reports anything, 0 when the whole
-// schedule budget stays clean.
+// schedule budget stays clean. Record, replay and minimize modes are
+// described in record.go.
+//
+// -sched picks the scheduler of run, trace and record modes: random
+// (the default), pct (the sanitizer search's PCT policy) or rr
+// (round-robin, switching threads every step). -max-steps is the
+// interpreter step budget of every mode; 0 keeps each mode's default:
+// 20 M per sanitize schedule, 200 M for trace and record, and the
+// interpreter's default for run mode.
 //
 // With -serve ADDR every mode also exposes the live telemetry plane
 // (/metrics, /runs, /events, /healthz, /debug/pprof/): completed runs
-// land in the run registry, sanitize schedules carry always-on flight
-// recordings (a failing schedule is downloadable as a replayable .cnr at
-// /runs/{id}/recording), and the server keeps serving after the work
+// land in the run registry, run, trace and sanitize runs carry always-on
+// flight recordings (a failing run is downloadable as a replayable .cnr
+// at /runs/{id}/recording), and the server keeps serving after the work
 // completes until interrupted.
 package main
 
@@ -42,14 +63,11 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"conair/internal/analysis"
 	"conair/internal/core"
 	"conair/internal/interp"
 	"conair/internal/mir"
-	"conair/internal/replay"
-	"conair/internal/runner"
 	"conair/internal/sanitizer"
 	"conair/internal/sched"
 )
@@ -65,28 +83,35 @@ func main() {
 	lockTimeout := flag.Int("lock-timeout", 0, "timed-lock timeout in steps")
 	guardOutputs := flag.Bool("guard-outputs", false, "auto-insert output-correctness oracles (paper §3.4)")
 	pruneSafe := flag.Bool("prune-safe-sites", false, "drop provably-safe dereference sites (paper §3.4)")
-	quiet := flag.Bool("q", false, "suppress the report")
-	trace := flag.String("trace", "", "trace mode: write a Chrome trace_event JSON file and exit")
-	bug := flag.String("bug", "", "trace mode: benchmark bug to replay (e.g. MySQL1)")
-	seed := flag.Int64("seed", 7, "trace mode: scheduler seed")
+	quiet := flag.Bool("q", false, "suppress the report (in run mode: the run statistics)")
+	run := flag.Bool("run", false, "run mode: execute prog.mir under one seed and exit with its exit code (1 on a failure or sanitizer report)")
+	trace := flag.String("trace", "", "trace and run modes: write a Chrome trace_event JSON file")
+	bug := flag.String("bug", "", "trace and record modes: benchmark bug (e.g. MySQL1)")
+	seed := flag.Int64("seed", 7, "run, trace and record modes: scheduler seed (record: the first seed searched)")
+	schedName := flag.String("sched", "random", "run, trace and record modes: scheduler (random, pct or rr)")
 	clean := flag.Bool("clean", false, "trace mode: replay the clean full workload instead of the forced-failure light one")
-	traceJSONL := flag.String("trace-jsonl", "", "trace mode: also write raw events as JSONL")
-	traceBuf := flag.Int("trace-buf", 1<<20, "trace mode: event ring-buffer capacity")
-	traceMaxSteps := flag.Int64("trace-max-steps", 200_000_000, "trace mode: interpreter step budget")
-	sanitize := flag.Bool("sanitize", false, "sanitize mode: hunt for races/deadlocks under PCT schedules instead of hardening")
+	traceJSONL := flag.String("trace-jsonl", "", "trace and run modes: also write raw events as JSONL (/dev/stderr for the terminal)")
+	traceBuf := flag.Int("trace-buf", 1<<20, "trace and run modes: event ring-buffer capacity")
+	sanitize := flag.Bool("sanitize", false, "attach the race/deadlock sanitizer: to the one run with -run, else search PCT schedules instead of hardening")
 	sanitizeBudget := flag.Int64("sanitize-budget", 20, "sanitize mode: number of PCT schedule seeds to search")
-	sanitizeMaxSteps := flag.Int64("max-steps", 20_000_000, "sanitize mode: interpreter step budget per schedule")
+	maxSteps := flag.Int64("max-steps", 0, fmt.Sprintf("interpreter step budget (0 = the mode's default: 20M per sanitize schedule, 200M for trace and record, %dM for run)", interp.DefaultMaxSteps/1_000_000))
 	record := flag.String("record", "", "record mode: write a replayable schedule recording (.cnr) of one run of -bug or prog.mir")
-	recordSched := flag.String("record-sched", "random", "record mode: scheduler (random or pct)")
 	recordSearch := flag.Int64("record-search", 1, "record mode: try up to N seeds from -seed, keep the first failing run")
 	recordHardened := flag.Bool("record-hardened", false, "record mode: record the survival-hardened program")
-	recordMaxSteps := flag.Int64("rec-max-steps", 200_000_000, "record mode: interpreter step budget")
 	replayPath := flag.String("replay", "", "replay mode: reproduce a schedule recording (.cnr) and verify bit-identity")
 	minimize := flag.String("minimize", "", "minimize mode: ddmin-shrink a failing recording (.cnr) to a minimal schedule")
 	probeBudget := flag.Int("probe-budget", 0, "minimize mode: probe replay budget (0 = default)")
 	minTrace := flag.String("min-trace", "", "replay/minimize mode: write a Chrome trace of the (minimized) schedule")
 	serveAddr := flag.String("serve", "", "serve live telemetry on host:port (keeps serving after the work completes; ^C to exit)")
 	flag.Parse()
+
+	// stepBudget is -max-steps, or the current mode's default when it is 0.
+	stepBudget := func(def int64) int64 {
+		if *maxSteps > 0 {
+			return *maxSteps
+		}
+		return def
+	}
 
 	if *serveAddr != "" {
 		startTelemetry(*serveAddr)
@@ -108,8 +133,8 @@ func main() {
 			}
 			err = runRecord(recordOpts{
 				out: *record, bug: *bug, file: modFile, hardened: *recordHardened,
-				schedN: *recordSched, seed: *seed, search: *recordSearch,
-				maxSteps: *recordMaxSteps, quiet: *quiet,
+				schedN: *schedName, seed: *seed, search: *recordSearch,
+				maxSteps: stepBudget(200_000_000), quiet: *quiet,
 			})
 		case *replayPath != "":
 			err = runReplay(*replayPath, modFile, *minTrace, *quiet)
@@ -122,6 +147,22 @@ func main() {
 		return
 	}
 
+	if *run {
+		if flag.NArg() != 1 {
+			usage()
+		}
+		code, err := runProgram(runOpts{
+			file: flag.Arg(0), schedN: *schedName, seed: *seed,
+			maxSteps: *maxSteps, sanitize: *sanitize,
+			trace: *trace, jsonl: *traceJSONL, bufCap: *traceBuf, quiet: *quiet,
+		}, os.Stdout, os.Stderr)
+		if err != nil {
+			fatal(err)
+		}
+		waitTelemetry()
+		os.Exit(code)
+	}
+
 	if *trace != "" || *bug != "" {
 		if *trace == "" || *bug == "" {
 			fatal(fmt.Errorf("trace mode needs both -trace out.json and -bug NAME"))
@@ -129,9 +170,9 @@ func main() {
 		// The hardening default is survival; fix mode replays the
 		// bug-specific hardened variant the evaluation tables use.
 		if err := runTrace(traceOpts{
-			bug: *bug, seed: *seed, mode: *mode, clean: *clean,
+			bug: *bug, schedN: *schedName, seed: *seed, mode: *mode, clean: *clean,
 			out: *trace, jsonl: *traceJSONL, bufCap: *traceBuf,
-			maxSteps: *traceMaxSteps, quiet: *quiet,
+			maxSteps: stepBudget(200_000_000), quiet: *quiet,
 		}); err != nil {
 			fatal(err)
 		}
@@ -139,21 +180,15 @@ func main() {
 	}
 
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: conair [flags] prog.mir")
-		flag.PrintDefaults()
-		os.Exit(2)
+		usage()
 	}
-	src, err := os.ReadFile(flag.Arg(0))
-	if err != nil {
-		fatal(err)
-	}
-	m, err := mir.Parse(string(src))
+	m, err := loadModule(flag.Arg(0))
 	if err != nil {
 		fatal(err)
 	}
 
 	if *sanitize {
-		if runSanitize(m, *sanitizeBudget, *sanitizeMaxSteps, *quiet) {
+		if runSanitize(m, *sanitizeBudget, stepBudget(20_000_000), *quiet) {
 			waitTelemetry()
 			os.Exit(1)
 		}
@@ -222,29 +257,15 @@ func main() {
 // report is downloadable as a replayable .cnr.
 func runSanitize(m *mir.Module, budget, maxSteps int64, quiet bool) bool {
 	seen := map[string]bool{}
-	runs := int64(0)
 	san := sanitizer.New(m)
 	for seed := int64(0); seed < budget; seed++ {
 		san.Reset(m)
 		cfg := interp.Config{
-			Sched:     sched.NewPCT(seed, 3, 64),
+			Sched:     sched.NewSearchPCT(seed),
 			MaxSteps:  maxSteps,
 			Sanitizer: san,
 		}
-		cfg, flight := flightConfig(m, cfg, replay.Meta{Seed: seed, Label: m.Name + "-sanitize"})
-		start := time.Now()
-		r := interp.RunModule(m, cfg)
-		var rec *replay.Recording
-		if flight != nil {
-			rec = flight.Finish(r)
-		}
-		registerRun(runner.RunInfo{
-			Label: m.Name + "-sanitize", Seed: seed, Sched: "pct",
-			Elapsed: time.Since(start), Result: r,
-			Recording:          rec,
-			RecordingTruncated: flight != nil && rec == nil,
-		})
-		runs++
+		runLive(m, cfg, m.Name+"-sanitize", "pct", seed)
 		for _, rep := range san.Reports() {
 			s := rep.String()
 			if !seen[s] {
@@ -255,7 +276,7 @@ func runSanitize(m *mir.Module, budget, maxSteps int64, quiet bool) bool {
 	}
 	if !quiet {
 		fmt.Fprintf(os.Stderr, "conair: sanitize: %d schedules searched, %d distinct reports\n",
-			runs, len(seen))
+			max(budget, 0), len(seen))
 	}
 	return len(seen) > 0
 }
@@ -289,6 +310,34 @@ func parseSite(m *mir.Module, s string) (mir.Pos, error) {
 		return mir.Pos{}, fmt.Errorf("bad -site index %q: %v", parts[2], err)
 	}
 	return analysis.FindSite(m, parts[0], op, nth)
+}
+
+// loadModule reads and parses a .mir file.
+func loadModule(path string) (*mir.Module, error) {
+	src, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return mir.Parse(string(src))
+}
+
+// newSched builds the -sched scheduler for one seed.
+func newSched(name string, seed int64) (sched.Scheduler, error) {
+	switch name {
+	case "random":
+		return sched.NewRandom(seed), nil
+	case "pct":
+		return sched.NewSearchPCT(seed), nil
+	case "rr":
+		return sched.NewRoundRobin(1, seed), nil
+	}
+	return nil, fmt.Errorf("unknown scheduler %q (want random, pct or rr)", name)
+}
+
+func usage() {
+	fmt.Fprintln(os.Stderr, "usage: conair [flags] prog.mir")
+	flag.PrintDefaults()
+	os.Exit(2)
 }
 
 func fatal(err error) {

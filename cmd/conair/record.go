@@ -3,22 +3,23 @@ package main
 // Record-and-replay forensics modes:
 //
 //	conair -record out.cnr -bug MySQL1 [-record-hardened] [-seed N]
-//	       [-record-search N] [-record-sched random|pct] [-rec-max-steps N]
+//	       [-record-search N] [-sched random|pct|rr] [-max-steps N]
 //	conair -record out.cnr [flags] prog.mir
-//	conair -replay rec.cnr [prog.mir] [-min-trace out.json]
+//	conair -replay rec.cnr [-min-trace out.json] [prog.mir]
 //	conair -minimize rec.cnr [-o min.cnr] [-probe-budget N]
-//	       [-min-trace out.json]
+//	       [-min-trace out.json] [prog.mir]
 //
 // -record captures one run's scheduler decision stream as a replayable
 // artifact (searching seeds until a failing run is found when
 // -record-search > 1). -replay reproduces an artifact bit-identically and
-// verifies it against the recorded fingerprint. -minimize ddmin-shrinks a
-// failing artifact to a minimal schedule — the few context switches that
-// actually matter — and can emit a Chrome trace of the minimized run.
+// verifies it against the recorded fingerprint; the program comes from
+// the artifact itself unless a prog.mir is given, which must hash to the
+// recorded one. -minimize ddmin-shrinks a failing artifact to a minimal
+// schedule — the few context switches that actually matter — and can
+// emit a Chrome trace of the minimized run.
 
 import (
 	"fmt"
-	"os"
 	"time"
 
 	"conair/internal/bugs"
@@ -28,7 +29,6 @@ import (
 	"conair/internal/obs"
 	"conair/internal/replay"
 	"conair/internal/runner"
-	"conair/internal/sched"
 )
 
 // recordOpts configures a -record capture.
@@ -37,7 +37,7 @@ type recordOpts struct {
 	bug      string // benchmark bug name ("" = positional prog.mir)
 	file     string // positional .mir path when bug == ""
 	hardened bool   // record the survival-hardened program
-	schedN   string // random or pct
+	schedN   string // random, pct or rr
 	seed     int64
 	search   int64 // try seeds seed..seed+search-1, keep first failing run
 	maxSteps int64
@@ -48,22 +48,14 @@ type recordOpts struct {
 func recordModule(o recordOpts) (*mir.Module, error) {
 	var m *mir.Module
 	if o.bug != "" {
-		b := bugs.ByName(o.bug)
-		if b == nil {
-			names := ""
-			for _, x := range bugs.All() {
-				names += " " + x.Name
-			}
-			return nil, fmt.Errorf("unknown bug %q (have:%s)", o.bug, names)
-		}
-		m = b.Program(bugs.Config{Light: true, ForceBug: true})
-	} else {
-		src, err := os.ReadFile(o.file)
+		b, err := lookupBug(o.bug)
 		if err != nil {
 			return nil, err
 		}
-		m, err = mir.Parse(string(src))
-		if err != nil {
+		m = b.Program(bugs.Config{Light: true, ForceBug: true})
+	} else {
+		var err error
+		if m, err = loadModule(o.file); err != nil {
 			return nil, err
 		}
 	}
@@ -75,16 +67,6 @@ func recordModule(o recordOpts) (*mir.Module, error) {
 		m = h.Module
 	}
 	return m, nil
-}
-
-func newSched(name string, seed int64) (sched.Scheduler, error) {
-	switch name {
-	case "random":
-		return sched.NewRandom(seed), nil
-	case "pct":
-		return sched.NewPCT(seed, 3, 64), nil
-	}
-	return nil, fmt.Errorf("unknown scheduler %q (want random or pct)", name)
 }
 
 // runRecord captures a run and writes the artifact. With search > 1 it
@@ -147,11 +129,7 @@ func loadArtifact(path, modFile string) (*replay.Recording, *mir.Module, error) 
 	}
 	var m *mir.Module
 	if modFile != "" {
-		src, err := os.ReadFile(modFile)
-		if err != nil {
-			return nil, nil, err
-		}
-		if m, err = mir.Parse(string(src)); err != nil {
+		if m, err = loadModule(modFile); err != nil {
 			return nil, nil, err
 		}
 		if err := rec.CheckModule(m); err != nil {
@@ -168,15 +146,7 @@ func loadArtifact(path, modFile string) (*replay.Recording, *mir.Module, error) 
 func writeTrace(m *mir.Module, rec *replay.Recording, out string) error {
 	tr := obs.NewTracer(obs.DefaultTracerCap)
 	replay.Run(m, rec, replay.RunOptions{Sink: tr})
-	f, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	if err := obs.WriteChromeTrace(f, tr.Events()); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return writeEvents(tr.Events(), out, "")
 }
 
 // runReplay reproduces an artifact and verifies bit-identity.

@@ -1,7 +1,7 @@
 package main
 
 // -serve wiring: every conair mode can expose the live telemetry plane.
-// The one-shot modes (record, replay, minimize, trace, sanitize) register
+// The one-shot modes (run, record, replay, minimize, trace, sanitize) register
 // their runs in the server's run registry and then keep serving until ^C,
 // so a finished command can still be scraped, profiled, and post-mortemed:
 //
@@ -9,14 +9,15 @@ package main
 //	curl localhost:9090/runs              # every schedule searched
 //	curl localhost:9090/runs/3/recording  # replayable .cnr of a failure
 //
-// Sanitize runs are armed with the always-on flight recorder, so the
-// schedule that triggered a report arrives as a downloadable artifact
-// even though -record was never passed.
+// Run, trace and sanitize runs are armed with the always-on flight
+// recorder, so the schedule behind a failure or a report arrives as a
+// downloadable artifact even though -record was never passed.
 
 import (
 	"fmt"
 	"os"
 	"os/signal"
+	"time"
 
 	"conair/internal/interp"
 	"conair/internal/mir"
@@ -57,15 +58,27 @@ func registerRun(info runner.RunInfo) {
 	}
 }
 
-// flightConfig arms cfg with the always-on bounded flight recorder when
-// the telemetry server is up, so any failing run yields a replayable
-// artifact at /runs/{id}/recording without -record. The returned capture
-// is nil when -serve is off.
-func flightConfig(mod *mir.Module, cfg interp.Config, meta replay.Meta) (interp.Config, *replay.FlightCapture) {
-	if telemetry == nil {
-		return cfg, nil
+// runLive runs m under cfg and feeds the run into the telemetry run
+// registry. Under -serve the run is armed with the always-on bounded
+// flight recorder, so a failing run yields a replayable artifact at
+// /runs/{id}/recording without -record.
+func runLive(m *mir.Module, cfg interp.Config, label, schedN string, seed int64) *interp.Result {
+	var flight *replay.FlightCapture
+	if telemetry != nil {
+		cfg, flight = replay.CaptureFlight(m, cfg, replay.Meta{Seed: seed, Label: label}, runner.DefaultFlightLimit)
 	}
-	return replay.CaptureFlight(mod, cfg, meta, runner.DefaultFlightLimit)
+	start := time.Now()
+	r := interp.RunModule(m, cfg)
+	var rec *replay.Recording
+	if flight != nil {
+		rec = flight.Finish(r)
+	}
+	registerRun(runner.RunInfo{
+		Label: label, Seed: seed, Sched: schedN,
+		Elapsed: time.Since(start), Result: r, Recording: rec,
+		RecordingTruncated: flight != nil && rec == nil,
+	})
+	return r
 }
 
 // waitTelemetry keeps the server alive after the command's work completes

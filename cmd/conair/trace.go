@@ -2,20 +2,20 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
-	"time"
+	"strings"
 
 	"conair/internal/bugs"
 	"conair/internal/core"
 	"conair/internal/interp"
 	"conair/internal/obs"
-	"conair/internal/runner"
-	"conair/internal/sched"
 )
 
 // traceOpts configures a -trace replay.
 type traceOpts struct {
 	bug      string // benchmark bug name (bugs.ByName)
+	schedN   string // random, pct or rr
 	seed     int64  // scheduler seed
 	mode     string // survival or fix hardening
 	clean    bool   // replay the clean full workload instead of forced-light
@@ -32,13 +32,9 @@ type traceOpts struct {
 // deterministic: the same bug, mode and seed always produce the same
 // trace, byte for byte.
 func runTrace(o traceOpts) error {
-	b := bugs.ByName(o.bug)
-	if b == nil {
-		names := ""
-		for _, x := range bugs.All() {
-			names += " " + x.Name
-		}
-		return fmt.Errorf("unknown bug %q (have:%s)", o.bug, names)
+	b, err := lookupBug(o.bug)
+	if err != nil {
+		return err
 	}
 
 	bcfg := bugs.Config{Light: true, ForceBug: true}
@@ -64,42 +60,15 @@ func runTrace(o traceOpts) error {
 		return err
 	}
 
-	tr := obs.NewTracer(o.bufCap)
-	cfg := interp.Config{
-		Sched:    sched.NewRandom(o.seed),
-		MaxSteps: o.maxSteps,
-		Sink:     tr,
-	}
-	start := time.Now()
-	r := interp.RunModule(h.Module, cfg)
-	registerRun(runner.RunInfo{
-		Label: b.Name + "-trace", Seed: o.seed, Sched: "random",
-		Elapsed: time.Since(start), Result: r,
-	})
-
-	f, err := os.Create(o.out)
+	s, err := newSched(o.schedN, o.seed)
 	if err != nil {
 		return err
 	}
-	if err := obs.WriteChromeTrace(f, tr.Events()); err != nil {
-		f.Close()
+	tr := obs.NewTracer(o.bufCap)
+	r := runLive(h.Module, interp.Config{Sched: s, MaxSteps: o.maxSteps, Sink: tr},
+		b.Name+"-trace", o.schedN, o.seed)
+	if err := writeEvents(tr.Events(), o.out, o.jsonl); err != nil {
 		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if o.jsonl != "" {
-		f, err := os.Create(o.jsonl)
-		if err != nil {
-			return err
-		}
-		if err := obs.WriteJSONL(f, tr.Events()); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
 	}
 
 	if o.quiet {
@@ -116,5 +85,42 @@ func runTrace(o traceOpts) error {
 		r.Stats.Checkpoints, r.Stats.Rollbacks, len(r.Stats.Episodes))
 	fmt.Println()
 	obs.Summarize(tr.Events()).WriteTimeline(os.Stdout)
+	return nil
+}
+
+// lookupBug returns the named benchmark bug or corpus model.
+func lookupBug(name string) (*bugs.Bug, error) {
+	if b := bugs.ByName(name); b != nil {
+		return b, nil
+	}
+	var names []string
+	for _, b := range append(bugs.All(), bugs.Corpus()...) {
+		names = append(names, b.Name)
+	}
+	return nil, fmt.Errorf("unknown bug %q (have: %s)", name, strings.Join(names, " "))
+}
+
+// writeEvents writes events as a Chrome trace_event JSON file to chrome
+// and as JSON lines to jsonl, skipping an empty path.
+func writeEvents(events []obs.Event, chrome, jsonl string) error {
+	for _, out := range []struct {
+		path  string
+		write func(io.Writer, []obs.Event) error
+	}{{chrome, obs.WriteChromeTrace}, {jsonl, obs.WriteJSONL}} {
+		if out.path == "" {
+			continue
+		}
+		f, err := os.Create(out.path)
+		if err != nil {
+			return err
+		}
+		if err := out.write(f, events); err != nil {
+			f.Close()
+			return err
+		}
+		if err := f.Close(); err != nil {
+			return err
+		}
+	}
 	return nil
 }

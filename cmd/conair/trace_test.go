@@ -15,7 +15,7 @@ func TestRunTraceRoundTrip(t *testing.T) {
 	out := filepath.Join(dir, "trace.json")
 	jsonl := filepath.Join(dir, "events.jsonl")
 	err := runTrace(traceOpts{
-		bug: "FFT", seed: 7, mode: "fix",
+		bug: "FFT", schedN: "random", seed: 7, mode: "fix",
 		out: out, jsonl: jsonl, bufCap: 1 << 20,
 		maxSteps: 200_000_000, quiet: true,
 	})
@@ -55,7 +55,7 @@ func TestRunTraceRoundTrip(t *testing.T) {
 
 func TestRunTraceRejectsUnknownBug(t *testing.T) {
 	err := runTrace(traceOpts{
-		bug: "NoSuchBug", seed: 1, mode: "fix",
+		bug: "NoSuchBug", schedN: "random", seed: 1, mode: "fix",
 		out: filepath.Join(t.TempDir(), "x.json"), bufCap: 16,
 	})
 	if err == nil {

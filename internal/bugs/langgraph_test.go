@@ -32,7 +32,7 @@ var corpusTruth = map[string]struct {
 
 func corpusPCT(seed int64) interp.Config {
 	return interp.Config{
-		Sched: sched.NewPCT(seed, 3, 64), MaxSteps: 20_000_000, CollectOutput: true,
+		Sched: sched.NewSearchPCT(seed), MaxSteps: 20_000_000, CollectOutput: true,
 	}
 }
 

@@ -69,7 +69,7 @@ func TestPCTFindsUnforcedRaceAndHardenedSurvivesIt(t *testing.T) {
 	found := 0
 	for seed := int64(0); seed < 200; seed++ {
 		r := interp.RunModule(m, interp.Config{
-			Sched: sched.NewPCT(seed, 3, 64), MaxSteps: 100_000,
+			Sched: sched.NewSearchPCT(seed), MaxSteps: 100_000,
 		})
 		if !r.Completed {
 			if r.Failure.Kind != mir.FailSegfault {
@@ -89,7 +89,7 @@ func TestPCTFindsUnforcedRaceAndHardenedSurvivesIt(t *testing.T) {
 	}
 	for seed := int64(0); seed < 200; seed++ {
 		r := interp.RunModule(h.Module, interp.Config{
-			Sched: sched.NewPCT(seed, 3, 64), MaxSteps: 1_000_000,
+			Sched: sched.NewSearchPCT(seed), MaxSteps: 1_000_000,
 		})
 		if !r.Completed {
 			t.Fatalf("seed %d: hardened program failed under adversarial schedule: %v",

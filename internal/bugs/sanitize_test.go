@@ -38,7 +38,7 @@ func sanSearch(t *testing.T, mod *mir.Module, budget int64) []sanitizer.Report {
 	for seed := int64(0); seed < budget; seed++ {
 		san := sanitizer.New(mod)
 		interp.RunModule(mod, interp.Config{
-			Sched:     sched.NewPCT(seed, 3, 64),
+			Sched:     sched.NewSearchPCT(seed),
 			MaxSteps:  200_000_000,
 			Sanitizer: san,
 		})

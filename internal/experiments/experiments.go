@@ -17,6 +17,7 @@
 package experiments
 
 import (
+	"slices"
 	"time"
 
 	"conair/internal/analysis"
@@ -472,25 +473,54 @@ type AnalysisTimeRow struct {
 	Transform time.Duration
 }
 
+// analysisSamples is how many times AnalysisTimes hardens each
+// configuration of each app; the rows report the median sample.
+const analysisSamples = 5
+
 // AnalysisTimes regenerates the §6.4 analysis-time measurements. The
 // sweep stays sequential on purpose: it measures wall-clock hardening
 // time, and parallel workers contending for cores would inflate every
 // sample. Both configurations are hardened here, so no reported time
-// comes from another section's (possibly parallel) hardening.
+// comes from another section's (possibly parallel) hardening. Which
+// configuration goes first alternates from app to app, and each column is
+// the median of analysisSamples hardenings, so neither column always
+// pays for the first, cold hardening.
 func AnalysisTimes() []AnalysisTimeRow {
+	intraOpts := hardenOpts()
+	intraOpts.Interproc = false
 	var out []AnalysisTimeRow
-	for _, b := range bugs.All() {
+	for i, b := range bugs.All() {
 		m := prep(b).lightClean
-		intraOpts := hardenOpts()
-		intraOpts.Interproc = false
-		hIntra := mustHarden(m, intraOpts)
-		hFull := mustHarden(m, hardenOpts())
+		var intra, full, transform []time.Duration
+		hardenIntra := func() {
+			intra = append(intra, mustHarden(m, intraOpts).Report.AnalysisTime)
+		}
+		hardenFull := func() {
+			r := mustHarden(m, hardenOpts()).Report
+			full = append(full, r.AnalysisTime)
+			transform = append(transform, r.TransformTime)
+		}
+		for range analysisSamples {
+			if i%2 == 0 {
+				hardenIntra()
+				hardenFull()
+			} else {
+				hardenFull()
+				hardenIntra()
+			}
+		}
 		out = append(out, AnalysisTimeRow{
 			Name:      b.Name,
-			Intra:     hIntra.Report.AnalysisTime,
-			Full:      hFull.Report.AnalysisTime,
-			Transform: hFull.Report.TransformTime,
+			Intra:     medianDuration(intra),
+			Full:      medianDuration(full),
+			Transform: medianDuration(transform),
 		})
 	}
 	return out
+}
+
+// medianDuration returns the median of an odd-length sample, sorting it.
+func medianDuration(d []time.Duration) time.Duration {
+	slices.Sort(d)
+	return d[len(d)/2]
 }

@@ -35,10 +35,10 @@ func SanitizeRun(mod *mir.Module, cfg interp.Config) (*sanitizer.Sanitizer, *int
 }
 
 // pctCfg is the adversarial-schedule config the sanitizer search uses;
-// the PCT parameters match internal/bugs' bug-finding tests.
+// the PCT policy matches internal/bugs' bug-finding tests.
 func pctCfg(seed, maxSteps int64) interp.Config {
 	return interp.Config{
-		Sched:         sched.NewPCT(seed, 3, 64),
+		Sched:         sched.NewSearchPCT(seed),
 		MaxSteps:      maxSteps,
 		CollectOutput: true,
 	}

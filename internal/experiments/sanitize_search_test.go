@@ -12,7 +12,7 @@ import (
 	"conair/internal/interp"
 	"conair/internal/mir"
 	"conair/internal/mirgen"
-	"conair/internal/obs"
+	"conair/internal/obs/obstest"
 	"conair/internal/replay"
 	"conair/internal/sanitizer"
 	"conair/internal/sanitizer/sanitizertest"
@@ -240,7 +240,7 @@ func TestSanitizeSearchMetricsExposition(t *testing.T) {
 			t.Errorf("metrics exposition missing %s", name)
 		}
 	}
-	if err := obs.ValidateExposition([]byte(buf.String())); err != nil {
+	if err := obstest.ValidateExposition([]byte(buf.String())); err != nil {
 		t.Fatalf("exposition invalid: %v", err)
 	}
 }

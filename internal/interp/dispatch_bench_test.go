@@ -329,7 +329,7 @@ func BenchmarkSearchLivelock(b *testing.B) {
 	run := func() *interp.Result {
 		san.Reset(h.Module)
 		return interp.RunModule(h.Module, interp.Config{
-			Sched: sched.NewPCT(0, 3, 64), MaxSteps: 200_000_000, CollectOutput: true, Sanitizer: san,
+			Sched: sched.NewSearchPCT(0), MaxSteps: 200_000_000, CollectOutput: true, Sanitizer: san,
 		})
 	}
 	r := run()

@@ -16,6 +16,7 @@ import (
 	"conair/internal/interp"
 	"conair/internal/mir"
 	"conair/internal/obs"
+	"conair/internal/obs/obstest"
 	"conair/internal/replay"
 	"conair/internal/runner"
 )
@@ -161,7 +162,7 @@ func TestServeEndToEnd(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("/metrics = %d", code)
 	}
-	if err := obs.ValidateExposition(body); err != nil {
+	if err := obstest.ValidateExposition(body); err != nil {
 		t.Fatalf("/metrics exposition invalid: %v\n%s", err, body)
 	}
 	for _, want := range []string{

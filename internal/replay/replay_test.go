@@ -23,7 +23,7 @@ import (
 const testMaxSteps = 20_000_000
 
 func pctCfg(seed int64) interp.Config {
-	return interp.Config{Sched: sched.NewPCT(seed, 3, 64), MaxSteps: testMaxSteps}
+	return interp.Config{Sched: sched.NewSearchPCT(seed), MaxSteps: testMaxSteps}
 }
 
 func randCfg(seed int64) interp.Config {

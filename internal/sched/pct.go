@@ -50,6 +50,11 @@ func NewPCT(seed int64, d int, maxSteps int64) *PCT {
 	return p
 }
 
+// NewSearchPCT returns the PCT policy the sanitizer search and the conair
+// CLI hunt bugs with: depth 3 (two change points), drawn over the first
+// 64 steps.
+func NewSearchPCT(seed int64) *PCT { return NewPCT(seed, 3, 64) }
+
 // best returns the highest-priority thread of runnable, the first in
 // runnable order on a tie, drawing a priority for each thread seen for
 // the first time, in runnable order.
