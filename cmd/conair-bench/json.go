@@ -88,39 +88,10 @@ func runJSON(w io.Writer, sel selection) bool {
 	steps0 := reg.Counter("interp_steps_total").Value()
 	start := time.Now()
 
-	section := func(name string, fn func() any) {
-		track(name, func() { doc.Sections[name] = fn() })
-	}
-	if sel.want(2) {
-		section("table2", func() any { return experiments.Table2() })
-	}
-	if sel.want(3) {
-		section("table3", func() any { return experiments.Table3(sel.runs, sel.seeds) })
-		section("table3corpus", func() any { return experiments.Table3Corpus(sel.runs) })
-	}
-	if sel.want(4) && sel.figure != 4 {
-		section("table4", func() any { return experiments.Table4() })
-	}
-	if sel.want(5) {
-		section("table5", func() any { return experiments.Table5() })
-	}
-	if sel.want(6) {
-		section("table6", func() any { return experiments.Table6() })
-	}
-	if sel.want(7) {
-		section("table7", func() any { return experiments.Table7() })
-	}
-	if sel.wantFigure(2) {
-		section("figure2", func() any { return experiments.Figure2() })
-	}
-	if sel.wantFigure(4) {
-		section("figure4", func() any { return experiments.Figure4() })
-	}
-	if sel.all || sel.analysisTime {
-		section("analysisTimes", func() any { return experiments.AnalysisTimes() })
-	}
-	if sel.all || sel.ablation {
-		section("ablation", func() any { return experiments.Ablations(min(sel.runs, 10)) })
+	for _, sec := range sections {
+		if sec.rows != nil && sec.want(sel) {
+			track(sec.name, func() { doc.Sections[sec.name] = sec.rows(sel) })
+		}
 	}
 
 	elapsed := time.Since(start).Seconds()

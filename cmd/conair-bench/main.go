@@ -24,6 +24,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"runtime"
@@ -32,8 +33,8 @@ import (
 	"sync/atomic"
 
 	"conair/internal/experiments"
-	"conair/internal/replay"
 	"conair/internal/report"
+	"conair/internal/runner"
 )
 
 // emit renders a table in the selected format.
@@ -118,31 +119,12 @@ func main() {
 	// memory: trading heap headroom for fewer GC cycles is a straight win
 	// (the sweep allocates heavily in hardening and module cloning).
 	debug.SetGCPercent(800)
-	experiments.SetWorkers(*workers)
-	experiments.SetJobTimeout(*jobTimeout)
 	progressOn = *progress
-
-	var recorder *replay.AutoRecorder
-	if *recordDir != "" {
-		recorder = replay.NewAutoRecorder(*recordDir)
-		experiments.SetAutoRecord(recorder)
-		defer func() {
-			// All recordings are written synchronously by the workers; by the
-			// time the sections return (or the drain completes) everything is
-			// flushed — this just reports the forensics haul.
-			logger.Info("schedule recordings written",
-				"count", len(recorder.Written()), "dir", recorder.Dir)
-			if err := recorder.Err(); err != nil {
-				logger.Error("recording error", "err", err)
-			}
-		}()
-	}
 
 	// Graceful SIGINT: the first ^C drains the worker pool — jobs already
 	// running finish (and flush their recordings), queued jobs are skipped,
 	// partial tables still print. A second ^C kills the process normally.
 	stop := &atomic.Bool{}
-	experiments.SetStop(stop)
 	interrupted := make(chan struct{})
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt)
@@ -158,10 +140,25 @@ func main() {
 			logger.Warn("interrupted; results are partial")
 		}
 	}()
+	// Every finished run reaches the telemetry registry and -record's
+	// writer through the engine's one run hook.
+	engine := runner.Engine{Workers: *workers, Stop: stop, JobTimeout: *jobTimeout}
 	if *serveAddr != "" {
 		startTelemetry(*serveAddr)
 		defer finishTelemetry(*serveWait, *flightDir, interrupted, stop)
+		engine.RunHook, engine.FlightLimit = telemetry.Hook(), runner.DefaultFlightLimit
 	}
+	if *recordDir != "" {
+		// A deliberate capture keeps whole schedules: its ring never wraps.
+		engine.RunHook, engine.FlightLimit = recordHook(*recordDir, engine.RunHook), math.MaxInt
+		defer func() {
+			// The workers write synchronously, so by the time the sections
+			// return (or the drain completes) every recording is on disk.
+			written := experiments.Registry().Counter("replay_recordings_written_total").Value()
+			logger.Info("schedule recordings written", "count", written, "dir", *recordDir)
+		}()
+	}
+	experiments.SetEngine(engine)
 	// The header records the effective worker count (the -json config block
 	// captures the same value), so BENCH_*.json snapshots are attributable.
 	logger.Info("start", "workers", *workers,
@@ -193,51 +190,11 @@ func main() {
 	}
 
 	ran := false
-	want := sel.want
-
-	if want(1) {
-		printTable1()
-		ran = true
-	}
-	if want(2) {
-		track("table2", printTable2)
-		ran = true
-	}
-	if want(3) {
-		track("table3", func() { printTable3(*runs, *overheadSeeds) })
-		ran = true
-	}
-	if want(4) && *figure != 4 {
-		track("table4", printTable4)
-		ran = true
-	}
-	if want(5) {
-		track("table5", printTable5)
-		ran = true
-	}
-	if want(6) {
-		track("table6", printTable6)
-		ran = true
-	}
-	if want(7) {
-		track("table7", printTable7)
-		ran = true
-	}
-	if sel.wantFigure(2) {
-		track("figure2", printFigure2)
-		ran = true
-	}
-	if sel.wantFigure(4) {
-		track("figure4", printFigure4)
-		ran = true
-	}
-	if *all || *analysisTime {
-		track("analysis-times", printAnalysisTimes)
-		ran = true
-	}
-	if *all || *ablation {
-		track("ablation", func() { printAblations(min(*runs, 10)) })
-		ran = true
+	for _, sec := range sections {
+		if sec.want(sel) {
+			track(sec.name, func() { sec.print(sel) })
+			ran = true
+		}
 	}
 	if !ran {
 		usageExit()
@@ -264,6 +221,57 @@ func (s selection) anySelected() bool {
 	return s.all || s.table != 0 || s.figure != 0 || s.analysisTime || s.ablation
 }
 
+// section is one regenerable part of the evaluation, shared by both
+// output modes: table mode prints every wanted section in list order, and
+// -json stores the rows of each wanted section under its name, which is
+// also its progress name.
+type section struct {
+	name  string
+	want  func(selection) bool
+	rows  func(selection) any // nil for Table 1, which has no data rows
+	print func(selection)
+}
+
+// rowsOf builds a section from its row producer and its text renderer.
+func rowsOf[T any](name string, want func(selection) bool, rows func(selection) T, render func(selection, T)) section {
+	return section{
+		name:  name,
+		want:  want,
+		rows:  func(s selection) any { return rows(s) },
+		print: func(s selection) { render(s, rows(s)) },
+	}
+}
+
+// fixed adapts a row producer that takes no settings.
+func fixed[T any](rows func() T) func(selection) T {
+	return func(selection) T { return rows() }
+}
+
+func table(t int) func(selection) bool  { return func(s selection) bool { return s.want(t) } }
+func figure(f int) func(selection) bool { return func(s selection) bool { return s.wantFigure(f) } }
+
+// sections lists every section in output order.
+var sections = []section{
+	{name: "table1", want: table(1), print: func(selection) { printTable1() }},
+	rowsOf("table2", table(2), fixed(experiments.Table2), printTable2),
+	rowsOf("table3", table(3), func(s selection) []experiments.Table3Row {
+		return experiments.Table3(s.runs, s.seeds)
+	}, printTable3),
+	rowsOf("table3corpus", table(3), func(s selection) []experiments.CorpusRow {
+		return experiments.Table3Corpus(s.runs)
+	}, printTable3Corpus),
+	rowsOf("table4", func(s selection) bool { return s.want(4) && s.figure != 4 }, fixed(experiments.Table4), printTable4),
+	rowsOf("table5", table(5), fixed(experiments.Table5), printTable5),
+	rowsOf("table6", table(6), fixed(experiments.Table6), printTable6),
+	rowsOf("table7", table(7), fixed(experiments.Table7), printTable7),
+	rowsOf("figure2", figure(2), fixed(experiments.Figure2), printFigure2),
+	rowsOf("figure4", figure(4), fixed(experiments.Figure4), printFigure4),
+	rowsOf("analysisTimes", func(s selection) bool { return s.all || s.analysisTime }, fixed(experiments.AnalysisTimes), printAnalysisTimes),
+	rowsOf("ablation", func(s selection) bool { return s.all || s.ablation }, func(s selection) []experiments.AblationRow {
+		return experiments.Ablations(min(s.runs, 10))
+	}, printAblations),
+}
+
 func usageExit() {
 	fmt.Fprintln(os.Stderr, "nothing selected; use -all, -table N, -figure N or -analysis-time")
 	flag.PrintDefaults()
@@ -286,20 +294,20 @@ func printTable1() {
 	fmt.Println()
 }
 
-func printTable2() {
+func printTable2(_ selection, rows []experiments.Table2Row) {
 	t := report.NewTable("Table 2: Applications and Bugs",
 		"App", "Type", "Paper LOC", "MIR instrs", "Failure", "Cause")
-	for _, r := range experiments.Table2() {
+	for _, r := range rows {
 		t.Row(r.Name, r.AppType, r.PaperLOC, r.MIRInstrs, r.Failure, r.Cause)
 	}
 	emit(t)
 }
 
-func printTable3(runs, overheadSeeds int) {
+func printTable3(s selection, rows []experiments.Table3Row) {
 	t := report.NewTable(
-		fmt.Sprintf("Table 3: Overall bug recovery results (%d forced runs/mode; overhead averaged over %d seeds; * = needs output oracle)", runs, overheadSeeds),
+		fmt.Sprintf("Table 3: Overall bug recovery results (%d forced runs/mode; overhead averaged over %d seeds; * = needs output oracle)", s.runs, s.seeds),
 		"App", "Recovered(fix)", "Recovered(survival)", "Overhead fix", "Overhead survival", "Paper survival", "Sanitizer")
-	for _, r := range experiments.Table3(runs, overheadSeeds) {
+	for _, r := range rows {
 		t.Row(r.Name,
 			report.Check(r.RecoveredFix, r.Conditional),
 			report.Check(r.RecoveredSurvival, r.Conditional),
@@ -309,11 +317,13 @@ func printTable3(runs, overheadSeeds int) {
 			report.VerdictCell(r.Sanitizer))
 	}
 	emit(t)
+}
 
+func printTable3Corpus(s selection, rows []experiments.CorpusRow) {
 	c := report.NewTable(
-		fmt.Sprintf("Table 3 (corpus): labelled real-bug models (%d forced runs/mode; fixed twin = modelled upstream fix)", runs),
+		fmt.Sprintf("Table 3 (corpus): labelled real-bug models (%d forced runs/mode; fixed twin = modelled upstream fix)", s.runs),
 		"Model", "Cause", "Symptom", "Recovered(fix)", "Recovered(survival)", "Fixed twin clean", "Sanitizer")
-	for _, r := range experiments.Table3Corpus(runs) {
+	for _, r := range rows {
 		c.Row(r.Name, r.RootCause, r.Symptom,
 			report.Check(r.RecoveredFix, false),
 			report.Check(r.RecoveredSurvival, false),
@@ -323,10 +333,10 @@ func printTable3(runs, overheadSeeds int) {
 	emit(c)
 }
 
-func printTable4() {
+func printTable4(_ selection, rows []experiments.Table4Row) {
 	t := report.NewTable("Table 4: Static failure sites hardened by ConAir (measured | paper)",
 		"App", "Assert", "WrongOutput", "SegFault", "Deadlock", "Total")
-	for _, r := range experiments.Table4() {
+	for _, r := range rows {
 		p := r.Paper
 		t.Row(r.Name,
 			fmt.Sprintf("%d | %d", r.Assert, p.Assert),
@@ -338,17 +348,17 @@ func printTable4() {
 	emit(t)
 }
 
-func printTable5() {
+func printTable5(_ selection, rows []experiments.Table5Row) {
 	t := report.NewTable("Table 5: Reexecution points (survival static/dynamic, fix static/dynamic; paper survival for reference)",
 		"App", "Surv static", "Surv dynamic", "Fix static", "Fix dynamic", "Paper static", "Paper dynamic")
-	for _, r := range experiments.Table5() {
+	for _, r := range rows {
 		t.Row(r.Name, r.SurvivalStatic, r.SurvivalDynamic, r.FixStatic, r.FixDynamic,
 			r.PaperStatic, r.PaperDynamic)
 	}
 	emit(t)
 }
 
-func printTable6() {
+func printTable6(_ selection, rows []experiments.Table6Row) {
 	t := report.NewTable("Table 6: Reexecution points removed by the optimization (§4.2)",
 		"App", "Non-deadlock static", "Non-deadlock dynamic", "Deadlock static", "Deadlock dynamic")
 	pct := func(v float64) string {
@@ -357,18 +367,18 @@ func printTable6() {
 		}
 		return fmt.Sprintf("%.1f%%", v)
 	}
-	for _, r := range experiments.Table6() {
+	for _, r := range rows {
 		t.Row(r.Name, pct(r.NonDeadlockStaticPct), pct(r.NonDeadlockDynamicPct),
 			pct(r.DeadlockStaticPct), pct(r.DeadlockDynamicPct))
 	}
 	emit(t)
 }
 
-func printTable7() {
+func printTable7(_ selection, rows []experiments.Table7Row) {
 	t := report.NewTable("Table 7: Failure recovery vs whole-program restart (interpreter steps)",
 		"App", "Recovery steps", "Retries", "Restart steps", "Speedup",
 		"Paper recovery(us)", "Paper retries", "Paper restart(us)")
-	for _, r := range experiments.Table7() {
+	for _, r := range rows {
 		t.Row(r.Name, r.RecoverySteps, r.Retries, r.RestartSteps,
 			fmt.Sprintf("%.0fx", r.Speedup),
 			r.PaperRecoveryMicros, r.PaperRetries, r.PaperRestartMicros)
@@ -376,38 +386,38 @@ func printTable7() {
 	emit(t)
 }
 
-func printFigure2() {
+func printFigure2(_ selection, rows []experiments.Figure2Row) {
 	t := report.NewTable("Figure 2: Atomicity-violation patterns and single-threaded idempotent recovery",
 		"Pattern", "Fails unprotected", "ConAir recovers", "Paper taxonomy", "Full-checkpoint recovers")
-	for _, r := range experiments.Figure2() {
+	for _, r := range rows {
 		t.Row(r.Pattern, r.FailsUnprotected, r.ConAirRecovered,
 			r.PaperSaysRecoverable, r.CheckpointRecovered)
 	}
 	emit(t)
 }
 
-func printFigure4() {
+func printFigure4(_ selection, rows []experiments.Figure4Row) {
 	t := report.NewTable("Figure 4: Reexecution-region design-space trade-off (ZSNES)",
 		"Design", "Overhead", "Recovery steps", "Recovered")
-	for _, r := range experiments.Figure4() {
+	for _, r := range rows {
 		t.Row(r.Design, fmt.Sprintf("%.3f%%", r.OverheadPct), r.RecoverySteps, r.Recovered)
 	}
 	emit(t)
 }
 
-func printAblations(runs int) {
+func printAblations(_ selection, rows []experiments.AblationRow) {
 	t := report.NewTable("Design-choice ablation (forced-failure recovery; overhead on clean runs)",
 		"Configuration", "App", "Recovered", "Static points", "Overhead")
-	for _, r := range experiments.Ablations(runs) {
+	for _, r := range rows {
 		t.Row(r.Config, r.App, r.Recovered, r.StaticPoints, fmt.Sprintf("%.3f%%", r.OverheadPct))
 	}
 	emit(t)
 }
 
-func printAnalysisTimes() {
+func printAnalysisTimes(_ selection, rows []experiments.AnalysisTimeRow) {
 	t := report.NewTable("Static analysis time (§6.4)",
 		"App", "Intra-only", "Full (with interproc)", "Transform")
-	for _, r := range experiments.AnalysisTimes() {
+	for _, r := range rows {
 		t.Row(r.Name, r.Intra.String(), r.Full.String(), r.Transform.String())
 	}
 	emit(t)

@@ -7,7 +7,6 @@ import (
 
 	"conair/internal/experiments"
 	"conair/internal/obs/serve"
-	"conair/internal/runner"
 )
 
 // logger is the structured stderr logger all bench status output goes
@@ -29,13 +28,10 @@ var logger = slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{
 // flight recordings.
 var telemetry *serve.Server
 
-// startTelemetry brings up the live server on addr, arms the always-on
-// flight recorder, and routes every engine job into the server's run
-// registry.
+// startTelemetry brings up the live server on addr. main routes every
+// engine job into the server's run registry through telemetry.Hook.
 func startTelemetry(addr string) {
 	telemetry = serve.New(experiments.Registry())
-	experiments.SetRunHook(telemetry.Hook())
-	experiments.SetFlightLimit(runner.DefaultFlightLimit)
 	bound, err := telemetry.Start(addr)
 	if err != nil {
 		logger.Error("telemetry server failed to start", "addr", addr, "err", err)
@@ -48,25 +44,19 @@ func startTelemetry(addr string) {
 // finishTelemetry is the -serve exit path: with -serve-wait it keeps the
 // server up after the sections complete until SIGINT (so CI and humans
 // can scrape a finished sweep), and on interrupt it flushes the retained
-// flight recordings of failing runs to flightDir.
+// flight recordings of failing runs that -record has not written already
+// to flightDir.
 func finishTelemetry(wait bool, flightDir string, interrupted <-chan struct{}, stop *atomic.Bool) {
-	if telemetry == nil {
-		return
-	}
 	if wait && !stop.Load() {
 		logger.Info("serve-wait: sections done, telemetry still serving; ^C to exit")
 		<-interrupted
 	}
 	if stop.Load() && flightDir != "" {
-		if err := os.MkdirAll(flightDir, 0o755); err != nil {
+		paths, err := telemetry.FlushFlight(flightDir)
+		if err != nil {
 			logger.Error("flight flush", "err", err)
-		} else {
-			paths, err := telemetry.FlushFlight(flightDir)
-			if err != nil {
-				logger.Error("flight flush", "err", err)
-			}
-			logger.Info("flight recordings flushed", "count", len(paths), "dir", flightDir)
 		}
+		logger.Info("flight recordings flushed", "count", len(paths), "dir", flightDir)
 	}
 	telemetry.Close()
 }

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"reflect"
 	"testing"
 
 	"conair/internal/mir"
@@ -536,20 +537,68 @@ entry:
 	}
 }
 
-func TestOrphanPoints(t *testing.T) {
-	shared := mir.Pos{Fn: 0, Block: 0, Index: 0}
-	only := mir.Pos{Fn: 0, Block: 1, Index: 2}
-	regions := []Region{
-		{Points: []mir.Pos{shared, only}},
-		{Points: []mir.Pos{shared}},
+// TestCheckpointsAfterPruning pins which reexecution points Analyze
+// plants once §4.2 has pruned sites: a point serving only a site pruned
+// for having no shared read on its slice is dropped, a point shared with
+// a kept site stays, and a point serving only an oracle-less wrong-output
+// site stays too, so survival mode still pays the paper's worst-case
+// overhead there.
+func TestCheckpointsAfterPruning(t *testing.T) {
+	m := mir.MustParse(`
+global g = 0
+func pruned() {
+entry:
+  %t = loads $t
+  assert %t, "local only"
+  ret
+}
+func shared() {
+entry:
+  %a = loadg @g
+  %t = loads $t
+  assert %t, "local only"
+  assert %a, "shared"
+  ret
+}
+func plain() {
+entry:
+  %a = loadg @g
+  output "a", %a
+  ret
+}
+func main() {
+entry:
+  ret
+}`)
+	res, err := Analyze(m, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
 	}
-	verdicts := []PruneVerdict{PruneNoSharedRead, KeepSite}
-	orphans := OrphanPoints(regions, verdicts)
-	if !orphans[only] {
-		t.Error("point serving only the pruned site should be orphaned")
+	verdicts := map[string][]PruneVerdict{}
+	for _, sa := range res.Sites {
+		fn := m.Functions[sa.Site.Pos.Fn].Name
+		verdicts[fn] = append(verdicts[fn], sa.Verdict)
 	}
-	if orphans[shared] {
-		t.Error("point shared with a kept site must survive")
+	want := map[string][]PruneVerdict{
+		"pruned": {PruneNoSharedRead},
+		"shared": {PruneNoSharedRead, KeepSite},
+		"plain":  {PruneNoRecovery},
+	}
+	if !reflect.DeepEqual(verdicts, want) {
+		t.Fatalf("verdicts = %v, want %v", verdicts, want)
+	}
+	entry := func(fn string) mir.Pos { return mir.Pos{Fn: m.FuncIndex(fn)} }
+	if res.CheckpointAt(entry("pruned")) != nil {
+		t.Error("a point serving only a pruned site was planted")
+	}
+	if cp := res.CheckpointAt(entry("shared")); cp == nil || len(cp.SiteIDs) != 1 {
+		t.Errorf("point shared with a kept site = %+v, want planted for the kept site only", cp)
+	}
+	if res.CheckpointAt(entry("plain")) == nil {
+		t.Error("a point serving only an oracle-less wrong-output site was dropped")
+	}
+	if len(res.Checkpoints) != 2 {
+		t.Errorf("planted %d checkpoints, want 2", len(res.Checkpoints))
 	}
 }
 

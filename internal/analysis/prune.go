@@ -80,28 +80,3 @@ func PruneSite(site Site, region *Region, slice *Slice) PruneVerdict {
 	}
 	return KeepSite
 }
-
-// OrphanPoints returns the reexecution points that serve no surviving
-// failure site, given the per-site point lists and verdicts; the
-// transformation skips those checkpoints (§4.2's final step). Points are
-// compared positionally: a point shared between a pruned and a kept site
-// is retained.
-func OrphanPoints(regions []Region, verdicts []PruneVerdict) map[mir.Pos]bool {
-	kept := map[mir.Pos]bool{}
-	all := map[mir.Pos]bool{}
-	for i := range regions {
-		for _, p := range regions[i].Points {
-			all[p] = true
-			if !verdicts[i].Pruned() {
-				kept[p] = true
-			}
-		}
-	}
-	orphans := map[mir.Pos]bool{}
-	for p := range all {
-		if !kept[p] {
-			orphans[p] = true
-		}
-	}
-	return orphans
-}

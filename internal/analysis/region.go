@@ -30,15 +30,6 @@ type Region struct {
 	OnlyEntryPoint bool
 }
 
-// memberSet returns Members as a set for O(1) lookups.
-func (r *Region) memberSet() map[mir.Pos]bool {
-	s := make(map[mir.Pos]bool, len(r.Members))
-	for _, p := range r.Members {
-		s[p] = true
-	}
-	return s
-}
-
 // IdentifyRegion performs the backward depth-first search from the failure
 // site at sitePos, stopping each path at the first idempotency-destroying
 // instruction (under the given region policy) or at function entry:

@@ -2,14 +2,11 @@ package experiments
 
 import (
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"conair/internal/bugs"
 	"conair/internal/core"
 	"conair/internal/interp"
 	"conair/internal/mir"
-	"conair/internal/replay"
 	"conair/internal/runner"
 )
 
@@ -26,45 +23,13 @@ func SetWorkers(n int) int {
 	return prev
 }
 
-// SetAutoRecord attaches (or, with nil, detaches) an auto-recorder: every
-// failing run the experiment engine executes is then written to disk as a
-// replayable schedule artifact. Returns the previous recorder. Not safe
-// to call while sweeps are in flight.
-func SetAutoRecord(a *replay.AutoRecorder) *replay.AutoRecorder {
-	prev := eng.Recorder
-	eng.Recorder = a
-	return prev
-}
-
-// SetStop installs the engine's graceful-drain flag: once the flag reads
-// true, running jobs finish and queued jobs are skipped. conair-bench's
-// SIGINT handler sets it.
-func SetStop(f *atomic.Bool) { eng.Stop = f }
-
-// SetJobTimeout arms a per-run wall-clock watchdog on every engine job;
-// 0 disables. Returns the previous setting.
-func SetJobTimeout(d time.Duration) time.Duration {
-	prev := eng.JobTimeout
-	eng.JobTimeout = d
-	return prev
-}
-
-// SetRunHook installs (or, with nil, removes) an observer called after
-// every engine job — the feed for the live telemetry server's run
-// registry. The hook must be safe for concurrent workers. Not safe to
-// call while sweeps are in flight.
-func SetRunHook(h runner.RunHook) { eng.RunHook = h }
-
-// SetFlightLimit arms the always-on flight recorder on every engine job
-// with the given ring capacity (runner.DefaultFlightLimit when n < 0, off
-// when 0). Ignored for jobs while an auto-recorder is attached, which
-// captures full schedules instead. Not safe to call while sweeps are in
-// flight.
-func SetFlightLimit(n int) {
-	if n < 0 {
-		n = runner.DefaultFlightLimit
-	}
-	eng.FlightLimit = n
+// SetEngine replaces the engine every experiment sweep fans out on —
+// its pool size, graceful-drain flag, watchdog, run hook and flight ring —
+// keeping the experiment metrics registry. conair-bench configures its
+// sweep this way. Not safe to call while sweeps are in flight.
+func SetEngine(e runner.Engine) {
+	e.Reg = reg
+	eng = e
 }
 
 // preparedBug caches every program variant and default hardening of one

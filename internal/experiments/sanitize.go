@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"conair/internal/bugs"
 	"conair/internal/core"
@@ -23,9 +22,9 @@ import (
 
 // SanitizeRun executes mod once under cfg with a fresh sanitizer attached,
 // recording the sanitizer's counters in the experiment metrics registry.
-// The run goes through the engine's hardened job path, so when
-// auto-recording is on (conair-bench -record) every failing sanitize-search
-// run lands on disk as a replayable schedule artifact.
+// The run goes through the engine's hardened job path, so when a run hook
+// writes recordings (conair-bench -record) every failing sanitize run
+// lands on disk as a replayable schedule artifact.
 func SanitizeRun(mod *mir.Module, cfg interp.Config) (*sanitizer.Sanitizer, *interp.Result) {
 	san := sanitizer.New(mod)
 	cfg.Sanitizer = san
@@ -63,7 +62,9 @@ var sanPool = sync.Pool{New: func() any { return sanitizer.New(nil) }}
 // simply lowers the watermark. The winning seed's run is therefore always
 // a complete deterministic run, and its reports are identical to what the
 // sequential walk returns. With a single worker the engine degenerates to
-// exactly that sequential walk.
+// exactly that sequential walk. A cancelled seed is not a failure: the
+// engine reports it to no run hook, so it is neither counted in /runs nor
+// written by -record.
 func SanitizeSearch(mod *mir.Module, budget, maxSteps int64) (int64, []sanitizer.Report) {
 	n := int(budget)
 	if n <= 0 {
@@ -86,16 +87,7 @@ func SanitizeSearch(mod *mir.Module, budget, maxSteps int64) (int64, []sanitizer
 		cfg := pctCfg(int64(i), maxSteps)
 		cfg.Sanitizer = san
 		cfg.Interrupt = &cancels[i]
-		// Supplying Interrupt suppresses the engine's own watchdog, so arm
-		// an equivalent one on the shared flag.
-		var watchdog *time.Timer
-		if d := eng.JobTimeout; d > 0 {
-			watchdog = time.AfterFunc(d, func() { cancels[i].Store(true) })
-		}
 		eng.RunJob(mod, cfg, replay.Meta{Label: mod.Name + "-sanitize", Seed: int64(i)})
-		if watchdog != nil {
-			watchdog.Stop()
-		}
 		san.RecordMetrics(reg)
 		if rs := san.Reports(); len(rs) > 0 {
 			// Copy out: san goes back to the pool and the next Reset

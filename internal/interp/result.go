@@ -86,6 +86,13 @@ type Result struct {
 	Stats  Stats
 }
 
+// Interrupted reports whether the run was stopped by Config.Interrupt
+// rather than ending on its own. Where it stopped depends on when the flag
+// was set, so such a run cannot be reproduced from its schedule.
+func (r *Result) Interrupted() bool {
+	return r.Failure != nil && r.Failure.Kind == mir.FailHang && r.Failure.Msg == hangWatchdog
+}
+
 // RecoveredEpisodes returns only the episodes that completed successfully.
 func (r *Result) RecoveredEpisodes() []Episode {
 	var out []Episode

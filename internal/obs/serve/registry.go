@@ -7,7 +7,6 @@
 package serve
 
 import (
-	"fmt"
 	"sync"
 
 	"conair/internal/replay"
@@ -46,7 +45,6 @@ type RunRecord struct {
 	RecordingPath      string `json:"recordingPath,omitempty"`
 
 	recording *replay.Recording // retained server-side for /recording and /trace
-	flushed   bool              // already written to disk by FlushFlight
 }
 
 // RunRegistry is a bounded, concurrency-safe log of completed runs. IDs
@@ -131,7 +129,7 @@ func (rr *RunRegistry) Get(id int64) (RunRecord, bool) {
 	return RunRecord{}, false
 }
 
-// Recording returns the retained flight (or auto-) recording for a run.
+// Recording returns the retained flight recording for a run.
 func (rr *RunRegistry) Recording(id int64) (*replay.Recording, bool) {
 	rr.mu.Lock()
 	defer rr.mu.Unlock()
@@ -156,14 +154,15 @@ func (rr *RunRegistry) find(id int64) *RunRecord {
 }
 
 // FlushFlight writes every retained failing run's complete recording that
-// has not already been flushed to dir as a .cnr artifact, returning the
-// written paths. This is the SIGINT path: whatever failures the flight
-// recorder caught survive the process.
+// is not on disk yet (no RecordingPath, whether from an earlier flush or
+// from a hook ahead of the registry) into dir through replay.WriteFailure,
+// numbered by run ID, and returns the written paths. This is the SIGINT
+// path: whatever failures the flight recorder caught survive the process.
 func (rr *RunRegistry) FlushFlight(dir string) ([]string, error) {
 	rr.mu.Lock()
 	var pending []*RunRecord
 	for _, r := range rr.runs {
-		if r.recording != nil && !r.Completed && !r.flushed && r.RecordingPath == "" {
+		if r.recording != nil && !r.Completed && r.RecordingPath == "" {
 			pending = append(pending, r)
 		}
 	}
@@ -171,34 +170,14 @@ func (rr *RunRegistry) FlushFlight(dir string) ([]string, error) {
 
 	var paths []string
 	for _, r := range pending {
-		path := fmt.Sprintf("%s/flight-%06d-%s-seed%d.cnr", dir, r.ID, sanitizeName(r.Label), r.Seed)
-		if err := replay.WriteFile(path, r.recording); err != nil {
+		path, err := replay.WriteFailure(dir, r.ID, r.recording)
+		if err != nil {
 			return paths, err
 		}
 		rr.mu.Lock()
-		r.flushed = true
 		r.RecordingPath = path
 		rr.mu.Unlock()
 		paths = append(paths, path)
 	}
 	return paths, nil
-}
-
-// sanitizeName strips path-hostile characters from a label used in a
-// flushed artifact filename.
-func sanitizeName(s string) string {
-	if s == "" {
-		return "run"
-	}
-	out := make([]byte, 0, len(s))
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9', c == '-', c == '_', c == '.':
-			out = append(out, c)
-		default:
-			out = append(out, '_')
-		}
-	}
-	return string(out)
 }

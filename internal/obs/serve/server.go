@@ -210,7 +210,7 @@ func (s *Server) handleRecording(w http.ResponseWriter, r *http.Request) {
 	}
 	recording, _ := s.Runs.Recording(id)
 	if recording == nil {
-		msg := "run has no recording (engine ran without a flight recorder)"
+		msg := "run has no recording (engine ran without a flight recorder, or its watchdog stopped the run)"
 		if rec.RecordingTruncated {
 			msg = "flight ring wrapped: only the schedule tail survives, which cannot replay"
 		}
@@ -219,7 +219,7 @@ func (s *Server) handleRecording(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Disposition",
-		fmt.Sprintf(`attachment; filename="flight-%06d-%s-seed%d.cnr"`, rec.ID, sanitizeName(rec.Label), rec.Seed))
+		fmt.Sprintf(`attachment; filename=%q`, replay.FileName(rec.ID, recording)))
 	_, _ = w.Write(replay.Encode(recording))
 }
 

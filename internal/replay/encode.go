@@ -19,6 +19,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
+	"path/filepath"
+	"strings"
 
 	"conair/internal/mir"
 	"conair/internal/sched"
@@ -276,6 +278,47 @@ func Decode(data []byte) (*Recording, error) {
 // write is a single syscall for typical sizes).
 func WriteFile(path string, r *Recording) error {
 	return os.WriteFile(path, Encode(r), 0o644)
+}
+
+// WriteFailure writes rec, the recording of a failing run, into dir
+// (created if missing) under FileName(id, rec), and counts it in
+// replay_recordings_written_total. It is the one writer of such
+// artifacts: conair-bench -record and the telemetry server's flight flush
+// both go through it.
+func WriteFailure(dir string, id int64, rec *Recording) (string, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return "", err
+	}
+	path := filepath.Join(dir, FileName(id, rec))
+	if err := WriteFile(path, rec); err != nil {
+		return "", err
+	}
+	if reg := metricsRegistry.Load(); reg != nil {
+		reg.Counter("replay_recordings_written_total").Inc()
+	}
+	return path, nil
+}
+
+// FileName names the artifact of the id-th failing run: its number, its
+// label (the module name when unlabelled) reduced to file-name-safe
+// characters, its seed and its failure kind, as in
+// "000004-LGResults-sanitize-seed0-hang.cnr".
+func FileName(id int64, rec *Recording) string {
+	label := rec.Label
+	if label == "" {
+		label = rec.ModuleName
+	}
+	if label == "" {
+		label = "run"
+	}
+	label = strings.Map(func(r rune) rune {
+		switch {
+		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '_', r == '.':
+			return r
+		}
+		return '_'
+	}, label)
+	return fmt.Sprintf("%06d-%s-seed%d-%s.cnr", id, label, rec.Seed, rec.Fingerprint.FailKind)
 }
 
 // ReadFile loads and decodes a recording artifact.

@@ -13,15 +13,19 @@
 // The engine is also the process's robustness boundary: a panicking job
 // becomes a failed result (mir.FailPanic) with its stack captured instead
 // of killing the pool, per-job wall-clock watchdogs abort wedged runs via
-// the interpreter's cooperative Interrupt flag, a Stop flag drains the
-// pool gracefully (running jobs finish, queued jobs are skipped), and an
-// attached replay.AutoRecorder turns every failing run into a replayable
-// schedule artifact.
+// the interpreter's cooperative Interrupt flag, and a Stop flag drains the
+// pool gracefully (running jobs finish, queued jobs are skipped).
+//
+// RunHook is the one route from a finished run to its report and its
+// file: the live run registry (internal/obs/serve) and conair-bench
+// -record both install themselves there. A run its caller cancelled
+// through Config.Interrupt is not a failure and never reaches the hook; a
+// run the engine's own watchdog stopped does, as a hang without a
+// recording.
 package runner
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -53,28 +57,24 @@ type Engine struct {
 	Stop *atomic.Bool
 	// JobTimeout, when positive, arms a per-run wall-clock watchdog on
 	// every interpreter job the engine executes (AllComplete, RunJob): the
-	// run is interrupted cooperatively via interp.Config.Interrupt and
-	// comes back as a hang failure instead of wedging a worker forever.
+	// run is interrupted cooperatively via interp.Config.Interrupt — the
+	// caller's flag when it supplied one — and comes back as a hang
+	// failure instead of wedging a worker forever.
 	JobTimeout time.Duration
-	// Recorder, when non-nil, captures the schedule of every interpreter
-	// job the engine executes and writes failing runs to disk as
-	// replayable artifacts (see replay.AutoRecorder).
-	Recorder *replay.AutoRecorder
 	// RunHook, when non-nil, is called after every interpreter job the
 	// engine executes (AllComplete, RunJob) with the run's provenance,
-	// result, latency, and — when FlightLimit or Recorder is set — its
-	// schedule recording. It is the telemetry feed: the live run registry
-	// (internal/obs/serve) installs itself here. The hook runs on worker
-	// goroutines and must be safe for concurrent use; it observes results,
-	// never alters them.
+	// result, latency, and — when FlightLimit is set — its schedule
+	// recording. It is not called for a run its caller cancelled through
+	// Config.Interrupt. The hook runs on worker goroutines and must be
+	// safe for concurrent use; it observes results, never alters them.
 	RunHook RunHook
-	// FlightLimit, when positive, arms an always-on bounded flight
-	// recorder on every job (a sched.FlightRecorder ring of at most
-	// FlightLimit segments): any failing run yields a complete replayable
-	// recording in its RunInfo without -record having been asked for,
-	// while long healthy runs wrap the ring and cost only its memory.
-	// Ignored when Recorder is set, whose ring never wraps. Use
-	// replay/sched defaults via DefaultFlightLimit.
+	// FlightLimit, when positive, arms a bounded flight recorder on every
+	// job (a sched.FlightRecorder ring of at most FlightLimit segments):
+	// any failing run yields a complete replayable recording in its
+	// RunInfo without -record having been asked for, while long healthy
+	// runs wrap the ring and cost only its memory. math.MaxInt is the
+	// ring that never wraps. Use DefaultFlightLimit unless there is a
+	// reason not to.
 	FlightLimit int
 }
 
@@ -95,16 +95,16 @@ type RunInfo struct {
 	// Result is the run's outcome (never nil; a panicked job arrives as a
 	// mir.FailPanic result).
 	Result *interp.Result
-	// Recording is the job's schedule recording: a capture in a ring that
-	// never wraps when the engine has a Recorder, in a FlightLimit ring
-	// when FlightLimit is set, nil otherwise — and nil when the flight
-	// ring wrapped (see RecordingTruncated).
+	// Recording is the job's schedule recording when FlightLimit is set;
+	// nil otherwise, nil when the flight ring wrapped (see
+	// RecordingTruncated), and nil when the engine's watchdog stopped the
+	// run, whose stop step depends on wall-clock time.
 	Recording *replay.Recording
 	// RecordingTruncated reports that a flight recording existed but
 	// wrapped its ring, so no complete replayable stream survives.
 	RecordingTruncated bool
-	// RecordingPath is the on-disk artifact path when an AutoRecorder
-	// wrote one ("" otherwise).
+	// RecordingPath is where a hook earlier in a chain wrote Recording
+	// ("" otherwise). The engine never sets it.
 	RecordingPath string
 }
 
@@ -278,29 +278,35 @@ func (e Engine) each(n int, fn func(i int) bool) bool {
 
 // RunJob executes one interpreter run with the engine's hardening
 // attached: the wall-clock watchdog (JobTimeout), schedule capture
-// (Recorder or FlightLimit) and panic containment. A panic inside the
-// interpreter comes back as a failed result of kind mir.FailPanic whose
-// message carries the panic value and stack — the pool and the remaining
-// jobs are unaffected.
+// (FlightLimit) and panic containment. A panic inside the interpreter
+// comes back as a failed result of kind mir.FailPanic whose message
+// carries the panic value and stack — the pool and the remaining jobs are
+// unaffected. A run stopped by the caller's Interrupt flag, not by the
+// watchdog, is returned to the caller but not reported to RunHook.
 func (e Engine) RunJob(mod *mir.Module, cfg interp.Config, meta replay.Meta) (res *interp.Result) {
 	start := time.Now()
 	schedName := "random"
 	if cfg.Sched != nil {
 		schedName = cfg.Sched.Name()
 	}
-	if e.JobTimeout > 0 && cfg.Interrupt == nil {
-		var flag atomic.Bool
-		cfg.Interrupt = &flag
-		t := time.AfterFunc(e.JobTimeout, func() { flag.Store(true) })
+	// timedOut tells the watchdog's stop from the caller's: only the
+	// watchdog sets it, before it raises the shared flag.
+	var timedOut *atomic.Bool
+	if e.JobTimeout > 0 {
+		if cfg.Interrupt == nil {
+			cfg.Interrupt = new(atomic.Bool)
+		}
+		flag := cfg.Interrupt
+		timedOut = new(atomic.Bool)
+		t := time.AfterFunc(e.JobTimeout, func() {
+			timedOut.Store(true)
+			flag.Store(true)
+		})
 		defer t.Stop()
 	}
-	limit := e.FlightLimit
-	if e.Recorder != nil {
-		limit = math.MaxInt // a deliberate capture keeps the whole stream
-	}
 	var flight *replay.FlightCapture
-	if limit > 0 {
-		cfg, flight = replay.CaptureFlight(mod, cfg, meta, limit)
+	if e.FlightLimit > 0 {
+		cfg, flight = replay.CaptureFlight(mod, cfg, meta, e.FlightLimit)
 	}
 	defer func() {
 		if p := recover(); p != nil {
@@ -309,13 +315,13 @@ func (e Engine) RunJob(mod *mir.Module, cfg interp.Config, meta replay.Meta) (re
 				Msg:  fmt.Sprintf("panic: %v\n%s", p, debug.Stack()),
 			}}
 		}
-		if res == nil {
-			return
+		stopped := res.Interrupted()
+		if stopped && (timedOut == nil || !timedOut.Load()) {
+			return // cancelled by the caller: not a failure
 		}
 		var rec *replay.Recording
 		truncated := false
-		path := ""
-		if flight != nil {
+		if flight != nil && !stopped {
 			func() {
 				// Building the artifact prints and hashes the module; a module
 				// malformed enough to panic the interpreter can panic the
@@ -323,16 +329,13 @@ func (e Engine) RunJob(mod *mir.Module, cfg interp.Config, meta replay.Meta) (re
 				// even when no artifact can be built from it.
 				defer func() {
 					if recover() != nil {
-						rec, truncated, path = nil, false, ""
+						rec, truncated = nil, false
 					}
 				}()
 				// Even a panicked run's partial schedule is worth keeping: it
 				// is the prefix that drove the interpreter into the panic.
 				rec = flight.Finish(res)
 				truncated = rec == nil
-				if e.Recorder != nil {
-					path = e.Recorder.Save(rec, res)
-				}
 			}()
 		}
 		if e.RunHook != nil {
@@ -344,7 +347,6 @@ func (e Engine) RunJob(mod *mir.Module, cfg interp.Config, meta replay.Meta) (re
 				Result:             res,
 				Recording:          rec,
 				RecordingTruncated: truncated,
-				RecordingPath:      path,
 			})
 		}
 	}()

@@ -191,24 +191,63 @@ func TestMapRepanicsFromCaller(t *testing.T) {
 	t.Fatal("Map returned normally despite a panicking job")
 }
 
-// TestJobTimeoutWatchdog: a wedged run (unbounded self-loop) under a
-// JobTimeout engine is interrupted cooperatively and reported as a hang
-// failure instead of occupying a worker forever.
-func TestJobTimeoutWatchdog(t *testing.T) {
-	loop := mir.MustParse(`
+// spinModule never ends on its own.
+func spinModule() *mir.Module {
+	return mir.MustParse(`
 module spin
 func main() {
 entry:
   jmp entry
 }
 `)
-	e := Engine{JobTimeout: 30 * time.Millisecond}
-	res := e.RunJob(loop, interp.Config{Sched: sched.NewRandom(1)}, replay.Meta{})
-	if res.Failure == nil || res.Failure.Kind != mir.FailHang {
-		t.Fatalf("result = %+v, want FailHang from the watchdog", res)
+}
+
+// TestJobTimeoutWatchdog: a wedged run (unbounded self-loop) under a
+// JobTimeout engine is interrupted cooperatively and reported as a hang
+// failure instead of occupying a worker forever — also when the caller
+// supplied its own Interrupt flag. The hook sees the hang, but without a
+// recording: where the watchdog stopped the run depends on wall-clock
+// time, so its schedule could not replay.
+func TestJobTimeoutWatchdog(t *testing.T) {
+	for _, callerFlag := range []bool{false, true} {
+		hook, infos := collectHook()
+		e := Engine{JobTimeout: 30 * time.Millisecond, FlightLimit: DefaultFlightLimit, RunHook: hook}
+		cfg := interp.Config{Sched: sched.NewRandom(1)}
+		if callerFlag {
+			cfg.Interrupt = new(atomic.Bool)
+		}
+		res := e.RunJob(spinModule(), cfg, replay.Meta{Label: "spin"})
+		if res.Failure == nil || res.Failure.Kind != mir.FailHang {
+			t.Fatalf("caller flag %v: result = %+v, want FailHang from the watchdog", callerFlag, res)
+		}
+		if !res.Interrupted() {
+			t.Errorf("caller flag %v: failure message %q is not the interrupt stop", callerFlag, res.Failure.Msg)
+		}
+		got := infos()
+		if len(got) != 1 || got[0].Result != res {
+			t.Fatalf("caller flag %v: hook observed %d runs, want the one watchdog hang", callerFlag, len(got))
+		}
+		if got[0].Recording != nil || got[0].RecordingTruncated {
+			t.Errorf("caller flag %v: watchdog hang reached the hook with a recording (truncated %v)",
+				callerFlag, got[0].RecordingTruncated)
+		}
 	}
-	if !strings.Contains(res.Failure.Msg, "interrupted") {
-		t.Errorf("failure message %q does not mention the interrupt", res.Failure.Msg)
+}
+
+// TestCallerCancelledRunNotReported: a run its caller cancelled through
+// Config.Interrupt comes back to the caller as the interrupt hang, but it
+// is not a failure, so the hook never sees it.
+func TestCallerCancelledRunNotReported(t *testing.T) {
+	called := false
+	e := Engine{FlightLimit: DefaultFlightLimit, RunHook: func(RunInfo) { called = true }}
+	var cancel atomic.Bool
+	cancel.Store(true)
+	res := e.RunJob(spinModule(), interp.Config{Sched: sched.NewRandom(1), Interrupt: &cancel}, replay.Meta{Label: "spin"})
+	if res.Failure == nil || res.Failure.Kind != mir.FailHang || !res.Interrupted() {
+		t.Fatalf("result = %+v, want the interrupt hang", res)
+	}
+	if called {
+		t.Error("the run hook saw a run its caller cancelled")
 	}
 }
 
