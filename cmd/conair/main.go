@@ -265,7 +265,7 @@ func runSanitize(m *mir.Module, budget, maxSteps int64, quiet bool) bool {
 			MaxSteps:  maxSteps,
 			Sanitizer: san,
 		}
-		runLive(m, cfg, m.Name+"-sanitize", "pct", seed)
+		runLive(m, cfg, m.Name+"-sanitize", seed)
 		for _, rep := range san.Reports() {
 			s := rep.String()
 			if !seen[s] {

@@ -149,14 +149,19 @@ func writeTrace(m *mir.Module, rec *replay.Recording, out string) error {
 	return writeEvents(tr.Events(), out, "")
 }
 
-// runReplay reproduces an artifact and verifies bit-identity.
+// runReplay reproduces an artifact and verifies bit-identity, in one
+// replay that also feeds the Chrome trace when traceOut is set.
 func runReplay(path, modFile, traceOut string, quiet bool) error {
 	rec, m, err := loadArtifact(path, modFile)
 	if err != nil {
 		return err
 	}
+	var opt replay.RunOptions
+	if traceOut != "" {
+		opt.Sink = obs.NewTracer(obs.DefaultTracerCap)
+	}
 	start := time.Now()
-	r, sr := replay.Run(m, rec, replay.RunOptions{})
+	r, sr := replay.Run(m, rec, opt)
 	registerRun(runner.RunInfo{
 		Label: rec.ModuleName, Seed: rec.Seed, Sched: rec.SchedName,
 		Elapsed: time.Since(start), Result: r, Recording: rec,
@@ -171,21 +176,15 @@ func runReplay(path, modFile, traceOut string, quiet bool) error {
 		fmt.Printf("outcome: %s\n", replay.FingerprintOf(r).FailureKey())
 	}
 	if traceOut != "" {
-		if err := writeTrace(m, rec, traceOut); err != nil {
+		if err := writeEvents(opt.Sink.Events(), traceOut, ""); err != nil {
 			return err
 		}
 		if !quiet {
 			fmt.Printf("trace -> %s\n", traceOut)
 		}
 	}
-	// A minimized artifact's stream is edited and leans on the replay
-	// scheduler's deterministic fallbacks, so divergences are expected
-	// there; raw recordings must replay divergence-free.
-	if d := sr.Diverged(); d > 0 && !rec.Minimized {
-		return fmt.Errorf("replay diverged on %d decisions", d)
-	}
-	if got := replay.FingerprintOf(r); got != rec.Fingerprint {
-		return fmt.Errorf("fingerprint mismatch:\n got %+v\nwant %+v", got, rec.Fingerprint)
+	if err := rec.CheckRun(r, sr); err != nil {
+		return err
 	}
 	if !quiet {
 		fmt.Println("verified: bit-identical to the recorded run")

@@ -52,7 +52,7 @@ func runProgram(o runOpts, stdout, stderr io.Writer) (int, error) {
 		cfg.Sanitizer = san
 	}
 
-	r := runLive(m, cfg, m.Name, o.schedN, o.seed)
+	r := runLive(m, cfg, m.Name, o.seed)
 
 	if tr != nil {
 		if err := writeEvents(tr.Events(), o.trace, o.jsonl); err != nil {

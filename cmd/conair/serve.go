@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"time"
 
 	"conair/internal/interp"
 	"conair/internal/mir"
@@ -58,27 +57,17 @@ func registerRun(info runner.RunInfo) {
 	}
 }
 
-// runLive runs m under cfg and feeds the run into the telemetry run
-// registry. Under -serve the run is armed with the always-on bounded
+// runLive runs m under cfg as one engine job, so a panicking program
+// comes back as a failed run, and feeds the run into the telemetry run
+// registry. Under -serve the job is armed with the always-on bounded
 // flight recorder, so a failing run yields a replayable artifact at
 // /runs/{id}/recording without -record.
-func runLive(m *mir.Module, cfg interp.Config, label, schedN string, seed int64) *interp.Result {
-	var flight *replay.FlightCapture
+func runLive(m *mir.Module, cfg interp.Config, label string, seed int64) *interp.Result {
+	eng := runner.Engine{Workers: 1, RunHook: telemetryHook}
 	if telemetry != nil {
-		cfg, flight = replay.CaptureFlight(m, cfg, replay.Meta{Seed: seed, Label: label}, runner.DefaultFlightLimit)
+		eng.FlightLimit = runner.DefaultFlightLimit
 	}
-	start := time.Now()
-	r := interp.RunModule(m, cfg)
-	var rec *replay.Recording
-	if flight != nil {
-		rec = flight.Finish(r)
-	}
-	registerRun(runner.RunInfo{
-		Label: label, Seed: seed, Sched: schedN,
-		Elapsed: time.Since(start), Result: r, Recording: rec,
-		RecordingTruncated: flight != nil && rec == nil,
-	})
-	return r
+	return eng.RunJob(m, cfg, replay.Meta{Seed: seed, Label: label})
 }
 
 // waitTelemetry keeps the server alive after the command's work completes

@@ -65,8 +65,7 @@ func runTrace(o traceOpts) error {
 		return err
 	}
 	tr := obs.NewTracer(o.bufCap)
-	r := runLive(h.Module, interp.Config{Sched: s, MaxSteps: o.maxSteps, Sink: tr},
-		b.Name+"-trace", o.schedN, o.seed)
+	r := runLive(h.Module, interp.Config{Sched: s, MaxSteps: o.maxSteps, Sink: tr}, b.Name+"-trace", o.seed)
 	if err := writeEvents(tr.Events(), o.out, o.jsonl); err != nil {
 		return err
 	}

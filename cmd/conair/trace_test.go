@@ -5,7 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
-	"conair/internal/obs"
+	"conair/internal/obs/obstest"
 )
 
 // TestRunTraceRoundTrip drives the full -trace path: replay a small
@@ -28,14 +28,14 @@ func TestRunTraceRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	ct, err := obs.ReadChromeTrace(f)
+	ct, err := obstest.ReadChromeTrace(f)
 	if err != nil {
 		t.Fatalf("chrome trace invalid: %v", err)
 	}
 	if len(ct.TraceEvents) == 0 {
 		t.Fatal("chrome trace is empty")
 	}
-	if ct.CountName("process_name") != 1 {
+	if obstest.CountName(ct, "process_name") != 1 {
 		t.Error("missing process_name metadata")
 	}
 
@@ -44,7 +44,7 @@ func TestRunTraceRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ef.Close()
-	events, err := obs.ReadJSONL(ef)
+	events, err := obstest.ReadJSONL(ef)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,15 +76,15 @@ func Ablations(runs int) []AblationRow {
 		hForced := mustHarden(p.forced, opts)
 		recovered := true
 		for seed := 0; seed < runs; seed++ {
-			if !interp.RunModule(hForced.Module, runCfg(int64(seed))).Completed {
+			if !interp.RunModule(hForced.Module, runner.SeedConfig(int64(seed), expMaxSteps)).Completed {
 				recovered = false
 				break
 			}
 		}
 
 		hClean := mustHarden(p.clean, opts)
-		orig := interp.RunModule(p.clean, runCfg(1)).Stats.Steps
-		hard := interp.RunModule(hClean.Module, runCfg(1)).Stats.Steps
+		orig := interp.RunModule(p.clean, runner.SeedConfig(1, expMaxSteps)).Stats.Steps
+		hard := interp.RunModule(hClean.Module, runner.SeedConfig(1, expMaxSteps)).Stats.Steps
 
 		return AblationRow{
 			Config:       cfg.name,

@@ -106,7 +106,7 @@ func CrossCheckCorpus(b *bugs.Bug, budget int64) error {
 	}
 	found := false
 	for seed := int64(0); seed < budget; seed++ {
-		sanitizePooled(san, searchMod, pctCfg(seed, expMaxSteps))
+		sanitizePCT(san, searchMod, seed, expMaxSteps, nil)
 		for _, r := range san.Reports() {
 			if r.Kind == sanitizer.KindDeadlock {
 				return fmt.Errorf("%s, schedule %d: spurious deadlock prediction (%s,%s)",
@@ -126,7 +126,7 @@ func CrossCheckCorpus(b *bugs.Bug, budget int64) error {
 
 	// Leg 2: the modelled upstream fix soaks clean.
 	for seed := int64(0); seed < budget; seed++ {
-		r := sanitizePooled(san, p.clean, pctCfg(seed, expMaxSteps))
+		r := sanitizePCT(san, p.clean, seed, expMaxSteps, nil)
 		if !r.Completed {
 			return fmt.Errorf("%s fixed twin, schedule %d: failed: %v", b.Name, seed, r.Failure)
 		}

@@ -12,6 +12,7 @@ import (
 	"conair/internal/core"
 	"conair/internal/interp"
 	"conair/internal/mir"
+	"conair/internal/runner"
 )
 
 // fingerprint condenses one interpreter Result into every field that must
@@ -66,7 +67,7 @@ func fingerprintOf(r *interp.Result) fingerprint {
 
 // goldenSweep runs every bug in every evaluated configuration under fixed
 // seeds and returns the fingerprints keyed "app/variant/seed=N". cfg
-// builds the per-seed interpreter config; the default sweep uses runCfg,
+// builds the per-seed interpreter config; the default sweep uses runner.SeedConfig,
 // and the tracing guard test swaps in a Sink-carrying variant.
 //
 // Forced (light) variants exercise recovery — rollback, compensation,
@@ -91,10 +92,10 @@ func goldenSweep(cfg func(seed int64) interp.Config) map[string]fingerprint {
 			seeds []int64
 		}{
 			{"forced-fix", mustHarden(forced, core.FixOptions(fPos)).Module, []int64{0, 1, 2, 7}},
-			{"forced-surv", mustHarden(forced, hardenOpts()).Module, []int64{0, 1, 2, 7}},
+			{"forced-surv", mustHarden(forced, core.DefaultOptions()).Module, []int64{0, 1, 2, 7}},
 			{"clean-orig", clean, []int64{1, 2}},
 			{"clean-fix", mustHarden(clean, core.FixOptions(cPos)).Module, []int64{1, 2}},
-			{"clean-surv", mustHarden(clean, hardenOpts()).Module, []int64{1, 2}},
+			{"clean-surv", mustHarden(clean, core.DefaultOptions()).Module, []int64{1, 2}},
 		}
 		for _, v := range variants {
 			for _, seed := range v.seeds {
@@ -115,7 +116,7 @@ const goldenPath = "testdata/determinism.json"
 //
 //	CONAIR_REGEN=1 go test ./internal/experiments -run Golden
 func TestInterpreterResultsMatchGolden(t *testing.T) {
-	got := goldenSweep(runCfg)
+	got := goldenSweep(func(seed int64) interp.Config { return runner.SeedConfig(seed, expMaxSteps) })
 
 	if os.Getenv("CONAIR_REGEN") != "" {
 		data, err := json.MarshalIndent(got, "", "  ")

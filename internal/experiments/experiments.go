@@ -18,6 +18,7 @@ package experiments
 
 import (
 	"slices"
+	"strconv"
 	"time"
 
 	"conair/internal/analysis"
@@ -27,17 +28,7 @@ import (
 	"conair/internal/interp"
 	"conair/internal/mir"
 	"conair/internal/runner"
-	"conair/internal/sched"
 )
-
-// runCfg returns the standard interpreter config for experiment runs.
-func runCfg(seed int64) interp.Config {
-	return interp.Config{Sched: sched.NewRandom(seed), MaxSteps: 200_000_000}
-}
-
-// hardenOpts is the paper's evaluated configuration; the deadlock timeout
-// and backoff are the transform defaults.
-func hardenOpts() core.Options { return core.DefaultOptions() }
 
 // mustHarden is core.Harden for programs that must harden; it panics on
 // error. It keeps no memo: each section hardens what it reports, so the
@@ -139,9 +130,9 @@ func Table3(runs, overheadSeeds int) []Table3Row {
 		type pcts struct{ fix, surv float64 }
 		per := runner.Map(eng, overheadSeeds, func(i int) pcts {
 			seed := int64(i + 1)
-			orig := interp.RunModule(p.clean, runCfg(seed)).Stats.Steps
-			fixed := interp.RunModule(p.cleanFix.Module, runCfg(seed)).Stats.Steps
-			surv := interp.RunModule(p.cleanSurv.Module, runCfg(seed)).Stats.Steps
+			orig := interp.RunModule(p.clean, runner.SeedConfig(seed, expMaxSteps)).Stats.Steps
+			fixed := interp.RunModule(p.cleanFix.Module, runner.SeedConfig(seed, expMaxSteps)).Stats.Steps
+			surv := interp.RunModule(p.cleanSurv.Module, runner.SeedConfig(seed, expMaxSteps)).Stats.Steps
 			return pcts{
 				fix:  100 * float64(fixed-orig) / float64(orig),
 				surv: 100 * float64(surv-orig) / float64(orig),
@@ -216,8 +207,8 @@ func Table5() []Table5Row {
 	return runner.Map(eng, len(bs), func(i int) Table5Row {
 		b := bs[i]
 		p := prep(b)
-		rs := interp.RunModule(p.cleanSurv.Module, runCfg(1))
-		rf := interp.RunModule(p.cleanFix.Module, runCfg(1))
+		rs := interp.RunModule(p.cleanSurv.Module, runner.SeedConfig(1, expMaxSteps))
+		rf := interp.RunModule(p.cleanFix.Module, runner.SeedConfig(1, expMaxSteps))
 		return Table5Row{
 			Name:            b.Name,
 			SurvivalStatic:  p.cleanSurv.Report.StaticReexecPoints,
@@ -249,8 +240,8 @@ func Table6() []Table6Row {
 	return runner.Map(eng, len(bs), func(i int) Table6Row {
 		b := bs[i]
 		m := prep(b).lightClean
-		optOn := hardenOpts()
-		optOff := hardenOpts()
+		optOn := core.DefaultOptions()
+		optOff := core.DefaultOptions()
 		optOff.Optimize = false
 		hOn := mustHarden(m, optOn)
 		hOff := mustHarden(m, optOff)
@@ -264,21 +255,16 @@ func Table6() []Table6Row {
 		return Table6Row{
 			Name:                  b.Name,
 			NonDeadlockStaticPct:  removedPct(staticOffN, staticOnN),
-			NonDeadlockDynamicPct: removedPct64(dynOffN, dynOnN),
+			NonDeadlockDynamicPct: removedPct(dynOffN, dynOnN),
 			DeadlockStaticPct:     removedPct(staticOffD, staticOnD),
-			DeadlockDynamicPct:    removedPct64(dynOffD, dynOnD),
+			DeadlockDynamicPct:    removedPct(dynOffD, dynOnD),
 		}
 	})
 }
 
-func removedPct(off, on int) float64 {
-	if off == 0 {
-		return -1
-	}
-	return 100 * float64(off-on) / float64(off)
-}
-
-func removedPct64(off, on int64) float64 {
+// removedPct is the percentage of off's points that on removed, or -1
+// when off is zero.
+func removedPct[T int | int64](off, on T) float64 {
 	if off == 0 {
 		return -1
 	}
@@ -288,7 +274,7 @@ func removedPct64(off, on int64) float64 {
 // dynamicByClass runs the hardened module and splits checkpoint
 // executions by the class of sites each checkpoint serves.
 func dynamicByClass(h *core.Hardened, seed int64) (deadlock, nonDeadlock int64) {
-	r := interp.RunModule(h.Module, runCfg(seed))
+	r := interp.RunModule(h.Module, runner.SeedConfig(seed, expMaxSteps))
 	for _, cp := range h.Report.Analysis.Checkpoints {
 		n := r.Stats.CheckpointExecs[cp.ID]
 		if cp.ServesDeadlock {
@@ -326,7 +312,7 @@ func Table7() []Table7Row {
 		b := bs[i]
 		p := prep(b)
 		// Recovery: forced light run under fix-mode hardening.
-		r := interp.RunModule(p.forcedFix.Module, runCfg(7))
+		r := interp.RunModule(p.forcedFix.Module, runner.SeedConfig(7, expMaxSteps))
 		var recSteps, retries int64
 		if e := r.MaxEpisode(); e != nil {
 			recSteps, retries = e.Duration(), e.Retries
@@ -372,13 +358,13 @@ func Figure2() []Figure2Row {
 		p := patterns[i]
 		m := p.Build()
 		row := Figure2Row{Pattern: p.Name, PaperSaysRecoverable: p.ConAirRecovers}
-		row.FailsUnprotected = !interp.RunModule(m, runCfg(1)).Completed
+		row.FailsUnprotected = !interp.RunModule(m, runner.SeedConfig(1, expMaxSteps)).Completed
 
-		h := mustHarden(m, hardenOpts())
+		h := mustHarden(m, core.DefaultOptions())
 		// The per-seed verdicts are independent; All's early exit on a
 		// failing seed changes only the work done, never the boolean.
 		row.ConAirRecovered = eng.All(10, func(seed int) bool {
-			return interp.RunModule(h.Module, runCfg(int64(seed))).Completed
+			return interp.RunModule(h.Module, runner.SeedConfig(int64(seed), expMaxSteps)).Completed
 		})
 		cb := baseline.RunCheckpointed(m, baseline.CheckpointConfig{
 			Interval: 25, Seed: 5, PerturbBound: 400, MaxSteps: 5_000_000,
@@ -405,13 +391,13 @@ type Figure4Row struct {
 // end, whole-program checkpointing at several intervals, and restart.
 func Figure4() []Figure4Row {
 	p := prep(bugs.ByName("ZSNES"))
-	origSteps := interp.RunModule(p.clean, runCfg(1)).Stats.Steps
+	origSteps := interp.RunModule(p.clean, runner.SeedConfig(1, expMaxSteps)).Stats.Steps
 
 	var out []Figure4Row
 
 	// ConAir.
-	hardSteps := interp.RunModule(p.cleanSurv.Module, runCfg(1)).Stats.Steps
-	rf := interp.RunModule(p.forcedSurv.Module, runCfg(7))
+	hardSteps := interp.RunModule(p.cleanSurv.Module, runner.SeedConfig(1, expMaxSteps)).Stats.Steps
+	rf := interp.RunModule(p.forcedSurv.Module, runner.SeedConfig(7, expMaxSteps))
 	var rec int64
 	if e := rf.MaxEpisode(); e != nil {
 		rec = e.Duration()
@@ -431,7 +417,7 @@ func Figure4() []Figure4Row {
 		cb := baseline.RunCheckpointed(p.clean, cfg)
 		fb := baseline.RunCheckpointed(p.forced, cfg)
 		return Figure4Row{
-			Design:        "full-checkpoint-every-" + itoa(intervals[i]),
+			Design:        "full-checkpoint-every-" + strconv.FormatInt(intervals[i], 10),
 			OverheadPct:   100 * float64(cb.Steps-origSteps) / float64(origSteps),
 			RecoverySteps: fb.RecoverySteps,
 			Recovered:     fb.Completed,
@@ -447,20 +433,6 @@ func Figure4() []Figure4Row {
 		Recovered:     rr.Recovered,
 	})
 	return out
-}
-
-func itoa(v int64) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [24]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
 }
 
 // ------------------------------------------------------------- §6.4 times
@@ -486,7 +458,7 @@ const analysisSamples = 5
 // the median of analysisSamples hardenings, so neither column always
 // pays for the first, cold hardening.
 func AnalysisTimes() []AnalysisTimeRow {
-	intraOpts := hardenOpts()
+	intraOpts := core.DefaultOptions()
 	intraOpts.Interproc = false
 	var out []AnalysisTimeRow
 	for i, b := range bugs.All() {
@@ -496,7 +468,7 @@ func AnalysisTimes() []AnalysisTimeRow {
 			intra = append(intra, mustHarden(m, intraOpts).Report.AnalysisTime)
 		}
 		hardenFull := func() {
-			r := mustHarden(m, hardenOpts()).Report
+			r := mustHarden(m, core.DefaultOptions()).Report
 			full = append(full, r.AnalysisTime)
 			transform = append(transform, r.TransformTime)
 		}

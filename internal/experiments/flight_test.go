@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"conair/internal/interp"
+	"conair/internal/runner"
 	"conair/internal/sched"
 )
 
@@ -13,9 +14,9 @@ import (
 // the always-on flight recorder: the full golden sweep (every bug, every
 // hardening variant, every pinned seed — the 140-entry set in testdata)
 // must produce bit-identical fingerprints with every run's scheduler
-// wrapped in a bounded flight ring. The ring here is deliberately tiny,
-// so long runs wrap it constantly — eviction must be exactly as passive
-// as recording. Any draw the wrapper consumes, any decision it reorders,
+// wrapped in a bounded flight recorder. The bound here is deliberately
+// tiny, so long runs outgrow it early — truncation must be exactly as
+// passive as recording. Any draw the wrapper consumes, any decision it reorders,
 // moves at least one fingerprint.
 func TestFlightRecorderDoesNotPerturbExecution(t *testing.T) {
 	if testing.Short() {
@@ -31,7 +32,7 @@ func TestFlightRecorderDoesNotPerturbExecution(t *testing.T) {
 	}
 
 	got := goldenSweep(func(seed int64) interp.Config {
-		cfg := runCfg(seed)
+		cfg := runner.SeedConfig(seed, expMaxSteps)
 		cfg.Sched = sched.NewFlightRecorder(cfg.Sched, 1<<10)
 		return cfg
 	})

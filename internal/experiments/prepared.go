@@ -24,7 +24,7 @@ func SetWorkers(n int) int {
 }
 
 // SetEngine replaces the engine every experiment sweep fans out on —
-// its pool size, graceful-drain flag, watchdog, run hook and flight ring —
+// its pool size, graceful-drain flag, watchdog, run hook and flight recorder —
 // keeping the experiment metrics registry. conair-bench configures its
 // sweep this way. Not safe to call while sweeps are in flight.
 func SetEngine(e runner.Engine) {
@@ -89,9 +89,9 @@ func (p *preparedBug) build() {
 		panic(err)
 	}
 	p.forcedFix = mustHarden(p.forced, core.FixOptions(fPos))
-	p.forcedSurv = mustHarden(p.forced, hardenOpts())
+	p.forcedSurv = mustHarden(p.forced, core.DefaultOptions())
 	p.cleanFix = mustHarden(p.clean, core.FixOptions(cPos))
-	p.cleanSurv = mustHarden(p.clean, hardenOpts())
+	p.cleanSurv = mustHarden(p.clean, core.DefaultOptions())
 
 	// Warm the interpreter's compiled-program cache while we hold this
 	// bug's once: sweeps then start from a hit instead of racing worker
@@ -105,6 +105,5 @@ func (p *preparedBug) build() {
 	}
 }
 
-// expMaxSteps is the step cutoff shared by all experiment runs (matches
-// runCfg).
+// expMaxSteps is the step cutoff shared by all experiment runs.
 const expMaxSteps = 200_000_000

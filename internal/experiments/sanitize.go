@@ -83,12 +83,7 @@ func SanitizeSearch(mod *mir.Module, budget, maxSteps int64) (int64, []sanitizer
 			return false
 		}
 		san := sanPool.Get().(*sanitizer.Sanitizer)
-		san.Reset(mod)
-		cfg := pctCfg(int64(i), maxSteps)
-		cfg.Sanitizer = san
-		cfg.Interrupt = &cancels[i]
-		eng.RunJob(mod, cfg, replay.Meta{Label: mod.Name + "-sanitize", Seed: int64(i)})
-		san.RecordMetrics(reg)
+		sanitizePCT(san, mod, int64(i), maxSteps, &cancels[i])
 		if rs := san.Reports(); len(rs) > 0 {
 			// Copy out: san goes back to the pool and the next Reset
 			// recycles its report storage.
@@ -125,14 +120,19 @@ func SanitizeSearch(mod *mir.Module, budget, maxSteps int64) (int64, []sanitizer
 	return -1, nil
 }
 
-// sanitizePooled is the recycled-sanitizer variant of SanitizeRun for
-// tight sweep loops: san must come from sanPool (or New) and its reports
-// are only valid until the caller's next Reset. Same engine job path and
-// metrics flow as SanitizeRun.
-func sanitizePooled(san *sanitizer.Sanitizer, mod *mir.Module, cfg interp.Config) *interp.Result {
+// sanitizePCT runs mod once under PCT schedule seed with san reset and
+// attached: the recycled-sanitizer variant of SanitizeRun for the search
+// and sweep loops. san must come from sanPool (or New) and its reports
+// are only valid until the caller's next Reset. The run goes through the
+// engine's job path under its seed, so a recording of it names the
+// schedule it replays. cancel, when non-nil, is the caller's Interrupt
+// flag.
+func sanitizePCT(san *sanitizer.Sanitizer, mod *mir.Module, seed, maxSteps int64, cancel *atomic.Bool) *interp.Result {
 	san.Reset(mod)
+	cfg := pctCfg(seed, maxSteps)
 	cfg.Sanitizer = san
-	r := eng.RunJob(mod, cfg, replay.Meta{Label: mod.Name + "-sanitize"})
+	cfg.Interrupt = cancel
+	r := eng.RunJob(mod, cfg, replay.Meta{Label: mod.Name + "-sanitize", Seed: seed})
 	san.RecordMetrics(reg)
 	return r
 }
@@ -227,7 +227,7 @@ func CrossCheckTemplate(genCfg mirgen.Config, budget int64) error {
 	if info == nil {
 		return fmt.Errorf("configuration injects no bug")
 	}
-	h, err := core.Harden(mod, hardenOpts())
+	h, err := core.Harden(mod, core.DefaultOptions())
 	if err != nil {
 		return fmt.Errorf("harden: %w", err)
 	}
@@ -238,7 +238,7 @@ func CrossCheckTemplate(genCfg mirgen.Config, budget int64) error {
 	defer sanPool.Put(san)
 	found := false
 	for seed := int64(0); seed < budget; seed++ {
-		sanitizePooled(san, mod, pctCfg(seed, maxSteps))
+		sanitizePCT(san, mod, seed, maxSteps, nil)
 		for _, r := range san.Reports() {
 			if err := matchesInfo(r, info); err != nil {
 				return fmt.Errorf("%v template, schedule %d: false positive: %v", info.Kind, seed, err)
@@ -248,7 +248,7 @@ func CrossCheckTemplate(genCfg mirgen.Config, budget int64) error {
 	}
 	if !found {
 		for seed := int64(0); seed < budget; seed++ {
-			sanitizePooled(san, h.Module, pctCfg(seed, maxSteps))
+			sanitizePCT(san, h.Module, seed, maxSteps, nil)
 			for _, r := range san.Reports() {
 				if err := matchesInfo(r, info); err != nil {
 					return fmt.Errorf("%v template, hardened schedule %d: false positive: %v",
@@ -269,7 +269,7 @@ func CrossCheckTemplate(genCfg mirgen.Config, budget int64) error {
 	cleanCfg.InjectBug = false
 	cleanMod := mirgen.Gen(cleanCfg)
 	for seed := int64(0); seed < budget; seed++ {
-		r := sanitizePooled(san, cleanMod, pctCfg(seed, maxSteps))
+		r := sanitizePCT(san, cleanMod, seed, maxSteps, nil)
 		if r.Failure != nil {
 			return fmt.Errorf("clean twin, schedule %d: failed: %v", seed, r.Failure)
 		}

@@ -128,7 +128,7 @@ func TestSanitizerDifferentialTestdata(t *testing.T) {
 		name := filepath.Base(path)
 		diffSanitize(t, fast, name, m, seeds, 2_000_000)
 
-		h, err := core.Harden(m, hardenOpts())
+		h, err := core.Harden(m, core.DefaultOptions())
 		if err != nil {
 			t.Fatalf("%s: harden: %v", path, err)
 		}
@@ -164,7 +164,7 @@ func TestSanitizerDifferentialMirgen(t *testing.T) {
 			diffSanitize(t, fast, name, m, seeds, 2_000_000)
 
 			if genSeed%10 == 0 {
-				h, err := core.Harden(m, hardenOpts())
+				h, err := core.Harden(m, core.DefaultOptions())
 				if err != nil {
 					t.Fatalf("%s seed %d: harden: %v", name, genSeed, err)
 				}

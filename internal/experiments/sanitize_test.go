@@ -3,16 +3,21 @@ package experiments
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"conair/internal/bugs"
 	"conair/internal/core"
 	"conair/internal/interp"
 	"conair/internal/mirgen"
+	"conair/internal/replay"
+	"conair/internal/runner"
 	"conair/internal/sanitizer"
+	"conair/internal/sched"
 )
 
 // TestCrossCheckAllTemplates is the tentpole oracle: for every injected
@@ -30,6 +35,51 @@ func TestCrossCheckAllTemplates(t *testing.T) {
 				t.Errorf("seed %d: %v", genSeed, err)
 			}
 		}
+	}
+}
+
+// TestSanitizeRunsRecordTheirSeed runs a cross-check leg under an engine
+// whose run hook keeps every recording, then rebuilds each recorded run
+// from its provenance alone: SchedName and Seed name the PCT schedule,
+// and running the recorded program under it must reproduce the
+// recording's fingerprint. A run that records seed 0 for another
+// schedule fails here.
+func TestSanitizeRunsRecordTheirSeed(t *testing.T) {
+	var (
+		mu   sync.Mutex
+		recs []*replay.Recording
+	)
+	prev := eng
+	SetEngine(runner.Engine{Workers: 1, FlightLimit: math.MaxInt, RunHook: func(ri runner.RunInfo) {
+		mu.Lock()
+		defer mu.Unlock()
+		if ri.Recording != nil {
+			recs = append(recs, ri.Recording)
+		}
+	}})
+	defer SetEngine(prev)
+
+	const budget = 6
+	if err := CrossCheckTemplate(mirgen.Config{Seed: 1, Bug: mirgen.BugOrder}, budget); err != nil {
+		t.Fatal(err)
+	}
+	seeds := map[int64]bool{}
+	for _, rec := range recs {
+		if rec.SchedName != "pct" {
+			t.Fatalf("%s seed %d: scheduler %q, want pct", rec.Label, rec.Seed, rec.SchedName)
+		}
+		m, err := rec.Module()
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := interp.RunModule(m, interp.Config{Sched: sched.NewSearchPCT(rec.Seed), MaxSteps: rec.MaxSteps})
+		if got := replay.FingerprintOf(r); got != rec.Fingerprint {
+			t.Errorf("%s seed %d: rebuilt run %+v, recorded %+v", rec.Label, rec.Seed, got, rec.Fingerprint)
+		}
+		seeds[rec.Seed] = true
+	}
+	if len(seeds) != budget {
+		t.Errorf("%d recordings name seeds %v, want every seed below %d", len(recs), seeds, budget)
 	}
 }
 
@@ -65,7 +115,7 @@ func TestSanitizedGoldenSweepPassivity(t *testing.T) {
 				if !ok {
 					t.Fatalf("%s: missing from golden snapshot", key)
 				}
-				cfg := runCfg(seed)
+				cfg := runner.SeedConfig(seed, expMaxSteps)
 				cfg.Sanitizer = sanitizer.New(v.h.Module)
 				got := fingerprintOf(interp.RunModule(v.h.Module, cfg))
 				if !reflect.DeepEqual(got, w) {
@@ -85,7 +135,7 @@ func TestSanitizedGoldenSweepPassivity(t *testing.T) {
 func TestSanitizerMetricsRecorded(t *testing.T) {
 	mod := mirgen.Gen(mirgen.Config{Seed: 5, Threads: 2})
 	before := Registry().Snapshot()
-	san, r := SanitizeRun(mod, runCfg(1))
+	san, r := SanitizeRun(mod, runner.SeedConfig(1, expMaxSteps))
 	if r.Failure != nil {
 		t.Fatalf("clean run failed: %v", r.Failure)
 	}

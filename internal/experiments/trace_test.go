@@ -9,6 +9,8 @@ import (
 	"conair/internal/bugs"
 	"conair/internal/interp"
 	"conair/internal/obs"
+	"conair/internal/obs/obstest"
+	"conair/internal/runner"
 )
 
 // TestTracingDoesNotPerturbExecution is the guard for the tracing fast
@@ -31,7 +33,7 @@ func TestTracingDoesNotPerturbExecution(t *testing.T) {
 	}
 
 	got := goldenSweep(func(seed int64) interp.Config {
-		cfg := runCfg(seed)
+		cfg := runner.SeedConfig(seed, expMaxSteps)
 		// A small ring: constant memory even on 100M-step runs, and
 		// wrap-around must be just as passive as recording.
 		cfg.Sink = obs.NewTracer(1 << 12)
@@ -65,7 +67,7 @@ func TestChromeTraceMatchesStats(t *testing.T) {
 		}
 		p := prep(b)
 		tr := obs.NewTracer(1 << 20)
-		cfg := runCfg(7)
+		cfg := runner.SeedConfig(7, expMaxSteps)
 		cfg.Sink = tr
 		r := interp.RunModule(p.forcedFix.Module, cfg)
 
@@ -89,15 +91,15 @@ func TestChromeTraceMatchesStats(t *testing.T) {
 		if err := obs.WriteChromeTrace(&buf, tr.Events()); err != nil {
 			t.Fatal(err)
 		}
-		ct, err := obs.ReadChromeTrace(&buf)
+		ct, err := obstest.ReadChromeTrace(&buf)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := ct.CountName("checkpoint"); int64(got) != r.Stats.Checkpoints {
+		if got := obstest.CountName(ct, "checkpoint"); int64(got) != r.Stats.Checkpoints {
 			t.Errorf("%s: chrome trace has %d checkpoint events, stats say %d",
 				name, got, r.Stats.Checkpoints)
 		}
-		if got := ct.CountName("rollback"); int64(got) != r.Stats.Rollbacks {
+		if got := obstest.CountName(ct, "rollback"); int64(got) != r.Stats.Rollbacks {
 			t.Errorf("%s: chrome trace has %d rollback events, stats say %d",
 				name, got, r.Stats.Rollbacks)
 		}

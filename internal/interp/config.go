@@ -52,14 +52,6 @@ type Config struct {
 	// CollectOutput retains output events in the result (on by default in
 	// Run helpers; costs memory on long runs).
 	CollectOutput bool
-	// MaxThreads bounds thread creation (default DefaultMaxThreads).
-	MaxThreads int
-	// NoDeadlockCycles disables wait-for-graph deadlock detection on
-	// untimed lock acquisitions; the deadlock then manifests only once no
-	// thread can run, or at the step limit. Hardened programs are
-	// unaffected either way: their kept lock sites use timed locks, whose
-	// self-resolving edges never form a reportable cycle.
-	NoDeadlockCycles bool
 	// Sink, when non-nil, receives structured trace events (scheduling
 	// decisions, checkpoints, rollbacks, recovery episodes, lock and
 	// thread lifecycle events, failures, outputs). Recording is passive:
@@ -84,22 +76,16 @@ type Config struct {
 	Interrupt *atomic.Bool
 }
 
-// Defaults for Config zero values.
-const (
-	DefaultMaxSteps   = int64(50_000_000)
-	DefaultMaxThreads = 256
-)
+// DefaultMaxSteps is the step cutoff of a Config whose MaxSteps is 0.
+const DefaultMaxSteps = int64(50_000_000)
+
+// maxThreads bounds thread creation: a spawn past it fails the run with a
+// hang.
+const maxThreads = 256
 
 func (c *Config) maxSteps() int64 {
 	if c.MaxSteps > 0 {
 		return c.MaxSteps
 	}
 	return DefaultMaxSteps
-}
-
-func (c *Config) maxThreads() int {
-	if c.MaxThreads > 0 {
-		return c.MaxThreads
-	}
-	return DefaultMaxThreads
 }

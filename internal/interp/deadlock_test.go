@@ -72,19 +72,6 @@ func TestWaitForCycleDetectedWhileOthersRun(t *testing.T) {
 	}
 }
 
-func TestWaitForCycleCanBeDisabled(t *testing.T) {
-	m := mir.MustParse(partialDeadlockSrc)
-	r := RunModule(m, Config{
-		Sched: sched.NewRandom(1), MaxSteps: 100_000, NoDeadlockCycles: true,
-	})
-	if r.Completed || r.Failure.Kind != mir.FailHang {
-		t.Fatalf("expected hang, got %+v", r)
-	}
-	if strings.Contains(r.Failure.Msg, "wait-for cycle") {
-		t.Errorf("cycle detection should be off, got %q", r.Failure.Msg)
-	}
-}
-
 func TestTimedEdgeBreaksCycleReport(t *testing.T) {
 	// The same inversion, but one side acquires with a timeout: the cycle
 	// is self-resolving, must not be reported, and the run completes once

@@ -31,12 +31,15 @@ out:
   ret
 }`
 	m := mir.MustParse(src)
-	r := RunModule(m, Config{Sched: sched.NewRandom(1), MaxThreads: 8})
+	r := RunModule(m, Config{Sched: sched.NewRandom(1)})
 	if r.Completed || r.Failure == nil {
 		t.Fatal("expected thread-limit failure")
 	}
 	if !strings.Contains(r.Failure.Msg, "thread limit") {
 		t.Errorf("failure = %q", r.Failure.Msg)
+	}
+	if r.Stats.ThreadsSpawned != maxThreads {
+		t.Errorf("%d threads spawned before the limit, want %d", r.Stats.ThreadsSpawned, maxThreads)
 	}
 }
 

@@ -98,7 +98,7 @@ type VM struct {
 	// flight is set (alongside rnd) when cfg.Sched is a
 	// *sched.FlightRecorder wrapping a *sched.Random: the pick fast path
 	// then draws from the inner Random and reports each decision to the
-	// ring via Note/NoteRun, keeping the always-on flight recorder off the
+	// recorder via Note/NoteRun, keeping the always-on flight recorder off the
 	// interface-dispatch slow path. Every vm.rnd pick site must pair its
 	// draw (or Skip) with a note, or the recorded stream would miss picks.
 	flight *sched.FlightRecorder
@@ -591,11 +591,9 @@ func (vm *VM) runLoop(max int64, single bool) bool {
 					t.blockAddr = addr
 					t.blockedSince = vm.step
 					t.blockTimeout = 0
-					if !vm.cfg.NoDeadlockCycles {
-						if cycle := vm.deadlockCycle(t); cycle != nil {
-							vm.fail(mir.FailHang, vm.posOf(fr, in), int(in.site), t.id,
-								fmt.Sprintf("deadlock: wait-for cycle among threads %v", cycle))
-						}
+					if cycle := vm.deadlockCycle(t); cycle != nil {
+						vm.fail(mir.FailHang, vm.posOf(fr, in), int(in.site), t.id,
+							fmt.Sprintf("deadlock: wait-for cycle among threads %v", cycle))
 					}
 				}
 			}
@@ -713,7 +711,7 @@ func (vm *VM) runLoop(max int64, single bool) bool {
 			code = vm.prog.funcs[fr.fn].code
 
 		case cSpawn:
-			if len(vm.threads) >= vm.cfg.maxThreads() {
+			if len(vm.threads) >= maxThreads {
 				vm.fail(mir.FailHang, vm.posOf(fr, in), 0, t.id, "thread limit exceeded")
 				break
 			}

@@ -255,12 +255,10 @@ func (vm *VM) refExec(t *thread) {
 				t.blockAddr = addr
 				t.blockedSince = vm.step
 				t.blockTimeout = 0
-				if !vm.cfg.NoDeadlockCycles {
-					if cycle := vm.deadlockCycle(t); cycle != nil {
-						vm.fail(mir.FailHang, pos, int(in.Site), t.id,
-							fmt.Sprintf("deadlock: wait-for cycle among threads %v", cycle))
-						return
-					}
+				if cycle := vm.deadlockCycle(t); cycle != nil {
+					vm.fail(mir.FailHang, pos, int(in.Site), t.id,
+						fmt.Sprintf("deadlock: wait-for cycle among threads %v", cycle))
+					return
 				}
 			}
 			advance = false
@@ -358,7 +356,7 @@ func (vm *VM) refExec(t *thread) {
 		return
 
 	case mir.OpSpawn:
-		if len(vm.threads) >= vm.cfg.maxThreads() {
+		if len(vm.threads) >= maxThreads {
 			vm.fail(mir.FailHang, pos, 0, t.id, "thread limit exceeded")
 			return
 		}

@@ -85,33 +85,8 @@ func (k Kind) String() string {
 	return "unknown"
 }
 
-// KindFromString resolves a wire name back to its Kind.
-func KindFromString(s string) (Kind, bool) {
-	for i, n := range kindNames {
-		if n == s {
-			return Kind(i), true
-		}
-	}
-	return 0, false
-}
-
 // MarshalText renders the kind name, so JSONL events are self-describing.
 func (k Kind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
-
-// UnmarshalText parses a kind name.
-func (k *Kind) UnmarshalText(b []byte) error {
-	v, ok := KindFromString(string(b))
-	if !ok {
-		return &UnknownKindError{Name: string(b)}
-	}
-	*k = v
-	return nil
-}
-
-// UnknownKindError reports an unrecognized kind name during decoding.
-type UnknownKindError struct{ Name string }
-
-func (e *UnknownKindError) Error() string { return "obs: unknown event kind " + e.Name }
 
 // Event is one trace record. The struct is fixed-size apart from Text
 // (only failure and output events carry one), so ring-buffer recording

@@ -8,8 +8,8 @@ import (
 	"sort"
 )
 
-// WriteJSONL writes one JSON object per event, in order. The format
-// round-trips exactly through ReadJSONL.
+// WriteJSONL writes one JSON object per event, in order, the kind by its
+// wire name (Kind.String).
 func WriteJSONL(w io.Writer, events []Event) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
@@ -19,21 +19,6 @@ func WriteJSONL(w io.Writer, events []Event) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadJSONL parses a JSONL event stream written by WriteJSONL.
-func ReadJSONL(r io.Reader) ([]Event, error) {
-	dec := json.NewDecoder(r)
-	var out []Event
-	for {
-		var e Event
-		if err := dec.Decode(&e); err == io.EOF {
-			return out, nil
-		} else if err != nil {
-			return nil, err
-		}
-		out = append(out, e)
-	}
 }
 
 // ChromeEvent is one entry of the Chrome trace_event format (the subset
@@ -232,62 +217,4 @@ func WriteChromeTrace(w io.Writer, events []Event) error {
 		return err
 	}
 	return bw.Flush()
-}
-
-// ReadChromeTrace parses trace_event JSON written by WriteChromeTrace and
-// validates its schema.
-func ReadChromeTrace(r io.Reader) (*ChromeTrace, error) {
-	var t ChromeTrace
-	if err := json.NewDecoder(r).Decode(&t); err != nil {
-		return nil, err
-	}
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	return &t, nil
-}
-
-// Validate checks the schema invariants Perfetto and chrome://tracing
-// rely on: known phases, required fields per phase, non-negative
-// timestamps and durations.
-func (t *ChromeTrace) Validate() error {
-	for i := range t.TraceEvents {
-		e := &t.TraceEvents[i]
-		if e.Name == "" {
-			return fmt.Errorf("obs: trace event %d: empty name", i)
-		}
-		switch e.Ph {
-		case "M":
-			if e.Args == nil {
-				return fmt.Errorf("obs: metadata event %d (%s): missing args", i, e.Name)
-			}
-		case "X":
-			if e.TS < 0 || e.Dur < 0 {
-				return fmt.Errorf("obs: slice event %d (%s): negative ts/dur", i, e.Name)
-			}
-		case "i":
-			if e.TS < 0 {
-				return fmt.Errorf("obs: instant event %d (%s): negative ts", i, e.Name)
-			}
-			if e.Scope != "t" && e.Scope != "g" && e.Scope != "p" && e.Scope != "" {
-				return fmt.Errorf("obs: instant event %d (%s): bad scope %q", i, e.Name, e.Scope)
-			}
-		default:
-			return fmt.Errorf("obs: event %d (%s): unsupported phase %q", i, e.Name, e.Ph)
-		}
-	}
-	return nil
-}
-
-// CountName returns how many trace events carry the given name — the hook
-// the round-trip tests use to reconcile exported traces against
-// interpreter statistics.
-func (t *ChromeTrace) CountName(name string) int {
-	n := 0
-	for i := range t.TraceEvents {
-		if t.TraceEvents[i].Name == name {
-			n++
-		}
-	}
-	return n
 }

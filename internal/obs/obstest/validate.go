@@ -1,5 +1,7 @@
-// Package obstest holds the test oracle for package obs's metrics
-// exposition. Only test files import it, so none of it ships in a command.
+// Package obstest holds the test oracles for package obs's output: the
+// metrics exposition validator here, and in trace.go the readers that
+// parse JSONL and Chrome trace files back and validate their schema. Only
+// test files import it, so none of it ships in a command.
 //
 // ValidateExposition is a hand-rolled validator for the Prometheus text
 // exposition format, used by the WriteText and /metrics tests and by

@@ -149,11 +149,11 @@ func TestServeEndToEnd(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("/runs/%d/trace = %d: %s", failed.ID, code, body)
 	}
-	trace, err := obs.ReadChromeTrace(strings.NewReader(string(body)))
+	trace, err := obstest.ReadChromeTrace(strings.NewReader(string(body)))
 	if err != nil {
 		t.Fatalf("served trace invalid: %v", err)
 	}
-	if trace.CountName("failure") == 0 {
+	if obstest.CountName(trace, "failure") == 0 {
 		t.Error("trace of a failing run carries no failure instant")
 	}
 
@@ -204,7 +204,7 @@ func TestServeErrorPaths(t *testing.T) {
 		{"/runs/abc", http.StatusBadRequest},
 		{"/runs/999", http.StatusNotFound},
 		{"/runs/999/recording", http.StatusNotFound},
-		{"/runs/2/recording", http.StatusConflict}, // truncated ring
+		{"/runs/2/recording", http.StatusConflict}, // truncated recording
 		{"/runs/3/recording", http.StatusConflict}, // no flight recorder
 		{"/runs/3/trace", http.StatusConflict},
 		{"/nope", http.StatusNotFound},

@@ -70,7 +70,7 @@ func describeMetrics(reg *obs.Registry) {
 		"serve_runs_total":             "runs observed by the telemetry hook",
 		"serve_runs_failed_total":      "observed runs that ended in a failure",
 		"serve_flight_total":           "runs with a complete flight recording retained",
-		"serve_flight_truncated_total": "runs whose flight ring wrapped (no replayable tape)",
+		"serve_flight_truncated_total": "runs that outgrew their flight recorder (no replayable tape)",
 		"serve_sse_dropped_total":      "SSE events dropped on slow subscribers",
 	} {
 		reg.SetHelp(name, help)
@@ -212,7 +212,7 @@ func (s *Server) handleRecording(w http.ResponseWriter, r *http.Request) {
 	if recording == nil {
 		msg := "run has no recording (engine ran without a flight recorder, or its watchdog stopped the run)"
 		if rec.RecordingTruncated {
-			msg = "flight ring wrapped: only the schedule tail survives, which cannot replay"
+			msg = "flight recording truncated: only a prefix of the schedule was kept, which cannot replay"
 		}
 		http.Error(w, msg, http.StatusConflict)
 		return

@@ -61,18 +61,6 @@ func TestTracerReset(t *testing.T) {
 	}
 }
 
-func TestKindNamesRoundTrip(t *testing.T) {
-	for k := Kind(0); int(k) < numKinds; k++ {
-		got, ok := KindFromString(k.String())
-		if !ok || got != k {
-			t.Errorf("kind %d (%s) does not round-trip", k, k)
-		}
-	}
-	if _, ok := KindFromString("nonsense"); ok {
-		t.Error("KindFromString accepted garbage")
-	}
-}
-
 func TestSummarizeReconstructsEpisodes(t *testing.T) {
 	events := []Event{
 		{Step: 1, Kind: KindThreadSpawn, TID: 0},

@@ -5,11 +5,13 @@ package replay
 //
 //	magic "CNR\x01" | uvarint version | body | crc32(IEEE) of magic..body
 //
-// where the body is a flat sequence of varint/uvarint/length-prefixed
-// fields in the order written by Encode. Decode is strict and total: any
-// truncation, trailing garbage, length lying beyond the input, checksum
-// mismatch or unknown version yields an error, never a panic or an
-// attacker-controlled allocation (declared lengths are checked against
+// where the body of version 2 (FormatVersion) is a flat sequence of
+// varint/uvarint/length-prefixed fields in the order written by Encode,
+// whose flag bits are 0 Minimized, 1 Fingerprint.Completed and 2
+// Fingerprint.Failed. Decode is strict and total: any truncation,
+// trailing garbage, unknown flag bit, length lying beyond the input,
+// checksum mismatch or other version yields an error, never a panic or
+// an attacker-controlled allocation (declared lengths are checked against
 // the bytes actually remaining before allocating). FuzzDecodeRecording
 // pins both properties plus the decode∘encode fixed point.
 
@@ -64,14 +66,11 @@ func Encode(r *Recording) []byte {
 		}
 	}
 	set(0, r.Minimized)
-	set(1, r.CollectOutput)
-	set(2, r.NoDeadlockCycles)
-	set(3, r.Fingerprint.Completed)
-	set(4, r.Fingerprint.Failed)
+	set(1, r.Fingerprint.Completed)
+	set(2, r.Fingerprint.Failed)
 	b = binary.AppendUvarint(b, flags)
 
 	putI(r.MaxSteps)
-	putI(int64(r.MaxThreads))
 
 	fp := &r.Fingerprint
 	putI(fp.ExitCode)
@@ -199,14 +198,14 @@ func Decode(data []byte) (*Recording, error) {
 	r.Label = d.str("label")
 
 	flags := d.uvarint("flags")
+	if d.err == nil && flags >= 1<<3 {
+		d.fail("unknown flag bits")
+	}
 	r.Minimized = flags&(1<<0) != 0
-	r.CollectOutput = flags&(1<<1) != 0
-	r.NoDeadlockCycles = flags&(1<<2) != 0
-	r.Fingerprint.Completed = flags&(1<<3) != 0
-	r.Fingerprint.Failed = flags&(1<<4) != 0
+	r.Fingerprint.Completed = flags&(1<<1) != 0
+	r.Fingerprint.Failed = flags&(1<<2) != 0
 
 	r.MaxSteps = d.varint("max steps")
-	r.MaxThreads = d.intRange(d.varint("max threads"), 0, 1<<20, "max threads")
 
 	fp := &r.Fingerprint
 	fp.ExitCode = d.varint("exit code")

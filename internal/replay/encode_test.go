@@ -12,17 +12,14 @@ import (
 // sample builds a representative recording exercising every field.
 func sample() *Recording {
 	return &Recording{
-		ModuleName:       "mod-x",
-		ModuleHash:       "0123456789abcdef",
-		ModuleText:       "module mod-x\nfunc main() {\nentry:\n  ret\n}\n",
-		SchedName:        "pct(3,64)",
-		Seed:             -42,
-		Label:            "unit",
-		Minimized:        true,
-		MaxSteps:         1 << 40,
-		MaxThreads:       12,
-		CollectOutput:    true,
-		NoDeadlockCycles: true,
+		ModuleName: "mod-x",
+		ModuleHash: "0123456789abcdef",
+		ModuleText: "module mod-x\nfunc main() {\nentry:\n  ret\n}\n",
+		SchedName:  "pct(3,64)",
+		Seed:       -42,
+		Label:      "unit",
+		Minimized:  true,
+		MaxSteps:   1 << 40,
 		Fingerprint: Fingerprint{
 			Completed: false, ExitCode: -1, Steps: 123456,
 			Checkpoints: 7, Rollbacks: 3, CompFrees: 1, CompUnlocks: 2,
@@ -91,6 +88,42 @@ func TestDecodeRejectsUnknownVersion(t *testing.T) {
 	data := appendCRC(body)
 	if _, err := Decode(data); !errors.Is(err, ErrVersion) {
 		t.Fatalf("err = %v, want ErrVersion", err)
+	}
+}
+
+// emptyArtifact returns the artifact of an empty Recording in the given
+// format version: body holds that version's fields, every one zero.
+func emptyArtifact(version byte, body int) []byte {
+	data := append(append([]byte{}, magic[:]...), version)
+	return appendCRC(append(data, make([]byte, body)...))
+}
+
+// TestDecodeRejectsVersion1 pins that a version-1 artifact, whose body
+// also held a thread limit, fails with ErrVersion: there is one decoder,
+// for FormatVersion. Version 1 wrote 29 zero bytes for an empty
+// recording (four strings, seed, label, flags, step budget, thread limit,
+// 17 fingerprint integers, fail message, two stream counts); version 2
+// writes the same without the thread limit, and decodes.
+func TestDecodeRejectsVersion1(t *testing.T) {
+	if _, err := Decode(emptyArtifact(1, 29)); !errors.Is(err, ErrVersion) {
+		t.Fatalf("version 1: err = %v, want ErrVersion", err)
+	}
+	if _, err := Decode(emptyArtifact(1, 28)); !errors.Is(err, ErrVersion) {
+		t.Fatalf("version 1 with a version-2 body: err = %v, want ErrVersion", err)
+	}
+	got, err := Decode(emptyArtifact(FormatVersion, 28))
+	if err != nil || !reflect.DeepEqual(got, &Recording{}) {
+		t.Fatalf("version %d: got %+v, %v; want the empty recording", FormatVersion, got, err)
+	}
+}
+
+// TestDecodeRejectsUnknownFlags: a flag bit past Failed is corruption.
+func TestDecodeRejectsUnknownFlags(t *testing.T) {
+	data := emptyArtifact(FormatVersion, 28)
+	body := data[:len(data)-4]
+	body[len(magic)+7] = 1 << 3 // after the version, four strings, seed and label
+	if _, err := Decode(appendCRC(body)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("err = %v, want ErrCorrupt", err)
 	}
 }
 

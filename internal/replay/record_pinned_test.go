@@ -41,7 +41,7 @@ func recordingHash(rec *replay.Recording) string {
 // TestCaptureRecordingsPinned pins what replay.Record captures: the
 // segment stream, the Intn draws and the fingerprint of 81 recordings,
 // hashed against values taken when recording still went through a
-// separate wrapper on the scheduler's interface path. The flight ring
+// separate wrapper on the scheduler's interface path. The flight recorder
 // that records today must produce exactly the same streams.
 func TestCaptureRecordingsPinned(t *testing.T) {
 	want := map[string]string{

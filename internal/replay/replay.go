@@ -6,8 +6,8 @@
 //
 // The interpreter is deterministic given its scheduler's decisions, so a
 // recording needs only the per-pick thread choices (run-length encoded as
-// sched.Segments), the sleeprand draw values, and the handful of config
-// knobs that affect execution. Replaying the stream through a
+// sched.Segments), the sleeprand draw values, and the step budget, the
+// one config knob that affects execution. Replaying the stream through a
 // sched.SegmentReplay reproduces the whole run — every step count,
 // rollback, episode and the failure itself — which Verify checks against
 // the result fingerprint stored in the artifact (the same fields the
@@ -34,8 +34,8 @@ import (
 
 // FormatVersion is the wire-format version Encode writes and Decode
 // accepts. Bump it on any incompatible layout change; Decode rejects
-// unknown versions with ErrVersion rather than misparsing.
-const FormatVersion = 1
+// every other version with ErrVersion rather than misparsing.
+const FormatVersion = 2
 
 // Fingerprint condenses one interpreter Result into the fields that a
 // bit-identical replay must reproduce exactly — the same cut the
@@ -116,8 +116,8 @@ func (fp Fingerprint) SameFailure(other Fingerprint) bool {
 }
 
 // Recording is one captured run: the program's identity (and usually its
-// full text), the interpreter knobs that affect execution, the scheduler
-// decision stream, and the result fingerprint the stream reproduces.
+// full text), the step budget it ran under, the scheduler decision
+// stream, and the result fingerprint the stream reproduces.
 // The text and hash come from the module's own Text and Hash, printed
 // once per module however many runs of it are recorded.
 type Recording struct {
@@ -138,11 +138,8 @@ type Recording struct {
 	// Minimized marks artifacts produced by Minimize.
 	Minimized bool
 
-	// Interpreter configuration the run executed under.
-	MaxSteps         int64
-	MaxThreads       int
-	CollectOutput    bool
-	NoDeadlockCycles bool
+	// MaxSteps is the step budget the run executed under.
+	MaxSteps int64
 
 	// Fingerprint is the recorded run's result summary; Verify checks a
 	// replay against it field by field.
@@ -205,8 +202,8 @@ type Meta struct {
 }
 
 // Record runs mod once under cfg with recording attached and returns the
-// result together with its recording. The recorder is a flight ring that
-// never wraps, so the recording is always complete.
+// result together with its recording. The flight recorder's limit is one
+// no run reaches, so the recording is always complete.
 func Record(mod *mir.Module, cfg interp.Config, meta Meta) (*interp.Result, *Recording) {
 	cfg, fc := CaptureFlight(mod, cfg, meta, math.MaxInt)
 	r := interp.RunModule(mod, cfg)
@@ -230,14 +227,7 @@ type RunOptions struct {
 // CheckModule first.
 func Run(mod *mir.Module, rec *Recording, opt RunOptions) (*interp.Result, *sched.SegmentReplay) {
 	sr := sched.NewSegmentReplay(rec.Segments, rec.Intns)
-	cfg := interp.Config{
-		Sched:            sr,
-		MaxSteps:         rec.MaxSteps,
-		MaxThreads:       rec.MaxThreads,
-		CollectOutput:    rec.CollectOutput,
-		NoDeadlockCycles: rec.NoDeadlockCycles,
-		Sink:             opt.Sink,
-	}
+	cfg := interp.Config{Sched: sr, MaxSteps: rec.MaxSteps, Sink: opt.Sink}
 	if opt.MaxSteps > 0 {
 		cfg.MaxSteps = opt.MaxSteps
 	}
@@ -261,12 +251,17 @@ func Verify(mod *mir.Module, rec *Recording) error {
 	if err := rec.CheckModule(mod); err != nil {
 		return err
 	}
-	r, sr := Run(mod, rec, RunOptions{})
+	return rec.CheckRun(Run(mod, rec, RunOptions{}))
+}
+
+// CheckRun is Verify's check of a replay Run already made: r's
+// fingerprint equals the recorded one, and sr diverged nowhere unless the
+// recording is minimized.
+func (rec *Recording) CheckRun(r *interp.Result, sr *sched.SegmentReplay) error {
 	if d := sr.Diverged(); d > 0 && !rec.Minimized {
 		return fmt.Errorf("replay: %d decisions diverged from the recording", d)
 	}
-	got := FingerprintOf(r)
-	if got != rec.Fingerprint {
+	if got := FingerprintOf(r); got != rec.Fingerprint {
 		return fmt.Errorf("replay: fingerprint mismatch\n got %+v\nwant %+v", got, rec.Fingerprint)
 	}
 	return nil

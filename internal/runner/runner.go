@@ -69,16 +69,16 @@ type Engine struct {
 	// safe for concurrent use; it observes results, never alters them.
 	RunHook RunHook
 	// FlightLimit, when positive, arms a bounded flight recorder on every
-	// job (a sched.FlightRecorder ring of at most FlightLimit segments):
-	// any failing run yields a complete replayable recording in its
-	// RunInfo without -record having been asked for, while long healthy
-	// runs wrap the ring and cost only its memory. math.MaxInt is the
-	// ring that never wraps. Use DefaultFlightLimit unless there is a
-	// reason not to.
+	// job (a sched.FlightRecorder keeping the first FlightLimit segments
+	// and draws of the run's schedule): any failing run yields a complete
+	// replayable recording in its RunInfo without -record having been
+	// asked for, while a long healthy run outgrows the buffers, is marked
+	// truncated and costs only their memory. math.MaxInt never
+	// truncates. Use DefaultFlightLimit unless there is a reason not to.
 	FlightLimit int
 }
 
-// DefaultFlightLimit is the flight-recorder ring bound engines should use
+// DefaultFlightLimit is the flight-recorder bound engines should use
 // unless they have a reason not to.
 const DefaultFlightLimit = sched.DefaultFlightSegments
 
@@ -96,12 +96,13 @@ type RunInfo struct {
 	// mir.FailPanic result).
 	Result *interp.Result
 	// Recording is the job's schedule recording when FlightLimit is set;
-	// nil otherwise, nil when the flight ring wrapped (see
+	// nil otherwise, nil when the run outgrew the flight recorder (see
 	// RecordingTruncated), and nil when the engine's watchdog stopped the
 	// run, whose stop step depends on wall-clock time.
 	Recording *replay.Recording
-	// RecordingTruncated reports that a flight recording existed but
-	// wrapped its ring, so no complete replayable stream survives.
+	// RecordingTruncated reports that the run was flight-recorded but
+	// outgrew the recorder, so only a prefix of its schedule was kept,
+	// which cannot replay.
 	RecordingTruncated bool
 	// RecordingPath is where a hook earlier in a chain wrote Recording
 	// ("" otherwise). The engine never sets it.

@@ -191,8 +191,9 @@ func TestFlightRecordingDoesNotPerturbResults(t *testing.T) {
 	}
 }
 
-// TestFlightRingTruncationReported: a ring far smaller than the schedule
-// wraps, and the hook sees the truncation instead of a lying artifact.
+// TestFlightRingTruncationReported: a run with far more segments than the
+// flight recorder keeps is truncated, and the hook sees the truncation
+// instead of a lying artifact.
 func TestFlightRingTruncationReported(t *testing.T) {
 	b := bugs.ByName("ZSNES")
 	mod := b.Program(bugs.Config{Light: true, ForceBug: true})
@@ -206,7 +207,7 @@ func TestFlightRingTruncationReported(t *testing.T) {
 		t.Fatalf("hook observed %d runs, want 1", len(got))
 	}
 	if !got[0].RecordingTruncated {
-		t.Fatal("2-segment ring did not truncate on a multi-thread run")
+		t.Fatal("2-segment recorder did not truncate on a multi-thread run")
 	}
 	if got[0].Recording != nil {
 		t.Fatal("truncated capture still produced a recording")

@@ -1,44 +1,43 @@
 package sched
 
 // This file is the recording half of record-and-replay. A FlightRecorder
-// wraps any Scheduler and transcribes its decision stream — every pick
-// (as a run-length-encoded segment stream) and every Intn draw — into
-// rings of at most limit entries, while delegating the decisions
-// themselves unchanged, so a recorded run is bit-identical to an
+// wraps any Scheduler and transcribes the start of its decision stream —
+// every pick (as a run-length-encoded segment stream) and every Intn
+// draw — into buffers of at most limit entries, while delegating the
+// decisions themselves unchanged, so a recorded run is bit-identical to an
 // unrecorded one under the same inner scheduler and seed.
 //
-// One type serves both uses. With a limit no run can reach the ring never
-// wraps and keeps the whole stream: that is a deliberate -record capture
-// (replay.Record). With a small limit it is aviation-style always-on
-// recording: always writing, bounded tape, and the tape only matters when
-// something goes wrong. Failing runs die young: a forced-failure run's
-// whole schedule fits in a small ring, so for exactly the runs worth
-// keeping the recording is complete and replayable bit-identically; long
-// healthy runs wrap the ring and their (useless) recording is marked
-// truncated instead of eating memory proportional to their step count.
+// One type serves both uses. With a limit no run can reach the buffers
+// never fill and keep the whole stream: that is a deliberate -record
+// capture (replay.Record). With a small limit it is aviation-style
+// always-on recording: always writing, bounded tape, and the tape only
+// matters when something goes wrong. Failing runs die young: a
+// forced-failure run's whole schedule fits in a small buffer, so for
+// exactly the runs worth keeping the recording is complete and replayable
+// bit-identically; a long healthy run fills the buffer, is marked
+// truncated and records nothing more, instead of eating memory
+// proportional to its step count. Replay needs a stream from the run's
+// first decision, so the prefix is all a recorder keeps.
 
-// FlightRecorder wraps an inner scheduler and records the tail of its
-// decision stream into bounded rings. It is purely observational: Pick
+// FlightRecorder wraps an inner scheduler and records the prefix of its
+// decision stream into bounded buffers. It is purely observational: Pick
 // and Intn return exactly what the inner scheduler returns, so an
 // attached flight recorder never changes a run.
 type FlightRecorder struct {
 	inner  Scheduler
 	stayer Stayer // inner as a Stayer, or nil
-	limit  int    // ring capacity, in segments (and in Intn draws)
+	limit  int    // buffer capacity, in segments (and in Intn draws)
 
-	segs  []Segment // ring; logical order starts at segStart once full
-	start int       // index of the oldest segment when len(segs) == limit
+	segs  []Segment // the run's first segments
+	intns []int64   // the run's first Intn draws
 
-	intns     []int64 // ring of Intn draws
-	intnStart int
-
-	picks        int64
-	droppedSegs  int64 // segments evicted from the ring
-	droppedPicks int64 // picks inside evicted segments
-	droppedIntns int64
+	picks int64
+	// truncated is set once a segment or draw arrives after its buffer
+	// filled; from then on nothing more is recorded.
+	truncated bool
 }
 
-// DefaultFlightSegments is the ring capacity used when limit <= 0: deep
+// DefaultFlightSegments is the buffer capacity used when limit <= 0: deep
 // enough that every forced-failure benchmark run fits with a wide margin
 // (their full schedules run to a few thousand segments), small enough
 // that a worker pool of flight-recorded jobs stays in the megabytes.
@@ -55,16 +54,7 @@ func NewFlightRecorder(inner Scheduler, limit int) *FlightRecorder {
 	return f
 }
 
-// lastIdx returns the ring index of the newest segment; only valid when
-// len(f.segs) > 0.
-func (f *FlightRecorder) lastIdx() int {
-	if len(f.segs) < f.limit || f.start == 0 {
-		return len(f.segs) - 1
-	}
-	return f.start - 1
-}
-
-// Pick implements Scheduler, recording the chosen thread in the ring.
+// Pick implements Scheduler, recording the chosen thread.
 func (f *FlightRecorder) Pick(runnable []int, step int64) int {
 	t := f.inner.Pick(runnable, step)
 	f.Note(int32(t))
@@ -81,7 +71,7 @@ func (f *FlightRecorder) Stay(tid int, runnable []int, step int64) int64 {
 }
 
 // Advance implements Stayer: the inner scheduler commits the picks and
-// the ring records them as one run.
+// the recorder records them as one run.
 func (f *FlightRecorder) Advance(tid int, k int64) {
 	if k <= 0 {
 		return
@@ -95,63 +85,48 @@ func (f *FlightRecorder) Advance(tid int, k int64) {
 // *Random directly (bit-identical arithmetic to Random.Pick) and reports
 // each resulting decision here, so the recorded stream is exactly what
 // routing every pick through Pick would produce. The common same-thread
-// case is one compare and one increment.
+// case is two tests and one increment.
 func (f *FlightRecorder) Note(tid int32) {
 	f.picks++
-	if len(f.segs) > 0 {
-		if last := f.lastIdx(); f.segs[last].TID == tid {
-			f.segs[last].N++
-			return
-		}
+	if n := len(f.segs); n > 0 && f.segs[n-1].TID == tid && !f.truncated {
+		f.segs[n-1].N++
+		return
 	}
 	f.push(tid, 1)
 }
 
 // NoteRun records n consecutive picks of tid — a superblock quantum's
-// worth — in one ring update. n <= 0 is a no-op.
+// worth — in one update. n <= 0 is a no-op.
 func (f *FlightRecorder) NoteRun(tid int32, n int64) {
 	if n <= 0 {
 		return
 	}
 	f.picks += n
-	if len(f.segs) > 0 {
-		if last := f.lastIdx(); f.segs[last].TID == tid {
-			f.segs[last].N += n
-			return
-		}
+	if k := len(f.segs); k > 0 && f.segs[k-1].TID == tid && !f.truncated {
+		f.segs[k-1].N += n
+		return
 	}
 	f.push(tid, n)
 }
 
-// push starts a new segment, evicting the oldest slot when the ring is
-// full (the slot after it then becomes the oldest).
+// push starts a new segment, or marks the recording truncated when the
+// segment buffer is full.
 func (f *FlightRecorder) push(tid int32, n int64) {
-	if len(f.segs) < f.limit {
-		f.segs = append(f.segs, Segment{TID: tid, N: n})
+	if f.truncated || len(f.segs) == f.limit {
+		f.truncated = true
 		return
 	}
-	f.droppedSegs++
-	f.droppedPicks += f.segs[f.start].N
-	f.segs[f.start] = Segment{TID: tid, N: n}
-	f.start++
-	if f.start == f.limit {
-		f.start = 0
-	}
+	f.segs = append(f.segs, Segment{TID: tid, N: n})
 }
 
-// Intn implements Scheduler, recording the drawn value in the ring.
+// Intn implements Scheduler, recording the drawn value.
 func (f *FlightRecorder) Intn(n int) int {
 	v := f.inner.Intn(n)
-	if len(f.intns) < f.limit {
-		f.intns = append(f.intns, int64(v))
+	if f.truncated || len(f.intns) == f.limit {
+		f.truncated = true
 		return v
 	}
-	f.droppedIntns++
-	f.intns[f.intnStart] = int64(v)
-	f.intnStart++
-	if f.intnStart == f.limit {
-		f.intnStart = 0
-	}
+	f.intns = append(f.intns, int64(v))
 	return v
 }
 
@@ -161,33 +136,21 @@ func (f *FlightRecorder) Name() string { return "flight(" + f.inner.Name() + ")"
 // Inner returns the wrapped scheduler.
 func (f *FlightRecorder) Inner() Scheduler { return f.inner }
 
-// Segments returns a copy of the retained pick stream, oldest first.
+// Segments returns a copy of the recorded pick stream.
 func (f *FlightRecorder) Segments() []Segment {
-	out := make([]Segment, 0, len(f.segs))
-	out = append(out, f.segs[f.start:]...)
-	out = append(out, f.segs[:f.start]...)
-	return out
+	return append(make([]Segment, 0, len(f.segs)), f.segs...)
 }
 
-// Intns returns a copy of the retained Intn draws, oldest first.
+// Intns returns a copy of the recorded Intn draws.
 func (f *FlightRecorder) Intns() []int64 {
-	out := make([]int64, 0, len(f.intns))
-	out = append(out, f.intns[f.intnStart:]...)
-	out = append(out, f.intns[:f.intnStart]...)
-	return out
+	return append(make([]int64, 0, len(f.intns)), f.intns...)
 }
 
-// Picks returns the total number of scheduling decisions observed
-// (including ones whose segments have been evicted).
+// Picks returns the total number of scheduling decisions observed,
+// including those made after the recording was truncated.
 func (f *FlightRecorder) Picks() int64 { return f.picks }
 
-// Truncated reports whether the ring wrapped: the retained stream is then
-// a strict suffix of the run's schedule and cannot replay the run from
-// the start.
-func (f *FlightRecorder) Truncated() bool { return f.droppedSegs > 0 || f.droppedIntns > 0 }
-
-// Dropped returns the eviction counters: whole segments evicted, picks
-// inside them, and Intn draws evicted.
-func (f *FlightRecorder) Dropped() (segs, picks, intns int64) {
-	return f.droppedSegs, f.droppedPicks, f.droppedIntns
-}
+// Truncated reports whether the run outgrew the buffers: the recorded
+// stream is then a strict prefix of the run's schedule and cannot replay
+// the whole run.
+func (f *FlightRecorder) Truncated() bool { return f.truncated }

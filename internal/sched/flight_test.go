@@ -8,11 +8,14 @@ import (
 
 // TestFlightRecorderTransparent pins the flight recorder's observational
 // contract: a wrapped scheduler returns exactly the decisions the
-// unwrapped one would, for Pick and Intn, even while a tiny ring wraps
-// constantly. TestRecorderTransparent covers the unbounded ring.
+// unwrapped one would, for Pick and Intn, even long after a tiny buffer
+// filled. What it keeps is the prefix of the decision stream.
+// TestRecorderTransparent covers the unbounded buffer.
 func TestFlightRecorderTransparent(t *testing.T) {
 	plain := NewRandom(42)
-	fr := NewFlightRecorder(NewRandom(42), 8) // tiny ring: wraps constantly
+	fr := NewFlightRecorder(NewRandom(42), 8) // tiny buffer: fills at once
+	var logSegs []Segment
+	var logIntns []int64
 
 	runnable := [][]int{
 		{0}, {0, 1}, {0, 1, 2}, {1, 2}, {0, 2, 5, 9}, {3}, {0, 1, 2, 3, 4},
@@ -20,42 +23,42 @@ func TestFlightRecorderTransparent(t *testing.T) {
 	var picks int64
 	for step := int64(0); step < 10_000; step++ {
 		r := runnable[int(step)%len(runnable)]
-		if got, want := fr.Pick(r, step), plain.Pick(r, step); got != want {
+		got, want := fr.Pick(r, step), plain.Pick(r, step)
+		if got != want {
 			t.Fatalf("step %d: flight pick %d, plain pick %d", step, got, want)
 		}
+		logSegs = append(logSegs, Segment{TID: int32(want), N: 1})
 		picks++
 		if step%97 == 0 {
 			n := int(step%7) + 2
-			if got, want := fr.Intn(n), plain.Intn(n); got != want {
+			got, want := fr.Intn(n), plain.Intn(n)
+			if got != want {
 				t.Fatalf("step %d: flight Intn %d, plain %d", step, got, want)
 			}
+			logIntns = append(logIntns, int64(want))
 		}
 	}
 	if fr.Picks() != picks {
 		t.Fatalf("Picks() = %d, want %d", fr.Picks(), picks)
 	}
 	if !fr.Truncated() {
-		t.Fatal("10k picks through an 8-segment ring did not truncate")
+		t.Fatal("10k picks through an 8-segment buffer did not truncate")
 	}
-	segs, dropped, _ := fr.Dropped()
-	var retained int64
-	for i, s := range fr.Segments() {
-		if s.N <= 0 {
-			t.Fatalf("segment with non-positive length: %+v", s)
-		}
-		if i > 0 && s.TID == fr.Segments()[i-1].TID {
-			t.Fatalf("adjacent segments %d and %d share tid %d (not run-length-maximal)",
-				i-1, i, s.TID)
-		}
-		retained += s.N
+	segs, log := fr.Segments(), MergeSegments(logSegs)
+	if len(segs) != 8 {
+		t.Fatalf("kept %d segments, want the buffer's 8", len(segs))
 	}
-	if dropped+retained != picks {
-		t.Fatalf("dropped %d + retained %d picks != %d observed (%d segments evicted)",
-			dropped, retained, picks, segs)
+	// The first segment to overflow truncates the recording, so every kept
+	// segment, the last one included, is the run's own.
+	if !reflect.DeepEqual(segs, log[:len(segs)]) {
+		t.Fatalf("kept segments %+v are not the run's first %d %+v", segs, len(segs), log[:len(segs)])
+	}
+	if got := fr.Intns(); !reflect.DeepEqual(got, logIntns[:len(got)]) {
+		t.Fatalf("kept draws %v are not the run's first %d %v", got, len(got), logIntns[:len(got)])
 	}
 }
 
-// TestFlightRecorderMatchesRecorder checks that an un-wrapped bounded
+// TestFlightRecorderMatchesRecorder checks that an untruncated bounded
 // flight recording is segment-for-segment identical to the unbounded
 // recorder replay.Record captures with, and to an independent log of the
 // inner scheduler's decisions — the property that makes a failing run's
@@ -80,7 +83,7 @@ func TestFlightRecorderMatchesRecorder(t *testing.T) {
 		}
 	}
 	if fr.Truncated() || full.Truncated() {
-		t.Fatal("ring truncated below its capacity")
+		t.Fatal("recording truncated below its capacity")
 	}
 	for _, ref := range []struct {
 		name  string
@@ -100,36 +103,56 @@ func TestFlightRecorderMatchesRecorder(t *testing.T) {
 	}
 }
 
-// TestFlightRecorderRingOrder drives a deterministic pick pattern through
-// a tiny ring and checks the retained segments are exactly the newest
-// ones, oldest first.
-func TestFlightRecorderRingOrder(t *testing.T) {
+// TestFlightRecorderKeepsPrefix drives a deterministic pick pattern
+// through a tiny buffer and checks the kept segments and draws are
+// exactly the oldest ones, and that every decision is still counted.
+func TestFlightRecorderKeepsPrefix(t *testing.T) {
 	fr := NewFlightRecorder(NewScripted([]int{1, 2, 3, 4, 5, 6, 7}, 1), 3)
+	plain := NewRandom(5)
 	for step := int64(0); step < 7; step++ {
 		// Only the scripted thread is runnable, so each pick is a new
 		// single-pick segment.
 		fr.Pick([]int{1, 2, 3, 4, 5, 6, 7}, step)
 	}
-	want := []Segment{{TID: 5, N: 1}, {TID: 6, N: 1}, {TID: 7, N: 1}}
+	want := []Segment{{TID: 1, N: 1}, {TID: 2, N: 1}, {TID: 3, N: 1}}
 	if got := fr.Segments(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("ring retained %+v, want %+v", got, want)
+		t.Fatalf("kept %+v, want %+v", got, want)
 	}
-	segs, picks, _ := fr.Dropped()
-	if segs != 4 || picks != 4 {
-		t.Fatalf("Dropped() = (%d segs, %d picks), want (4, 4)", segs, picks)
+	if !fr.Truncated() || fr.Picks() != 7 {
+		t.Fatalf("Truncated() = %v, Picks() = %d; want true, 7", fr.Truncated(), fr.Picks())
+	}
+
+	draws := NewFlightRecorder(NewRandom(5), 3)
+	var wantIntns []int64
+	for range 5 {
+		draws.Intn(100)
+		wantIntns = append(wantIntns, int64(plain.Intn(100)))
+	}
+	if got := draws.Intns(); !reflect.DeepEqual(got, wantIntns[:3]) {
+		t.Fatalf("kept draws %v, want the first three of %v", got, wantIntns)
+	}
+	if !draws.Truncated() {
+		t.Fatal("five draws through a three-draw buffer did not truncate")
 	}
 }
 
-// TestFlightRecorderLastSegmentExtends pins the RLE boundary case around
-// eviction: a repeated pick extends the newest segment in place rather
-// than evicting another slot.
+// TestFlightRecorderLastSegmentExtends pins the RLE boundary cases around
+// a full buffer: a repeated pick extends the newest segment in place and
+// does not truncate, and once a new segment has truncated the recording a
+// pick of the last kept thread no longer extends it.
 func TestFlightRecorderLastSegmentExtends(t *testing.T) {
-	fr := NewFlightRecorder(NewScripted([]int{1, 2, 3, 4, 4, 4}, 1), 3)
-	for step := int64(0); step < 6; step++ {
+	fr := NewFlightRecorder(NewScripted([]int{1, 2, 3, 3, 3, 4, 3}, 1), 3)
+	for step := int64(0); step < 5; step++ {
 		fr.Pick([]int{1, 2, 3, 4}, step)
 	}
-	want := []Segment{{TID: 2, N: 1}, {TID: 3, N: 1}, {TID: 4, N: 3}}
-	if got := fr.Segments(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("ring retained %+v, want %+v", got, want)
+	want := []Segment{{TID: 1, N: 1}, {TID: 2, N: 1}, {TID: 3, N: 3}}
+	if got := fr.Segments(); !reflect.DeepEqual(got, want) || fr.Truncated() {
+		t.Fatalf("kept %+v (truncated %v), want %+v untruncated", got, fr.Truncated(), want)
+	}
+	for step := int64(5); step < 7; step++ {
+		fr.Pick([]int{1, 2, 3, 4}, step)
+	}
+	if got := fr.Segments(); !reflect.DeepEqual(got, want) || !fr.Truncated() {
+		t.Fatalf("after overflow kept %+v (truncated %v), want %+v truncated", got, fr.Truncated(), want)
 	}
 }

@@ -71,7 +71,6 @@ type SegmentReplay struct {
 
 	diverged  int64 // recorded thread not runnable: segment abandoned
 	tailPicks int64 // picks after the segment stream ran out
-	tailIntns int64 // draws after the recorded draws ran out
 }
 
 // NewSegmentReplay returns a replay scheduler over the given streams.
@@ -168,7 +167,6 @@ func (s *SegmentReplay) Intn(n int) int {
 		s.diverged++
 		return int(((v % int64(n)) + int64(n)) % int64(n))
 	}
-	s.tailIntns++
 	return 0
 }
 
