@@ -251,6 +251,7 @@ func BenchmarkAnalysis_Survival(b *testing.B) {
 	for _, app := range benchApps {
 		m := bugs.ByName(app).Program(bugs.Config{Light: true})
 		b.Run(app+"/Full", func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := core.Harden(m, core.DefaultOptions()); err != nil {
 					b.Fatal(err)
@@ -258,6 +259,7 @@ func BenchmarkAnalysis_Survival(b *testing.B) {
 			}
 		})
 		b.Run(app+"/IntraOnly", func(b *testing.B) {
+			b.ReportAllocs()
 			opts := core.DefaultOptions()
 			opts.Interproc = false
 			for i := 0; i < b.N; i++ {
@@ -476,6 +478,7 @@ func BenchmarkMicro_EngineSweep(b *testing.B) {
 // largest app.
 func BenchmarkMicro_HardenPipeline(b *testing.B) {
 	m := bugs.ByName("MySQL1").Program(bugs.Config{Light: true})
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.Harden(m, core.DefaultOptions()); err != nil {

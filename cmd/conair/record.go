@@ -141,14 +141,6 @@ func loadArtifact(path, modFile string) (*replay.Recording, *mir.Module, error) 
 	return rec, m, nil
 }
 
-// writeTrace replays rec with the trace sink attached and writes a Chrome
-// trace of the schedule.
-func writeTrace(m *mir.Module, rec *replay.Recording, out string) error {
-	tr := obs.NewTracer(obs.DefaultTracerCap)
-	replay.Run(m, rec, replay.RunOptions{Sink: tr})
-	return writeEvents(tr.Events(), out, "")
-}
-
 // runReplay reproduces an artifact and verifies bit-identity, in one
 // replay that also feeds the Chrome trace when traceOut is set.
 func runReplay(path, modFile, traceOut string, quiet bool) error {
@@ -202,11 +194,15 @@ func runMinimize(path, modFile, out, traceOut string, budget int, quiet bool) er
 	if err != nil {
 		return err
 	}
-	if telemetry != nil {
-		// One verification replay of the minimized artifact puts it in the
-		// run registry, downloadable alongside the original.
+	// One replay of the minimized artifact puts it in the run registry,
+	// downloadable alongside the original, and feeds the trace.
+	var opt replay.RunOptions
+	if traceOut != "" {
+		opt.Sink = obs.NewTracer(obs.DefaultTracerCap)
+	}
+	if telemetryHook != nil || traceOut != "" {
 		start := time.Now()
-		r, _ := replay.Run(m, min.Rec, replay.RunOptions{})
+		r, _ := replay.Run(m, min.Rec, opt)
 		registerRun(runner.RunInfo{
 			Label: min.Rec.ModuleName + "-minimized", Seed: min.Rec.Seed, Sched: min.Rec.SchedName,
 			Elapsed: time.Since(start), Result: r, Recording: min.Rec,
@@ -225,7 +221,7 @@ func runMinimize(path, modFile, out, traceOut string, budget int, quiet bool) er
 		}
 	}
 	if traceOut != "" {
-		if err := writeTrace(m, min.Rec, traceOut); err != nil {
+		if err := writeEvents(opt.Sink.Events(), traceOut, ""); err != nil {
 			return err
 		}
 		if !quiet {

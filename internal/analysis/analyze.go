@@ -1,8 +1,9 @@
 package analysis
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"conair/internal/mir"
@@ -146,6 +147,9 @@ func Analyze(m *mir.Module, opts Options) (*Result, error) {
 	}
 
 	res.Sites = make([]SiteAnalysis, 0, len(sites))
+	// Sites come in position order, so each function's sites are
+	// consecutive and share one analysis context.
+	c := &funcCtx{}
 	for _, s := range sites {
 		if opts.PruneSafeSites && s.Kind == SiteSegfault && ProvablySafeDeref(m, s.Pos) {
 			res.SafePrunedSites++
@@ -153,11 +157,14 @@ func Analyze(m *mir.Module, opts Options) (*Result, error) {
 		}
 		res.Census.Add(s.Kind)
 		sa := SiteAnalysis{Site: s}
+		if c.f == nil || c.fn != s.Pos.Fn {
+			c.bind(m, s.Pos.Fn)
+		}
 
 		// §3.2: intra-procedural region and reexecution points.
-		sa.Region = IdentifyRegion(m, s, opts.Policy)
+		sa.Region = c.region(s, opts.Policy)
 		// Figure 8 slicing (used by §4.2 and §4.3).
-		sa.Slice = ComputeSlice(m, &sa.Region, nil)
+		sa.Slice = c.slice(&sa.Region, nil)
 
 		sa.Points = sa.Region.Points
 
@@ -166,7 +173,7 @@ func Analyze(m *mir.Module, opts Options) (*Result, error) {
 		// analysis... then inter-procedural... finally optimization,
 		// applied only to intra-procedural sites").
 		if opts.Interproc && s.Recoverable() {
-			sa.Interproc = SelectInterproc(m, s, &sa.Region, &sa.Slice,
+			sa.Interproc = c.selectInterproc(s, &sa.Region, &sa.Slice,
 				opts.Policy, opts.InterprocDepth)
 			if sa.Interproc.Selected {
 				// Replace REintra (the entry point of the site's own
@@ -179,7 +186,7 @@ func Analyze(m *mir.Module, opts Options) (*Result, error) {
 					}
 				}
 				pts = append(pts, sa.Interproc.Points...)
-				sa.Points = dedupPositions(pts)
+				sa.Points = sortedSet(pts)
 				res.InterprocSites++
 			}
 		}
@@ -207,49 +214,66 @@ func Analyze(m *mir.Module, opts Options) (*Result, error) {
 // Points that serve only §4.2-pruned sites are dropped (the optimization's
 // final step); points serving oracle-less wrong-output sites are kept so
 // survival mode still measures the paper's worst-case overhead.
+//
+// Every (point, site) pair goes into one presized list, sorted once by
+// position and site ID; each run of equal positions becomes a checkpoint,
+// and the checkpoints' SiteIDs share one backing array.
 func collectCheckpoints(sites []SiteAnalysis) []Checkpoint {
-	type agg struct {
-		deadlock, nondeadlock bool
-		ids                   []int
+	type plant struct {
+		pos      mir.Pos
+		site     int
+		deadlock bool
 	}
-	byPos := map[mir.Pos]*agg{}
+	// Recovery removed by §4.2: the site's points plant no checkpoints
+	// (unless shared with a surviving site, whose own plant covers them).
+	planted := func(sa *SiteAnalysis) bool {
+		return sa.Verdict != PruneNoLockInRegion && sa.Verdict != PruneNoSharedRead
+	}
+	n := 0
+	for i := range sites {
+		if planted(&sites[i]) {
+			n += len(sites[i].Points)
+		}
+	}
+	plants := make([]plant, 0, n)
 	for i := range sites {
 		sa := &sites[i]
-		switch sa.Verdict {
-		case PruneNoLockInRegion, PruneNoSharedRead:
-			// Recovery removed; its points plant no checkpoints (unless
-			// shared with a surviving site, which the aggregation below
-			// handles naturally by simply not adding them here).
+		if !planted(sa) {
 			continue
 		}
 		for _, p := range sa.Points {
-			a := byPos[p]
-			if a == nil {
-				a = &agg{}
-				byPos[p] = a
-			}
-			if sa.Site.Kind == SiteDeadlock {
-				a.deadlock = true
+			plants = append(plants, plant{p, sa.Site.ID, sa.Site.Kind == SiteDeadlock})
+		}
+	}
+	slices.SortFunc(plants, func(a, b plant) int {
+		if c := cmpPos(a.pos, b.pos); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.site, b.site)
+	})
+
+	groups := 0
+	for i := range plants {
+		if i == 0 || plants[i].pos != plants[i-1].pos {
+			groups++
+		}
+	}
+	out := make([]Checkpoint, 0, groups)
+	ids := make([]int, len(plants))
+	for i := 0; i < len(plants); {
+		cp := Checkpoint{ID: len(out) + 1, Pos: plants[i].pos}
+		j := i
+		for ; j < len(plants) && plants[j].pos == cp.Pos; j++ {
+			ids[j] = plants[j].site
+			if plants[j].deadlock {
+				cp.ServesDeadlock = true
 			} else {
-				a.nondeadlock = true
+				cp.ServesNonDeadlock = true
 			}
-			a.ids = append(a.ids, sa.Site.ID)
 		}
-	}
-	positions := make([]mir.Pos, 0, len(byPos))
-	for p := range byPos {
-		positions = append(positions, p)
-	}
-	sort.Slice(positions, func(i, j int) bool { return positions[i].Less(positions[j]) })
-	out := make([]Checkpoint, len(positions))
-	for i, p := range positions {
-		a := byPos[p]
-		sort.Ints(a.ids)
-		out[i] = Checkpoint{
-			ID: i + 1, Pos: p,
-			ServesDeadlock: a.deadlock, ServesNonDeadlock: a.nondeadlock,
-			SiteIDs: a.ids,
-		}
+		cp.SiteIDs = ids[i:j:j]
+		out = append(out, cp)
+		i = j
 	}
 	return out
 }

@@ -51,6 +51,12 @@ type InterprocResult struct {
 // reaches its own entry cleanly recurses, up to maxDepth levels.
 func SelectInterproc(m *mir.Module, site Site, region *Region, slice *Slice,
 	policy mir.RegionPolicy, maxDepth int) InterprocResult {
+	return newFuncCtx(m, site.Pos.Fn).selectInterproc(site, region, slice, policy, maxDepth)
+}
+
+// selectInterproc is SelectInterproc for a site of c's function.
+func (c *funcCtx) selectInterproc(site Site, region *Region, slice *Slice,
+	policy mir.RegionPolicy, maxDepth int) InterprocResult {
 
 	if maxDepth <= 0 {
 		maxDepth = DefaultInterprocDepth
@@ -61,17 +67,16 @@ func SelectInterproc(m *mir.Module, site Site, region *Region, slice *Slice,
 	if !region.OnlyEntryPoint {
 		return res
 	}
-	f := &m.Functions[site.Pos.Fn]
 	// Condition (2).
-	if site.Kind != SiteDeadlock && len(slice.CriticalParams(f)) == 0 {
+	if site.Kind != SiteDeadlock && len(slice.CriticalParams(c.f)) == 0 {
 		return res
 	}
 	// Condition (3).
-	if !hasUnrecoverablePath(m, site, region, slice) {
+	if !c.hasUnrecoverablePath(site, region, slice) {
 		return res
 	}
 
-	points, levels, gaveUp := callerPoints(m, site, policy, site.Pos.Fn, 1, maxDepth)
+	points, levels, gaveUp := callerPoints(c.m, site, policy, site.Pos.Fn, 1, maxDepth)
 	if gaveUp {
 		// Keep REintra at the function entry (the paper's fallback).
 		res.GaveUp = true
@@ -129,15 +134,7 @@ func callerPoints(m *mir.Module, origin Site, policy mir.RegionPolicy,
 		}
 		points = append(points, r.Points...)
 	}
-	return dedupPositions(points), levels, false
-}
-
-func dedupPositions(ps []mir.Pos) []mir.Pos {
-	set := map[mir.Pos]bool{}
-	for _, p := range ps {
-		set[p] = true
-	}
-	return sortedPositions(set)
+	return sortedSet(points), levels, false
 }
 
 // hasUnrecoverablePath implements condition (3): is there a path from the
@@ -149,35 +146,15 @@ func dedupPositions(ps []mir.Pos) []mir.Pos {
 // path is only declared unrecoverable when it provably avoids all helpful
 // blocks; helpful instructions in the site's own block before the site, or
 // in the entry block, make every path recoverable.
-func hasUnrecoverablePath(m *mir.Module, site Site, region *Region, slice *Slice) bool {
-	f := &m.Functions[site.Pos.Fn]
-	cfg := mir.BuildCFG(f)
-
-	helpful := map[mir.Pos]bool{}
-	if site.Kind == SiteDeadlock {
-		for _, p := range region.Members {
-			if mir.IsLockAcquire(m.At(p)) {
-				helpful[p] = true
-			}
-		}
-	} else {
-		for _, p := range slice.SharedReads {
-			helpful[p] = true
-		}
-	}
-	if len(helpful) == 0 {
-		// Nothing helpful anywhere: every path is unrecoverable.
-		return true
-	}
-
+func (c *funcCtx) hasUnrecoverablePath(site Site, region *Region, slice *Slice) bool {
 	// Blocks that contain a helpful instruction act as barriers — except
 	// the site's own block, where only instructions before the site count,
 	// and the entry block, where every helpful instruction lies on every
 	// path anyway.
 	barrier := map[int]bool{}
-	siteBlockHelps := false
-	entryBlockHelps := false
-	for p := range helpful {
+	helpful, siteBlockHelps, entryBlockHelps := false, false, false
+	help := func(p mir.Pos) {
+		helpful = true
 		switch p.Block {
 		case site.Pos.Block:
 			if p.Index < site.Pos.Index {
@@ -190,6 +167,21 @@ func hasUnrecoverablePath(m *mir.Module, site Site, region *Region, slice *Slice
 			entryBlockHelps = true
 		}
 	}
+	if site.Kind == SiteDeadlock {
+		for _, p := range region.Members {
+			if mir.IsLockAcquire(c.m.At(p)) {
+				help(p)
+			}
+		}
+	} else {
+		for _, p := range slice.SharedReads {
+			help(p)
+		}
+	}
+	if !helpful {
+		// Nothing helpful anywhere: every path is unrecoverable.
+		return true
+	}
 	if siteBlockHelps && site.Pos.Block != 0 {
 		// Every path ends by running the site block's prefix, which is
 		// helpful; no unrecoverable path exists.
@@ -199,5 +191,5 @@ func hasUnrecoverablePath(m *mir.Module, site Site, region *Region, slice *Slice
 		// Every path starts at entry, which is helpful.
 		return false
 	}
-	return cfg.ReachesWithout(0, site.Pos.Block, barrier)
+	return c.cfg.ReachesWithout(0, site.Pos.Block, barrier)
 }

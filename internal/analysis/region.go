@@ -1,10 +1,6 @@
 package analysis
 
-import (
-	"sort"
-
-	"conair/internal/mir"
-)
+import "conair/internal/mir"
 
 // Region is the result of the reexecution-region identification for one
 // failure site (paper §3.2.2): the set of reexecution points — positions
@@ -43,85 +39,78 @@ type Region struct {
 // The walk is at instruction granularity: the site's own block is scanned
 // upward from just above the site, and — if reached again around a loop —
 // rescanned from its end like any predecessor block.
+//
+// IdentifyRegion builds a one-function analysis context for the walk.
+// Analyze instead runs every site of a function through one context, so
+// the function's CFG is built once rather than once per site.
 func IdentifyRegion(m *mir.Module, site Site, policy mir.RegionPolicy) Region {
-	f := &m.Functions[site.Pos.Fn]
-	cfg := mir.BuildCFG(f)
+	return newFuncCtx(m, site.Pos.Fn).region(site, policy)
+}
+
+// region is IdentifyRegion for a site of c's function.
+func (c *funcCtx) region(site Site, policy mir.RegionPolicy) Region {
 	r := Region{Site: site}
-
-	pointSet := map[mir.Pos]bool{}
-	memberSet := map[mir.Pos]bool{}
-	// visited marks blocks whose full scan (from their last instruction)
-	// has been performed or queued.
-	visited := make([]bool, len(f.Blocks))
-	// worklist of blocks to scan from the end.
-	var work []int
-
-	entryPoint := mir.Pos{Fn: site.Pos.Fn, Block: 0, Index: 0}
-
-	// scan walks block bi backward from index from (inclusive) and either
-	// stops at a destroying instruction (adding a point after it) or falls
-	// off the block start (queueing predecessors, or adding the entry
-	// point for the entry block).
-	scan := func(bi, from int) {
-		blk := &f.Blocks[bi]
-		for idx := from; idx >= 0; idx-- {
-			in := &blk.Instrs[idx]
-			if mir.Destroys(in, policy) {
-				pointSet[mir.Pos{Fn: site.Pos.Fn, Block: bi, Index: idx + 1}] = true
-				return
-			}
-			p := mir.Pos{Fn: site.Pos.Fn, Block: bi, Index: idx}
-			if p != site.Pos {
-				memberSet[p] = true
-				if mir.IsLockAcquire(in) {
-					r.HasLockAcquire = true
-				}
-			}
-		}
-		if bi == 0 {
-			// Reached the entrance of the function containing the site.
-			pointSet[entryPoint] = true
-			return
-		}
-		preds := cfg.Preds[bi]
-		if len(preds) == 0 {
-			// Unreachable block: treat its start as a boundary point so a
-			// checkpoint still dominates the site in degenerate modules.
-			pointSet[mir.Pos{Fn: site.Pos.Fn, Block: bi, Index: 0}] = true
-			return
-		}
-		for _, pb := range preds {
-			if !visited[pb] {
-				visited[pb] = true
-				work = append(work, pb)
-			}
-		}
-	}
+	clear(c.seen)
+	c.work = c.work[:0]
+	c.points, c.members = c.points[:0], c.members[:0]
 
 	// First leg: from just above the site within its own block. The
-	// site's block is NOT marked visited by this partial scan — a loop
-	// path may reenter it from the end, which is a different scan.
-	scan(site.Pos.Block, site.Pos.Index-1)
+	// site's block is NOT marked seen by this partial scan — a loop path
+	// may reenter it from the end, which is a different scan.
+	c.scan(&r, policy, site.Pos.Block, site.Pos.Index-1)
 
-	for len(work) > 0 {
-		bi := work[len(work)-1]
-		work = work[:len(work)-1]
-		scan(bi, len(f.Blocks[bi].Instrs)-1)
+	for len(c.work) > 0 {
+		bi := c.work[len(c.work)-1]
+		c.work = c.work[:len(c.work)-1]
+		c.scan(&r, policy, bi, len(c.f.Blocks[bi].Instrs)-1)
 	}
 
-	r.Points = sortedPositions(pointSet)
-	r.Members = sortedPositions(memberSet)
+	// The two scans of the site's block can find the same positions.
+	r.Points = sortedSet(c.points)
+	r.Members = sortedSet(c.members)
+	entryPoint := mir.Pos{Fn: c.fn, Block: 0, Index: 0}
 	r.OnlyEntryPoint = len(r.Points) == 1 && r.Points[0] == entryPoint
 	return r
 }
 
-func sortedPositions(set map[mir.Pos]bool) []mir.Pos {
-	out := make([]mir.Pos, 0, len(set))
-	for p := range set {
-		out = append(out, p)
+// scan walks block bi backward from index from (inclusive) and either
+// stops at a destroying instruction (adding a point after it) or falls
+// off the block start (queueing predecessors, or adding the entry point
+// for the entry block).
+func (c *funcCtx) scan(r *Region, policy mir.RegionPolicy, bi, from int) {
+	blk := &c.f.Blocks[bi]
+	for idx := from; idx >= 0; idx-- {
+		in := &blk.Instrs[idx]
+		if mir.Destroys(in, policy) {
+			c.points = append(c.points, mir.Pos{Fn: c.fn, Block: bi, Index: idx + 1})
+			return
+		}
+		p := mir.Pos{Fn: c.fn, Block: bi, Index: idx}
+		if p != r.Site.Pos {
+			c.members = append(c.members, p)
+			if mir.IsLockAcquire(in) {
+				r.HasLockAcquire = true
+			}
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
+	if bi == 0 {
+		// Reached the entrance of the function containing the site.
+		c.points = append(c.points, mir.Pos{Fn: c.fn, Block: 0, Index: 0})
+		return
+	}
+	preds := c.cfg.Preds[bi]
+	if len(preds) == 0 {
+		// Unreachable block: treat its start as a boundary point so a
+		// checkpoint still dominates the site in degenerate modules.
+		c.points = append(c.points, mir.Pos{Fn: c.fn, Block: bi, Index: 0})
+		return
+	}
+	for _, pb := range preds {
+		if !c.seen[pb] {
+			c.seen[pb] = true
+			c.work = append(c.work, pb)
+		}
+	}
 }
 
 // IdentifyRegionAt is IdentifyRegion for a walk starting at an arbitrary

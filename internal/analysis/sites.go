@@ -7,7 +7,6 @@ package analysis
 
 import (
 	"fmt"
-	"sort"
 
 	"conair/internal/mir"
 )
@@ -139,7 +138,6 @@ func IdentifySurvival(m *mir.Module) []Site {
 			}
 		}
 	}
-	sort.Slice(sites, func(i, j int) bool { return sites[i].Pos.Less(sites[j].Pos) })
 	for i := range sites {
 		sites[i].ID = i + 1
 	}

@@ -2,7 +2,7 @@ package analysis
 
 import (
 	"math/bits"
-	"sort"
+	"slices"
 
 	"conair/internal/mir"
 )
@@ -106,7 +106,14 @@ func (s *regSet) addAll(o regSet) bool {
 
 // elems returns the set's elements in ascending order.
 func (s regSet) elems() []int {
-	var out []int
+	n := 0
+	for _, w := range s {
+		n += bits.OnesCount64(w)
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]int, 0, n)
 	for i, w := range s {
 		for w != 0 {
 			out = append(out, i*64+bits.TrailingZeros64(w))
@@ -118,6 +125,7 @@ func (s regSet) elems() []int {
 
 // ComputeSlice runs the backward slice for the site of region r, seeded by
 // seedRegs (defaults to the registers the site instruction uses when nil).
+// r.Members must be in position order, as IdentifyRegion returns them.
 //
 // The dataflow runs at instruction granularity over the region sub-graph:
 // need(p) is the set of registers needed immediately BEFORE executing the
@@ -132,122 +140,112 @@ func (s regSet) elems() []int {
 //
 // Shared reads (loadg, load) on the slice are recorded; their uses (the
 // address registers) remain tracked, following pointer chains backward.
+//
+// ComputeSlice builds a one-function analysis context for the dataflow.
+// Analyze instead runs every site of a function through one context,
+// whose dataflow state is reused from site to site.
 func ComputeSlice(m *mir.Module, r *Region, seedRegs []int) Slice {
-	f := &m.Functions[r.Site.Pos.Fn]
+	return newFuncCtx(m, r.Site.Pos.Fn).slice(r, seedRegs)
+}
+
+// slice is ComputeSlice for a region in c's function.
+func (c *funcCtx) slice(r *Region, seedRegs []int) Slice {
+	f := c.f
+	members := r.Members
+	n := len(members)
 
 	// All dataflow state is indexed by a member's rank in position order:
-	// the region is a small subset of one function, so sets sized by the
-	// member count (not the function's instruction count) keep ComputeSlice
-	// allocation-light — it runs once per site per harden. Membership tests
-	// binary-search the sorted flat pcs.
-	offs := f.BlockOffsets()
-	flat := func(p mir.Pos) int { return int(offs[p.Block]) + p.Index }
-
-	asc := append([]mir.Pos(nil), r.Members...)
-	sort.Slice(asc, func(i, j int) bool { return asc[i].Less(asc[j]) })
-	pcs := make([]int32, len(asc))
-	for i, p := range asc {
-		pcs[i] = int32(flat(p))
+	// the region is a small subset of one function, so state sized by the
+	// member count (not the function's instruction count) stays small.
+	// Membership tests binary-search the sorted flat pcs.
+	c.pcs = c.pcs[:0]
+	for _, p := range members {
+		c.pcs = append(c.pcs, c.offs[p.Block]+int32(p.Index))
 	}
-	// idxOf returns the member rank of the instruction at flat pc, or -1.
-	idxOf := func(pc int) int {
-		lo, hi := 0, len(pcs)
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if int(pcs[mid]) < pc {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		if lo < len(pcs) && int(pcs[lo]) == pc {
-			return lo
+	// rankOf returns the member rank of the instruction at p, or -1.
+	rankOf := func(p mir.Pos) int {
+		if k, ok := slices.BinarySearch(c.pcs, c.offs[p.Block]+int32(p.Index)); ok {
+			return k
 		}
 		return -1
 	}
 
-	seed := newRegSet(f.NumRegs())
+	nregWords := (f.NumRegs() + 64) / 64
+	seed := resized(c.seed, nregWords)
 	if seedRegs == nil {
-		site := m.At(r.Site.Pos)
-		for _, u := range f.Uses(site, nil) {
-			seed.add(u)
-		}
-	} else {
-		for _, u := range seedRegs {
-			seed.add(u)
-		}
+		c.uses = f.Uses(c.m.At(r.Site.Pos), c.uses[:0])
+		seedRegs = c.uses
 	}
+	for _, u := range seedRegs {
+		seed.add(u)
+	}
+	c.seed = seed
 	siteNeed := seed
 
-	// The fixpoint sweeps members in reverse position order — regions are
-	// small, so a simple round-robin sweep converges quickly. Successors
-	// never change across sweeps: precompute, per member, the member ranks
-	// whose need sets feed its need-after union (the site's seed is flagged
-	// separately since siteNeed is not stored in need[]).
-	type succInfo struct {
-		in   *mir.Instr
-		idx  int     // this member's rank
-		site bool    // some successor is the site itself
-		sidx []int32 // member ranks of in-region successors
-	}
-	succs := make([]succInfo, len(asc))
-	for k := range succs {
-		idx := len(asc) - 1 - k // sweep order: highest position first
-		p := asc[idx]
-		si := &succs[k]
-		si.in = m.At(p)
-		si.idx = idx
+	// Successors never change across sweeps: precompute, per member, the
+	// member ranks whose need sets feed its need-after union (the site's
+	// seed is flagged separately since siteNeed is not stored in need).
+	c.ins = c.ins[:0]
+	c.succ = c.succ[:0]
+	c.succOff = append(c.succOff[:0], 0)
+	c.siteSucc = resized(c.siteSucc, n)
+	for k, p := range members {
+		in := &f.Blocks[p.Block].Instrs[p.Index]
+		c.ins = append(c.ins, in)
 		collect := func(q mir.Pos) {
 			if q == r.Site.Pos {
-				si.site = true
-			} else if qi := idxOf(flat(q)); qi >= 0 {
-				si.sidx = append(si.sidx, int32(qi))
+				c.siteSucc[k] = true
+			} else if qi := rankOf(q); qi >= 0 {
+				c.succ = append(c.succ, int32(qi))
 			}
 		}
-		if si.in.Op.IsTerminator() {
+		if in.Op.IsTerminator() {
 			// Successors are the first positions of successor blocks.
-			switch si.in.Op {
+			switch in.Op {
 			case mir.OpBr:
-				collect(mir.Pos{Fn: p.Fn, Block: int(si.in.Aux), Index: 0})
-				collect(mir.Pos{Fn: p.Fn, Block: int(si.in.Else), Index: 0})
+				collect(mir.Pos{Fn: p.Fn, Block: int(in.Aux), Index: 0})
+				collect(mir.Pos{Fn: p.Fn, Block: int(in.Else), Index: 0})
 			case mir.OpJmp:
-				collect(mir.Pos{Fn: p.Fn, Block: int(si.in.Aux), Index: 0})
+				collect(mir.Pos{Fn: p.Fn, Block: int(in.Aux), Index: 0})
 			}
 		} else if p.Index+1 < len(f.Blocks[p.Block].Instrs) {
 			collect(mir.Pos{Fn: p.Fn, Block: p.Block, Index: p.Index + 1})
 		}
+		c.succOff = append(c.succOff, int32(len(c.succ)))
 	}
 
-	// need[i] = registers needed before executing member i. All member
+	// need[k] = registers needed before executing member k. All member
 	// sets share one backing array (full-length three-index slices, so a
 	// set that ever needs to grow detaches instead of clobbering its
 	// neighbor).
 	nw := len(seed)
-	backing := make(regSet, nw*len(asc))
-	need := make([]regSet, len(asc))
-	for i := range need {
-		need[i] = backing[i*nw : (i+1)*nw : (i+1)*nw]
+	c.needBuf = resized(c.needBuf, nw*n)
+	c.need = c.need[:0]
+	for k := 0; k < n; k++ {
+		c.need = append(c.need, c.needBuf[k*nw:(k+1)*nw:(k+1)*nw])
 	}
-	onSlice := make([]bool, len(asc))
-	sharedReads := make([]bool, len(asc))
+	need := c.need
+	c.onSlice = resized(c.onSlice, n)
+	c.sharedReads = resized(c.sharedReads, n)
+	onSlice, sharedReads := c.onSlice, c.sharedReads
 
-	after := newRegSet(f.NumRegs()) // scratch, rebuilt per instruction
-	before := newRegSet(f.NumRegs())
-	var usesBuf []int
+	after := resized(c.after, nregWords) // scratch, rebuilt per instruction
+	before := resized(c.before, nregWords)
 
+	// The fixpoint sweeps members in reverse position order — regions are
+	// small, so a simple round-robin sweep converges quickly.
 	for changed := true; changed; {
 		changed = false
-		for i := range succs {
-			si := &succs[i]
-			in := si.in
+		for k := n - 1; k >= 0; k-- {
+			in := c.ins[k]
 
 			// Need-after: union of need at every region successor (or the
 			// site's seed when the site executes next).
 			after.reset()
-			if si.site {
+			if c.siteSucc[k] {
 				after.addAll(siteNeed)
 			}
-			for _, qi := range si.sidx {
+			for _, qi := range c.succ[c.succOff[k]:c.succOff[k+1]] {
 				after.addAll(need[qi])
 			}
 
@@ -264,16 +262,10 @@ func ComputeSlice(m *mir.Module, r *Region, seedRegs []int) Slice {
 					// Definition reads a non-register location: stop
 					// tracking this chain (Figure 8).
 				case mir.OpLoadG, mir.OpLoad:
-					sharedReads[si.idx] = true
-					usesBuf = f.Uses(in, usesBuf[:0])
-					for _, u := range usesBuf {
-						before.add(u)
-					}
+					sharedReads[k] = true
+					c.addUses(&before, in)
 				default:
-					usesBuf = f.Uses(in, usesBuf[:0])
-					for _, u := range usesBuf {
-						before.add(u)
-					}
+					c.addUses(&before, in)
 				}
 			}
 			if in.Op == mir.OpBr {
@@ -281,33 +273,24 @@ func ComputeSlice(m *mir.Module, r *Region, seedRegs []int) Slice {
 				// steer execution to the site, so their conditions are
 				// always needed.
 				sliced = true
-				usesBuf = f.Uses(in, usesBuf[:0])
-				for _, u := range usesBuf {
-					before.add(u)
-				}
+				c.addUses(&before, in)
 			}
-			if sliced && !onSlice[si.idx] {
-				onSlice[si.idx] = true
+			if sliced && !onSlice[k] {
+				onSlice[k] = true
 				changed = true
 			}
-			if (&need[si.idx]).addAll(before) {
+			if (&need[k]).addAll(before) {
 				changed = true
 			}
 		}
 	}
+	c.after, c.before = after, before
 
+	// Members are in ascending position order, so the output lists are
+	// sorted; each is allocated at its exact size, and stays nil if empty.
 	var sl Slice
-	// Walk members in ascending position order so the output lists stay
-	// sorted, as the map-keyed representation guaranteed via
-	// sortedPositions.
-	for i, p := range asc {
-		if sharedReads[i] {
-			sl.SharedReads = append(sl.SharedReads, p)
-		}
-		if onSlice[i] {
-			sl.OnSlice = append(sl.OnSlice, p)
-		}
-	}
+	sl.SharedReads = selected(members, sharedReads)
+	sl.OnSlice = selected(members, onSlice)
 
 	// Registers needed at the entry point: the need set right before the
 	// first region instruction of the entry block — i.e. need at position
@@ -319,10 +302,39 @@ func ComputeSlice(m *mir.Module, r *Region, seedRegs []int) Slice {
 	case entryPos == r.Site.Pos:
 		entryNeed = siteNeed
 	default:
-		if ei := idxOf(flat(entryPos)); ei >= 0 {
+		if ei := rankOf(entryPos); ei >= 0 {
 			entryNeed = need[ei]
 		}
 	}
 	sl.NeededAtEntry = entryNeed.elems()
 	return sl
+}
+
+// addUses adds the registers in reads to s.
+func (c *funcCtx) addUses(s *regSet, in *mir.Instr) {
+	c.uses = c.f.Uses(in, c.uses[:0])
+	for _, u := range c.uses {
+		s.add(u)
+	}
+}
+
+// selected returns the positions whose flag is set, in an exactly sized
+// slice, or nil when there are none.
+func selected(ps []mir.Pos, flags []bool) []mir.Pos {
+	n := 0
+	for _, b := range flags {
+		if b {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]mir.Pos, 0, n)
+	for i, b := range flags {
+		if b {
+			out = append(out, ps[i])
+		}
+	}
+	return out
 }

@@ -30,8 +30,8 @@
 package transform
 
 import (
-	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 
 	"conair/internal/analysis"
 	"conair/internal/interp"
@@ -73,20 +73,24 @@ func (o *Options) withDefaults() Options {
 }
 
 // Apply rewrites module m according to the analysis result, returning the
-// hardened clone. The input module is left untouched.
+// hardened clone. The input module is left untouched. res is in the
+// position order Analyze produces: checkpoints sorted by position, sites
+// by position.
 func Apply(m *mir.Module, res *analysis.Result, opts Options) *mir.Module {
 	opts = opts.withDefaults()
 
-	// Group checkpoint plants and site rewrites by function.
-	checkpointsByFn := map[int][]analysis.Checkpoint{}
-	for _, cp := range res.Checkpoints {
-		checkpointsByFn[cp.Pos.Fn] = append(checkpointsByFn[cp.Pos.Fn], cp)
-	}
-	rewritesByFn := map[int][]*analysis.SiteAnalysis{}
+	// The recovering sites, in position order like the checkpoints, so
+	// each function's plants and rewrites are one sub-slice of each list.
+	n := 0
 	for i := range res.Sites {
-		sa := &res.Sites[i]
-		if sa.Recovers() {
-			rewritesByFn[sa.Site.Pos.Fn] = append(rewritesByFn[sa.Site.Pos.Fn], sa)
+		if res.Sites[i].Recovers() {
+			n++
+		}
+	}
+	rws := make([]*analysis.SiteAnalysis, 0, n)
+	for i := range res.Sites {
+		if sa := &res.Sites[i]; sa.Recovers() {
+			rws = append(rws, sa)
 		}
 	}
 
@@ -98,119 +102,136 @@ func Apply(m *mir.Module, res *analysis.Result, opts Options) *mir.Module {
 		Globals:   append([]mir.Global(nil), m.Globals...),
 		Functions: make([]mir.Function, len(m.Functions)),
 	}
+	cps := res.Checkpoints
 	for fi := range m.Functions {
-		cps := checkpointsByFn[fi]
-		rws := rewritesByFn[fi]
-		if len(cps) == 0 && len(rws) == 0 {
+		nc := 0
+		for nc < len(cps) && cps[nc].Pos.Fn == fi {
+			nc++
+		}
+		nr := 0
+		for nr < len(rws) && rws[nr].Site.Pos.Fn == fi {
+			nr++
+		}
+		if nc == 0 && nr == 0 {
 			out.Functions[fi] = m.Functions[fi].Clone()
 			continue
 		}
-		out.Functions[fi] = rewriteFunction(&m.Functions[fi], cps, rws, opts)
+		out.Functions[fi] = rewriteFunction(&m.Functions[fi], cps[:nc], rws[:nr], opts)
+		cps, rws = cps[nc:], rws[nr:]
 	}
 	return out
 }
 
 // siteGrowth is the number of instructions a site rewrite adds to its
-// block, by site kind (see the package comment).
-var siteGrowth = map[analysis.SiteKind]int{analysis.SiteSegfault: 2, analysis.SiteDeadlock: 1}
+// block (see the package comment).
+func siteGrowth(k analysis.SiteKind) int {
+	switch k {
+	case analysis.SiteSegfault:
+		return 2
+	case analysis.SiteDeadlock:
+		return 1
+	}
+	return 0
+}
 
 // rewriteFunction returns src rebuilt with its checkpoints planted and its
-// failure sites rewritten. New recovery and continuation blocks are
-// appended after the original blocks so original block indices (and hence
-// branch targets) stay valid. The original and continuation blocks view
-// one exactly sized instruction array, each with cap == len.
+// failure sites rewritten; cps and rws are the function's checkpoints and
+// recovering sites in position order, merged into the instruction stream
+// as it is emitted. New recovery and continuation blocks are appended
+// after the original blocks so original block indices (and hence branch
+// targets) stay valid. The original and continuation blocks view one
+// exactly sized instruction array, each with cap == len; the recovery
+// blocks view a second one.
 func rewriteFunction(src *mir.Function, cps []analysis.Checkpoint,
 	rws []*analysis.SiteAnalysis, opts Options) mir.Function {
 
 	f := src.CloneHeader()
-
-	// Per original (block, index): checkpoints to plant before it and the
-	// site rewrite to apply to it.
-	cpAt := map[[2]int][]int{} // (block, index) -> checkpoint IDs
-	for _, cp := range cps {
-		key := [2]int{cp.Pos.Block, cp.Pos.Index}
-		cpAt[key] = append(cpAt[key], cp.ID)
-	}
-	for k := range cpAt {
-		sort.Ints(cpAt[k])
-	}
-	rwAt := map[[2]int]*analysis.SiteAnalysis{}
 	size := src.NumInstrs() + len(cps)
 	for _, sa := range rws {
-		rwAt[[2]int{sa.Site.Pos.Block, sa.Site.Pos.Index}] = sa
-		size += siteGrowth[sa.Site.Kind]
+		size += siteGrowth(sa.Site.Kind)
 	}
+	// Segfault and deadlock rewrites each add one register.
+	f.RegNames = slices.Grow(f.RegNames, len(rws))
 
 	nOrig := len(src.Blocks)
 	newBlocks := make([]mir.Block, nOrig, nOrig+2*len(rws))
 
-	// Blocks with no checkpoint plant and no site rewrite are copied
-	// verbatim; only touched blocks pay the instruction-by-instruction
-	// rebuild below. Hardened modules touch a handful of blocks, so this
-	// skips the bulk of the rewrite work.
-	touched := make([]bool, nOrig)
-	for k := range cpAt {
-		touched[k[0]] = true
-	}
-	for k := range rwAt {
-		touched[k[0]] = true
-	}
-
-	// newReg appends a fresh compiler temporary.
-	newReg := func(name string) int32 {
-		f.RegNames = append(f.RegNames, name)
-		return int32(len(f.RegNames) - 1)
-	}
 	// appendBlock adds a block after the originals and returns its index.
 	appendBlock := func(name string) int32 {
 		newBlocks = append(newBlocks, mir.Block{Name: name})
 		return int32(len(newBlocks) - 1)
 	}
+	// recoverBlock fills block b with the recovery instructions ins,
+	// carved out of one array of at most three per rewrite.
+	recovery := make([]mir.Instr, 0, 3*len(rws))
+	recoverBlock := func(b int32, ins ...mir.Instr) {
+		start := len(recovery)
+		recovery = append(recovery, ins...)
+		newBlocks[b].Instrs = recovery[start:len(recovery):len(recovery)]
+	}
+	// name is scratch for labels and register names.
+	var name []byte
+	// newReg appends a fresh compiler temporary named <prefix><id>.
+	newReg := func(prefix string, id int) int32 {
+		name = strconv.AppendInt(append(name[:0], prefix...), int64(id), 10)
+		f.RegNames = append(f.RegNames, string(name))
+		return int32(len(f.RegNames) - 1)
+	}
 
 	// Everything but the recovery blocks lands in one array of exactly
 	// size instructions, the blocks in order and each contiguous.
 	buf := make([]mir.Instr, 0, size)
+	emit := func(in mir.Instr) {
+		buf = append(buf, in)
+	}
+	// A site rewrite redirects subsequent emits into its continuation
+	// block by starting a new segment of buf; the segments become the
+	// block instruction lists once the block is complete.
+	type segment struct {
+		block int32
+		start int
+	}
+	var segs []segment
+	startSegment := func(block int32) {
+		segs = append(segs, segment{block, len(buf)})
+	}
 
 	for bi := 0; bi < nOrig; bi++ {
 		srcInstrs := src.Blocks[bi].Instrs
 		curName := src.Blocks[bi].Name
 		newBlocks[bi].Name = curName
-		if !touched[bi] {
+
+		// Blocks with no checkpoint plant and no site rewrite are copied
+		// verbatim; only touched blocks pay the instruction-by-instruction
+		// rebuild below. Hardened modules touch a handful of blocks, so
+		// this skips the bulk of the rewrite work.
+		if (len(cps) == 0 || cps[0].Pos.Block != bi) && (len(rws) == 0 || rws[0].Site.Pos.Block != bi) {
 			start := len(buf)
 			buf = append(buf, srcInstrs...)
 			newBlocks[bi].Instrs = buf[start:len(buf):len(buf)]
 			continue
 		}
 
-		// A site rewrite redirects subsequent emits into its continuation
-		// block by starting a new segment of buf; the segments become the
-		// block instruction lists once the block is complete.
-		type segment struct {
-			block int32
-			start int
-		}
-		segs := []segment{{int32(bi), len(buf)}}
-		emit := func(in mir.Instr) {
-			buf = append(buf, in)
-		}
-		startSegment := func(block int32) {
-			segs = append(segs, segment{block, len(buf)})
-		}
-
+		segs = append(segs[:0], segment{int32(bi), len(buf)})
 		for ii := 0; ii < len(srcInstrs); ii++ {
-			for _, cpID := range cpAt[[2]int{bi, ii}] {
-				emit(mir.Instr{Op: mir.OpCheckpoint, Dst: -1, Site: int32(cpID)})
+			for len(cps) > 0 && cps[0].Pos.Block == bi && cps[0].Pos.Index == ii {
+				emit(mir.Instr{Op: mir.OpCheckpoint, Dst: -1, Site: int32(cps[0].ID)})
+				cps = cps[1:]
 			}
-			sa := rwAt[[2]int{bi, ii}]
-			if sa == nil {
+			if len(rws) == 0 || rws[0].Site.Pos.Block != bi || rws[0].Site.Pos.Index != ii {
 				emit(srcInstrs[ii])
 				continue
 			}
-
-			site := sa.Site
+			site := rws[0].Site
+			rws = rws[1:]
 			siteID := int32(site.ID)
 			in := srcInstrs[ii]
-			label := fmt.Sprintf("%s.s%d", curName, site.ID)
+			// Every rewrite branches to <block>.s<id>.recover and continues
+			// in <block>.s<id>.cont.
+			name = strconv.AppendInt(append(append(name[:0], curName...), ".s"...), int64(site.ID), 10)
+			n := len(name)
+			recover := appendBlock(string(append(name, ".recover"...)))
+			cont := appendBlock(string(append(name[:n], ".cont"...)))
 			switch site.Kind {
 			case analysis.SiteAssert, analysis.SiteWrongOutput:
 				// Figure 6: the assert's condition becomes a branch; the
@@ -220,24 +241,20 @@ func rewriteFunction(src *mir.Function, cps []analysis.Checkpoint,
 				if site.Kind == analysis.SiteWrongOutput {
 					failKind = mir.FailWrongOutput
 				}
-				recover := appendBlock(label + ".recover")
-				cont := appendBlock(label + ".cont")
 				emit(mir.Instr{
 					Op: mir.OpBr, Dst: -1, A: in.A,
 					Aux: cont, Else: recover, Site: siteID,
 				})
-				newBlocks[recover].Instrs = []mir.Instr{
-					{Op: mir.OpRollback, Dst: -1, Site: siteID, Imm: opts.MaxRetry},
-					{Op: mir.OpFail, Dst: -1, FailKind: failKind, Site: siteID, Ext: in.Ext},
-				}
+				recoverBlock(recover,
+					mir.Instr{Op: mir.OpRollback, Dst: -1, Site: siteID, Imm: opts.MaxRetry},
+					mir.Instr{Op: mir.OpFail, Dst: -1, FailKind: failKind, Site: siteID, Ext: in.Ext},
+				)
 				startSegment(cont)
 
 			case analysis.SiteSegfault:
 				// Figure 5c: pointer sanity check; exhausted retries fall
 				// into the real dereference.
-				ok := newReg(fmt.Sprintf(".ok%d", site.ID))
-				recover := appendBlock(label + ".recover")
-				cont := appendBlock(label + ".cont")
+				ok := newReg(".ok", site.ID)
 				emit(mir.Instr{
 					Op: mir.OpBin, Bin: mir.BinGt, Dst: ok,
 					A: in.A, B: mir.Imm(interp.LowerBound),
@@ -246,10 +263,10 @@ func rewriteFunction(src *mir.Function, cps []analysis.Checkpoint,
 					Op: mir.OpBr, Dst: -1, A: mir.Reg(int(ok)),
 					Aux: cont, Else: recover, Site: siteID,
 				})
-				newBlocks[recover].Instrs = []mir.Instr{
-					{Op: mir.OpRollback, Dst: -1, Site: siteID, Imm: opts.MaxRetry},
-					{Op: mir.OpJmp, Dst: -1, Aux: cont},
-				}
+				recoverBlock(recover,
+					mir.Instr{Op: mir.OpRollback, Dst: -1, Site: siteID, Imm: opts.MaxRetry},
+					mir.Instr{Op: mir.OpJmp, Dst: -1, Aux: cont},
+				)
 				startSegment(cont)
 				deref := in
 				deref.Site = siteID
@@ -264,9 +281,7 @@ func rewriteFunction(src *mir.Function, cps []analysis.Checkpoint,
 				// (compensated) lock, the predicate check and the wait from
 				// scratch; the timed send re-checks whatever shared
 				// condition stopped the peer from receiving.
-				got := newReg(fmt.Sprintf(".lk%d", site.ID))
-				recover := appendBlock(label + ".recover")
-				cont := appendBlock(label + ".cont")
+				got := newReg(".lk", site.ID)
 				timed := mir.Instr{
 					Op: mir.OpTimedLock, Dst: got, A: in.A,
 					Imm: mir.Word(opts.LockTimeout), Site: siteID,
@@ -290,17 +305,20 @@ func rewriteFunction(src *mir.Function, cps []analysis.Checkpoint,
 				})
 				fail := mir.Instr{Op: mir.OpFail, Dst: -1, FailKind: mir.FailDeadlock, Site: siteID}
 				f.SetText(&fail, failText)
-				newBlocks[recover].Instrs = []mir.Instr{
-					{Op: mir.OpSleepRand, Dst: -1, A: mir.Imm(opts.LivelockBackoff)},
-					{Op: mir.OpRollback, Dst: -1, Site: siteID, Imm: opts.MaxRetry},
+				recoverBlock(recover,
+					mir.Instr{Op: mir.OpSleepRand, Dst: -1, A: mir.Imm(opts.LivelockBackoff)},
+					mir.Instr{Op: mir.OpRollback, Dst: -1, Site: siteID, Imm: opts.MaxRetry},
 					fail,
-				}
+				)
 				startSegment(cont)
 			}
 		}
 		// A checkpoint may be addressed at one past the last position of a
 		// block only if the block's terminator was a destroyer, which
-		// terminators never are; nothing to flush.
+		// terminators never are; such a plant is dropped.
+		for len(cps) > 0 && cps[0].Pos.Block == bi {
+			cps = cps[1:]
+		}
 
 		// Slice the block's part of buf into the rebuilt blocks.
 		// Three-index expressions keep the segments from ever sharing
