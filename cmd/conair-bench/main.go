@@ -260,6 +260,9 @@ var sections = []section{
 	rowsOf("table3corpus", table(3), func(s selection) []experiments.CorpusRow {
 		return experiments.Table3Corpus(s.runs)
 	}, printTable3Corpus),
+	rowsOf("table3pct", table(3), func(s selection) []experiments.PCTRecoveryRow {
+		return experiments.Table3PCT(s.runs)
+	}, printTable3PCT),
 	rowsOf("table4", table(4), fixed(experiments.Table4), printTable4),
 	rowsOf("table5", table(5), fixed(experiments.Table5), printTable5),
 	rowsOf("table6", table(6), fixed(experiments.Table6), printTable6),
@@ -331,6 +334,19 @@ func printTable3Corpus(s selection, rows []experiments.CorpusRow) {
 			report.VerdictCell(r.Sanitizer))
 	}
 	emit(c)
+}
+
+func printTable3PCT(s selection, rows []experiments.PCTRecoveryRow) {
+	t := report.NewTable(
+		fmt.Sprintf("Table 3 (PCT): survival recovery under strict-priority schedules (%d PCT seeds, d=3; a rollback yields)", s.runs),
+		"App", "Recovered", "Episodes", "Rollbacks", "Rollbacks/episode")
+	for _, r := range rows {
+		t.Row(r.Name,
+			fmt.Sprintf("%d/%d", r.Recovered, r.Runs),
+			r.Episodes, r.Rollbacks,
+			fmt.Sprintf("%.1f", r.RollbacksPerEpisode))
+	}
+	emit(t)
 }
 
 func printTable4(_ selection, rows []experiments.Table4Row) {

@@ -20,6 +20,7 @@ package main
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"conair/internal/bugs"
@@ -85,28 +86,28 @@ func runRecord(o recordOpts) error {
 		label = m.Name
 	}
 	var (
-		res *interp.Result
-		rec *replay.Recording
+		res  *interp.Result
+		rec  *replay.Recording
+		seed int64
 	)
 	for i := int64(0); i < o.search; i++ {
-		seed := o.seed + i
+		seed = o.seed + i
 		s, err := newSched(o.schedN, seed)
 		if err != nil {
 			return err
 		}
-		cfg := interp.Config{Sched: s, MaxSteps: o.maxSteps}
-		start := time.Now()
-		res, rec = replay.Record(m, cfg, replay.Meta{Seed: seed, Label: o.bug})
-		registerRun(runner.RunInfo{
-			Label: label, Seed: seed, Sched: o.schedN,
-			Elapsed: time.Since(start), Result: res, Recording: rec,
-		})
+		// The flight recorder of a -record job never truncates.
+		res, rec = runJob(m, interp.Config{Sched: s, MaxSteps: o.maxSteps},
+			replay.Meta{Seed: seed, Label: label}, math.MaxInt)
 		if res.Failure != nil {
 			break
 		}
 	}
 	if res.Failure == nil && o.search > 1 {
 		return fmt.Errorf("no failing run in %d seeds starting at %d; recording the last completed run instead would lie — aborting", o.search, o.seed)
+	}
+	if rec == nil {
+		return fmt.Errorf("the run under seed %d left no recording: %v", seed, res.Failure)
 	}
 	if err := replay.WriteFile(o.out, rec); err != nil {
 		return err

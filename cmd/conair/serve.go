@@ -57,17 +57,31 @@ func registerRun(info runner.RunInfo) {
 	}
 }
 
-// runLive runs m under cfg as one engine job, so a panicking program
-// comes back as a failed run, and feeds the run into the telemetry run
-// registry. Under -serve the job is armed with the always-on bounded
-// flight recorder, so a failing run yields a replayable artifact at
-// /runs/{id}/recording without -record.
+// runLive runs m under cfg as one engine job (see runJob). Under -serve
+// the job is armed with the always-on bounded flight recorder, so a
+// failing run yields a replayable artifact at /runs/{id}/recording
+// without -record.
 func runLive(m *mir.Module, cfg interp.Config, label string, seed int64) *interp.Result {
-	eng := runner.Engine{Workers: 1, RunHook: telemetryHook}
+	limit := 0
 	if telemetry != nil {
-		eng.FlightLimit = runner.DefaultFlightLimit
+		limit = runner.DefaultFlightLimit
 	}
-	return eng.RunJob(m, cfg, replay.Meta{Seed: seed, Label: label})
+	r, _ := runJob(m, cfg, replay.Meta{Seed: seed, Label: label}, limit)
+	return r
+}
+
+// runJob runs m under cfg as one engine job, so a panicking program comes
+// back as a failed run, and feeds the run into the telemetry run
+// registry. A positive limit arms the job's flight recorder with that
+// many segments, and the run's recording is returned (nil without one,
+// or when the run outgrew it).
+func runJob(m *mir.Module, cfg interp.Config, meta replay.Meta, limit int) (*interp.Result, *replay.Recording) {
+	var rec *replay.Recording
+	eng := runner.Engine{Workers: 1, FlightLimit: limit, RunHook: func(info runner.RunInfo) {
+		rec = info.Recording
+		registerRun(info)
+	}}
+	return eng.RunJob(m, cfg, meta), rec
 }
 
 // waitTelemetry keeps the server alive after the command's work completes

@@ -128,12 +128,9 @@ func TestCorpusManifestsAndCleanTwinSilent(t *testing.T) {
 
 // TestCorpusRecovers checks the survival-hardened buggy build completes
 // on every schedule with the post-join observable unchanged — the corpus
-// analog of the paper's 1000-run recovery experiment. Like the
-// experiments cross-check's recovery leg this uses random schedules: an
-// assert site's recovery loop has no backoff, so the adversarial PCT
-// scheduler can starve the racing writer past the bounded MaxRetry
-// rollback budget — the paper's bounded-recovery semantics, not a
-// recovery failure.
+// analog of the paper's 1000-run recovery experiment — under random and
+// PCT schedules alike. Under PCT the retrying thread's rollback yields,
+// so the racing writer runs.
 func TestCorpusRecovers(t *testing.T) {
 	for _, b := range bugs.Corpus() {
 		truth := corpusTruth[b.Name]
@@ -146,14 +143,17 @@ func TestCorpusRecovers(t *testing.T) {
 			t.Fatalf("%s: invariants: %v", b.Name, err)
 		}
 		for seed := int64(0); seed < 30; seed++ {
-			r := interp.RunModule(h.Module, interp.Config{
-				Sched: sched.NewRandom(seed), MaxSteps: 20_000_000, CollectOutput: true,
-			})
-			if !r.Completed {
-				t.Fatalf("%s: hardened build did not recover on schedule %d: %v",
-					b.Name, seed, r.Failure)
+			for _, cfg := range []interp.Config{
+				{Sched: sched.NewRandom(seed), MaxSteps: 20_000_000, CollectOutput: true},
+				corpusPCT(seed),
+			} {
+				r := interp.RunModule(h.Module, cfg)
+				if !r.Completed {
+					t.Fatalf("%s: hardened build did not recover on %s schedule %d: %v",
+						b.Name, cfg.Sched.Name(), seed, r.Failure)
+				}
+				checkCorpusOutput(t, b.Name, "hardened", seed, r, truth.outText, truth.outVal)
 			}
-			checkCorpusOutput(t, b.Name, "hardened", seed, r, truth.outText, truth.outVal)
 		}
 	}
 }

@@ -97,3 +97,31 @@ func TestPCTFindsUnforcedRaceAndHardenedSurvivesIt(t *testing.T) {
 		}
 	}
 }
+
+// TestSurvivalRecoversUnderPCT runs the forced survival build of every
+// paper and corpus program under the search PCT policy, seeds 0–199. A
+// rollback yields, so the strict-priority schedule lets the thread whose
+// write passes the failing check run, and every run completes. Without
+// that rule the top-priority thread retries until the MaxRetry bound, or,
+// at a deadlock site, until the step limit: 119 of 200 seeds failed for
+// six of the programs.
+func TestSurvivalRecoversUnderPCT(t *testing.T) {
+	for _, b := range append(All(), Corpus()...) {
+		m := b.Program(Config{Light: true, ForceBug: true})
+		h, err := core.Harden(m, core.DefaultOptions())
+		if err != nil {
+			t.Fatalf("%s: harden: %v", b.Name, err)
+		}
+		rollbacks := int64(0)
+		for seed := int64(0); seed < 200; seed++ {
+			r := interp.RunModule(h.Module, interp.Config{
+				Sched: sched.NewSearchPCT(seed), MaxSteps: 20_000_000,
+			})
+			if !r.Completed {
+				t.Fatalf("%s: PCT seed %d did not recover: %v", b.Name, seed, r.Failure)
+			}
+			rollbacks += r.Stats.Rollbacks
+		}
+		t.Logf("%s: 200/200 recovered, %d rollbacks", b.Name, rollbacks)
+	}
+}

@@ -84,11 +84,8 @@ func Table3Corpus(runs int) []CorpusRow {
 //  2. fixed twin — the modelled upstream fix completes under every
 //     schedule with zero sanitizer reports.
 //  3. recovery — the survival-hardened buggy build completes under every
-//     random schedule in the budget with the post-join observable
-//     intact. Random schedules for the same reason as the template
-//     cross-check: an assert site's recovery loop has no backoff, so an
-//     adversarial PCT schedule can starve the racing writer past the
-//     bounded MaxRetry budget.
+//     random and every PCT schedule in the budget with the post-join
+//     observable intact.
 func CrossCheckCorpus(b *bugs.Bug, budget int64) error {
 	truth, ok := corpusTruth[b.Name]
 	if !ok {
@@ -138,19 +135,21 @@ func CrossCheckCorpus(b *bugs.Bug, budget int64) error {
 
 	// Leg 3: hardened recovery preserves the observable output.
 	for seed := int64(0); seed < budget; seed++ {
-		r := eng.RunJob(p.forcedSurv.Module, interp.Config{
-			Sched:         sched.NewRandom(seed),
-			MaxSteps:      expMaxSteps,
-			CollectOutput: true,
-		}, replay.Meta{Label: b.Name + "-corpus", Seed: seed})
-		if !r.Completed {
-			return fmt.Errorf("%s, schedule %d: hardened build did not recover: %v",
-				b.Name, seed, r.Failure)
-		}
-		if len(r.Output) != 1 || r.Output[0].Text != truth.Out.Text ||
-			r.Output[0].Value != truth.Out.Value {
-			return fmt.Errorf("%s, schedule %d: observable changed: %+v, want %s=%d",
-				b.Name, seed, r.Output, truth.Out.Text, truth.Out.Value)
+		for _, s := range []sched.Scheduler{sched.NewRandom(seed), sched.NewSearchPCT(seed)} {
+			r := eng.RunJob(p.forcedSurv.Module, interp.Config{
+				Sched:         s,
+				MaxSteps:      expMaxSteps,
+				CollectOutput: true,
+			}, replay.Meta{Label: b.Name + "-corpus", Seed: seed})
+			if !r.Completed {
+				return fmt.Errorf("%s, %s schedule %d: hardened build did not recover: %v",
+					b.Name, s.Name(), seed, r.Failure)
+			}
+			if len(r.Output) != 1 || r.Output[0].Text != truth.Out.Text ||
+				r.Output[0].Value != truth.Out.Value {
+				return fmt.Errorf("%s, %s schedule %d: observable changed: %+v, want %s=%d",
+					b.Name, s.Name(), seed, r.Output, truth.Out.Text, truth.Out.Value)
+			}
 		}
 	}
 	return nil

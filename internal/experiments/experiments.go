@@ -27,7 +27,9 @@ import (
 	"conair/internal/core"
 	"conair/internal/interp"
 	"conair/internal/mir"
+	"conair/internal/replay"
 	"conair/internal/runner"
+	"conair/internal/sched"
 )
 
 // mustHarden is core.Harden for programs that must harden; it panics on
@@ -145,6 +147,55 @@ func Table3(runs, overheadSeeds int) []Table3Row {
 		}
 		row.OverheadFixPct = fixSum / float64(overheadSeeds)
 		row.OverheadSurvivalPct = survSum / float64(overheadSeeds)
+		return row
+	})
+}
+
+// PCTRecoveryRow reports survival recovery of one program's forced
+// failure under strict-priority schedules: the search PCT policy
+// (sched.NewSearchPCT), next to Table 3's random schedules.
+type PCTRecoveryRow struct {
+	Name string
+	// Runs is the number of PCT seeds (0..Runs-1); Recovered how many of
+	// those runs completed.
+	Runs, Recovered int
+	// Episodes and Rollbacks total the recovery episodes and rollbacks
+	// over every run; RollbacksPerEpisode is their ratio (0 with no
+	// episode).
+	Episodes, Rollbacks int64
+	RollbacksPerEpisode float64
+}
+
+// Table3PCT runs the forced survival build of every paper and corpus
+// program under PCT seeds 0..runs-1. A rollback yields to a scheduler
+// that keeps priorities, so the retrying thread gives way to the thread
+// whose write lets it pass, as a real OS would preempt it.
+func Table3PCT(runs int) []PCTRecoveryRow {
+	bs := append(bugs.All(), bugs.Corpus()...)
+	return runner.Map(eng, len(bs), func(bi int) PCTRecoveryRow {
+		b := bs[bi]
+		mod := prep(b).forcedSurv.Module
+		type outcome struct {
+			completed           bool
+			episodes, rollbacks int64
+		}
+		per := runner.Map(eng, runs, func(i int) outcome {
+			seed := int64(i)
+			r := eng.RunJob(mod, interp.Config{Sched: sched.NewSearchPCT(seed), MaxSteps: expMaxSteps},
+				replay.Meta{Seed: seed, Label: b.Name + "-pct"})
+			return outcome{r.Completed, int64(len(r.Stats.Episodes)), r.Stats.Rollbacks}
+		})
+		row := PCTRecoveryRow{Name: b.Name, Runs: runs}
+		for _, o := range per {
+			if o.completed {
+				row.Recovered++
+			}
+			row.Episodes += o.episodes
+			row.Rollbacks += o.rollbacks
+		}
+		if row.Episodes > 0 {
+			row.RollbacksPerEpisode = float64(row.Rollbacks) / float64(row.Episodes)
+		}
 		return row
 	})
 }

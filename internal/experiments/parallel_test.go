@@ -27,6 +27,24 @@ func TestTable3ParallelMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestTable3PCTParallelMatchesSequential pins the PCT recovery section
+// across worker counts, and that every forced survival build recovers on
+// every PCT seed.
+func TestTable3PCTParallelMatchesSequential(t *testing.T) {
+	seq, par := withWorkers(t, func() []PCTRecoveryRow { return Table3PCT(20) })
+	if !reflect.DeepEqual(seq, par) {
+		t.Errorf("Table3PCT parallel != sequential\n seq %+v\n par %+v", seq, par)
+	}
+	if len(seq) != 13 {
+		t.Fatalf("%d rows, want 13", len(seq))
+	}
+	for _, r := range seq {
+		if r.Recovered != r.Runs || r.Episodes == 0 {
+			t.Errorf("%s: %d/%d recovered in %d episodes", r.Name, r.Recovered, r.Runs, r.Episodes)
+		}
+	}
+}
+
 // TestFigure4ParallelMatchesSequential pins the Figure 4 design-space
 // sweep, whose checkpoint-baseline points run one per worker.
 func TestFigure4ParallelMatchesSequential(t *testing.T) {

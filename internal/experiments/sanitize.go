@@ -216,11 +216,8 @@ func wantOutputs(info *mirgen.BugInfo) []interp.OutputEvent {
 //  2. clean twin — the same generator configuration without the injected
 //     bug completes under every schedule with zero sanitizer reports.
 //  3. recovery — the survival-hardened program completes under every
-//     schedule in the budget with the template's observable output intact.
-//     This leg uses random schedules: the adversarial PCT scheduler can
-//     starve the order template's writer thread past the bounded MaxRetry
-//     rollback budget, which is the paper's bounded-recovery semantics at
-//     work rather than a recovery failure.
+//     random and every PCT schedule in the budget with the template's
+//     observable output intact.
 func CrossCheckTemplate(genCfg mirgen.Config, budget int64) error {
 	const maxSteps = 20_000_000
 	mod, info := mirgen.GenWithInfo(genCfg)
@@ -281,24 +278,26 @@ func CrossCheckTemplate(genCfg mirgen.Config, budget int64) error {
 	// Leg 3: hardened recovery preserves the observable output.
 	want := wantOutputs(info)
 	for seed := int64(0); seed < budget; seed++ {
-		r := interp.RunModule(h.Module, interp.Config{
-			Sched:         sched.NewRandom(seed),
-			MaxSteps:      maxSteps,
-			CollectOutput: true,
-		})
-		if !r.Completed {
-			return fmt.Errorf("%v template, schedule %d: hardened run did not recover: %v",
-				info.Kind, seed, r.Failure)
-		}
-		if len(r.Output) != len(want) {
-			return fmt.Errorf("%v template, schedule %d: %d outputs, want %d",
-				info.Kind, seed, len(r.Output), len(want))
-		}
-		for i := range want {
-			if r.Output[i].Text != want[i].Text || r.Output[i].Value != want[i].Value {
-				return fmt.Errorf("%v template, schedule %d: output[%d] = %q=%d, want %q=%d",
-					info.Kind, seed, i, r.Output[i].Text, r.Output[i].Value,
-					want[i].Text, want[i].Value)
+		for _, s := range []sched.Scheduler{sched.NewRandom(seed), sched.NewSearchPCT(seed)} {
+			r := interp.RunModule(h.Module, interp.Config{
+				Sched:         s,
+				MaxSteps:      maxSteps,
+				CollectOutput: true,
+			})
+			if !r.Completed {
+				return fmt.Errorf("%v template, %s schedule %d: hardened run did not recover: %v",
+					info.Kind, s.Name(), seed, r.Failure)
+			}
+			if len(r.Output) != len(want) {
+				return fmt.Errorf("%v template, %s schedule %d: %d outputs, want %d",
+					info.Kind, s.Name(), seed, len(r.Output), len(want))
+			}
+			for i := range want {
+				if r.Output[i].Text != want[i].Text || r.Output[i].Value != want[i].Value {
+					return fmt.Errorf("%v template, %s schedule %d: output[%d] = %q=%d, want %q=%d",
+						info.Kind, s.Name(), seed, i, r.Output[i].Text, r.Output[i].Value,
+						want[i].Text, want[i].Value)
+				}
 			}
 		}
 	}

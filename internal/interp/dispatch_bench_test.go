@@ -313,29 +313,46 @@ loop:
 	}
 }
 
-// BenchmarkSearchLivelock is the detect phase's slowest sanitizer search
-// run: LGFrontier's survival-hardened light forced build under PCT seed 0
-// (the search's configuration) with a race detector attached. The
-// top-priority thread spins through about a million rollbacks while the
-// schedule never changes, so the run measures what a pick costs when it
-// cannot differ from the previous one.
-func BenchmarkSearchLivelock(b *testing.B) {
-	m := bugs.ByName("LGFrontier").Program(bugs.Config{Light: true, ForceBug: true})
+// searchRun returns a run of the named program's survival-hardened light
+// forced build under the sanitizer search's configuration, PCT seed 0 with
+// a race detector attached; each call resets the detector and runs anew.
+func searchRun(tb testing.TB, name string) func() *interp.Result {
+	m := bugs.ByName(name).Program(bugs.Config{Light: true, ForceBug: true})
 	h, err := core.Harden(m, core.DefaultOptions())
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	san := sanitizer.New(h.Module)
-	run := func() *interp.Result {
+	return func() *interp.Result {
 		san.Reset(h.Module)
 		return interp.RunModule(h.Module, interp.Config{
 			Sched: sched.NewSearchPCT(0), MaxSteps: 200_000_000, CollectOutput: true, Sanitizer: san,
 		})
 	}
-	r := run()
-	if r.Stats.Rollbacks < 100_000 {
-		b.Fatalf("PCT seed 0 rolled back %d times; the livelock is gone", r.Stats.Rollbacks)
+}
+
+// TestSearchPCTNoLivelock pins the fairness rule on the sanitizer search's
+// slowest runs. Without it, PCT seed 0 keeps the retrying thread of
+// LGFrontier and LGCompletion on top: about a million rollbacks in 3.0 M
+// steps end at the retry bound while the writer never runs. A rollback
+// yields, so the writer runs and both builds complete in well under 1,000
+// steps.
+func TestSearchPCTNoLivelock(t *testing.T) {
+	for _, name := range []string{"LGFrontier", "LGCompletion"} {
+		r := searchRun(t, name)()
+		if !r.Completed || r.Stats.Steps >= 1000 {
+			t.Errorf("%s under PCT seed 0: completed=%v after %d steps and %d rollbacks (%v), want completion in under 1000 steps",
+				name, r.Completed, r.Stats.Steps, r.Stats.Rollbacks, r.Failure)
+		}
 	}
+}
+
+// BenchmarkSearchLGFrontier is one sanitizer search run of LGFrontier:
+// its survival-hardened light forced build under PCT seed 0 with a race
+// detector attached.
+func BenchmarkSearchLGFrontier(b *testing.B) {
+	run := searchRun(b, "LGFrontier")
+	r := run()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

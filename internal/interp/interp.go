@@ -135,6 +135,11 @@ type VM struct {
 	stayGrant int64
 	stayGen   uint64
 
+	// yielder is cfg.Sched as a sched.Yielder (never under *sched.Random):
+	// a thread that rolls back yields to it, as a spinning thread is
+	// preempted by a real OS.
+	yielder sched.Yielder
+
 	// pools recycles frame register/slot arrays per function, so the call
 	// hot path reuses zeroed arrays instead of allocating. Indexed by
 	// function; each entry stacks {regs, slots} pairs of retired frames.
@@ -196,6 +201,7 @@ func New(mod *mir.Module, cfg Config) *VM {
 	}
 	if vm.rnd == nil {
 		vm.stayer, _ = cfg.Sched.(sched.Stayer)
+		vm.yielder, _ = cfg.Sched.(sched.Yielder)
 	}
 	vm.mainTID = vm.spawn(mi, nil)
 	if vm.san != nil {
@@ -827,6 +833,13 @@ func (vm *VM) runLoop(max int64, single bool) bool {
 				}
 				vm.rollback(t)
 				vm.stats.Rollbacks++
+				if vm.yielder != nil {
+					// A rollback is a yield: commit the picks taken so far,
+					// let the scheduler demote t, and pick afresh next step.
+					vm.settle()
+					vm.yielder.Yield(t.id)
+					vm.stayLeft, vm.stayGrant = 0, 0
+				}
 				fr = t.top()
 				code = vm.prog.funcs[fr.fn].code
 				break
@@ -1237,8 +1250,8 @@ func (vm *VM) stay() bool {
 
 // settle commits the picks taken from the stay budget to the scheduler
 // with one Advance, leaving it exactly where one Pick per pick would have.
-// It runs before every real Pick, when the result is built and around
-// snapshots.
+// It runs before every real Pick, before a rollback yields, when the
+// result is built and around snapshots.
 func (vm *VM) settle() {
 	if owed := vm.stayGrant - vm.stayLeft; owed > 0 {
 		vm.stayer.Advance(vm.stayTID, owed)

@@ -5,6 +5,7 @@ import (
 
 	"conair/internal/mir"
 	"conair/internal/obs"
+	"conair/internal/sched"
 )
 
 // This file preserves the pre-compilation execution path as a test-only
@@ -19,7 +20,9 @@ import (
 // which the differential sweep therefore exercises against the original
 // instruction semantics. It also schedules independently: refPick scans
 // every thread and asks the scheduler once per step, with none of the
-// compiled path's runnable-set cache, stay budget or inlined draws.
+// compiled path's runnable-set cache, stay budget or inlined draws. Its
+// one scheduling rule is the compiled path's: a rollback yields to a
+// sched.Yielder.
 
 // RunReference executes the module with the reference (pre-compilation)
 // interpreter. It is deliberately slow and exists only in test builds.
@@ -468,6 +471,9 @@ func (vm *VM) refExec(t *thread) {
 			}
 			vm.rollback(t)
 			vm.stats.Rollbacks++
+			if y, ok := vm.cfg.Sched.(sched.Yielder); ok {
+				y.Yield(t.id) // a rollback is a yield
+			}
 			return
 		}
 

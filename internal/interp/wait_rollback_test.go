@@ -150,24 +150,15 @@ func TestWaitRollbackNeverConsumesSecondSignal(t *testing.T) {
 	// Part 2: schedule sweep with exact consumption accounting. A run that
 	// completes must always have drained both items with the payload intact;
 	// a stolen signal would instead strand the plain consumer in its wait
-	// and surface as a hang, which no schedule may ever produce.
-	//
-	// An assert site's recovery loop has no backoff (only deadlock sites
-	// sleep between retries), so an adversarial PCT schedule can starve the
-	// producer while the checked consumer spins, exhausting the bounded
-	// MaxRetry budget and re-raising the original assert — the paper's
-	// bounded-recovery semantics, not a rollback crossing the wait. Random
-	// schedules never starve the producer, so they must all complete; PCT
-	// schedules may end in the budgeted assert, and nothing else.
+	// and surface as a hang, which no schedule may ever produce. Under PCT
+	// the checked consumer's rollback yields to the producer, so random and
+	// PCT schedules alike must all complete.
 	recovered := false
-	run := func(label string, seed int64, s sched.Scheduler, allowBudgetedAssert bool) {
+	run := func(label string, seed int64, s sched.Scheduler) {
 		r := interp.RunModule(h.Module, interp.Config{
 			Sched: s, MaxSteps: 20_000_000, CollectOutput: true,
 		})
 		if !r.Completed {
-			if allowBudgetedAssert && r.Failure != nil && r.Failure.Kind == mir.FailAssert {
-				return // recovery budget exhausted under starvation; see above
-			}
 			t.Fatalf("%s seed %d: hardened run did not complete: %v (a stolen signal "+
 				"starves a consumer)", label, seed, r.Failure)
 		}
@@ -181,10 +172,10 @@ func TestWaitRollbackNeverConsumesSecondSignal(t *testing.T) {
 		}
 	}
 	for seed := int64(0); seed < 60; seed++ {
-		run("random", seed, sched.NewRandom(seed), false)
+		run("random", seed, sched.NewRandom(seed))
 	}
 	for seed := int64(0); seed < 60; seed++ {
-		run("pct", seed, sched.NewPCT(seed, 3, 64), true)
+		run("pct", seed, sched.NewSearchPCT(seed))
 	}
 	if !recovered {
 		t.Fatal("no schedule exercised the assert's recovery path past the wait")

@@ -586,7 +586,7 @@ func (m *Module) Clone() *Module {
 // Clone returns a deep copy of the function. Its instructions share one
 // exactly sized array, which every block views with cap == len.
 func (f *Function) Clone() Function {
-	nf := f.CloneHeader()
+	nf := f.CloneHeader(0, 0)
 	nf.Blocks = make([]Block, len(f.Blocks))
 	instrs := make([]Instr, f.NumInstrs())
 	for j := range f.Blocks {
@@ -601,14 +601,25 @@ func (f *Function) Clone() Function {
 // CloneHeader returns a copy of everything in the function but its
 // blocks: name, parameters, register and slot names, and the text and
 // argument pools. A rewriter fills in the blocks, appending to the pools
-// and names without touching f.
-func (f *Function) CloneHeader() Function {
+// and names without touching f; regs and texts are how many register
+// names and pool texts it will add, so that each is copied once, into
+// room for them.
+func (f *Function) CloneHeader(regs, texts int) Function {
 	return Function{
 		Name:      f.Name,
 		NumParams: f.NumParams,
-		RegNames:  append([]string(nil), f.RegNames...),
+		RegNames:  withRoom(f.RegNames, regs),
 		SlotNames: append([]string(nil), f.SlotNames...),
-		texts:     append([]string(nil), f.texts...),
+		texts:     withRoom(f.texts, texts),
 		args:      append([]Operand(nil), f.args...),
 	}
+}
+
+// withRoom copies s into a new slice with room for extra more elements,
+// or returns nil when there is nothing to hold.
+func withRoom[S ~[]E, E any](s S, extra int) S {
+	if len(s)+extra == 0 {
+		return nil
+	}
+	return append(make(S, 0, len(s)+extra), s...)
 }

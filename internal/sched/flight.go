@@ -24,9 +24,10 @@ package sched
 // and Intn return exactly what the inner scheduler returns, so an
 // attached flight recorder never changes a run.
 type FlightRecorder struct {
-	inner  Scheduler
-	stayer Stayer // inner as a Stayer, or nil
-	limit  int    // buffer capacity, in segments (and in Intn draws)
+	inner   Scheduler
+	stayer  Stayer  // inner as a Stayer, or nil
+	yielder Yielder // inner as a Yielder, or nil
+	limit   int     // buffer capacity, in segments (and in Intn draws)
 
 	segs  []Segment // the run's first segments
 	intns []int64   // the run's first Intn draws
@@ -51,6 +52,7 @@ func NewFlightRecorder(inner Scheduler, limit int) *FlightRecorder {
 	}
 	f := &FlightRecorder{inner: inner, limit: limit}
 	f.stayer, _ = inner.(Stayer)
+	f.yielder, _ = inner.(Yielder)
 	return f
 }
 
@@ -78,6 +80,16 @@ func (f *FlightRecorder) Advance(tid int, k int64) {
 	}
 	f.stayer.Advance(tid, k)
 	f.NoteRun(int32(tid), k)
+}
+
+// Yield implements Yielder by forwarding to the inner scheduler, so a
+// flight-recorded run keeps the schedule of a plain one; an inner
+// scheduler that is not a Yielder ignores the call. A yield is not a
+// pick, so nothing is recorded.
+func (f *FlightRecorder) Yield(tid int) {
+	if f.yielder != nil {
+		f.yielder.Yield(tid)
+	}
 }
 
 // Note records one pick of tid without consulting the inner scheduler.

@@ -17,7 +17,9 @@ import (
 // A change point fires at most once, and only on a Pick at exactly its
 // step: one the run steps over (sleep fast-forward jumps virtual time)
 // never fires. Between change points, and while the runnable set holds,
-// every pick is the same thread, so PCT is a Stayer.
+// every pick is the same thread, so PCT is a Stayer. A thread that rolls
+// back yields (Yielder): it is demoted as at a change point, so the
+// thread it waits for gets to run.
 type PCT struct {
 	src source
 	// prio is indexed by thread id; unseen marks a thread not seen yet.
@@ -85,13 +87,25 @@ func (p *PCT) Pick(runnable []int, step int64) int {
 			// Demote the chosen thread below everything seen so far and
 			// re-pick under the new priorities.
 			p.fired[i] = true
-			p.floor--
-			p.prio[best] = p.floor
+			p.demote(best)
 			return p.best(runnable)
 		}
 	}
 	return best
 }
+
+// demote puts tid below every thread seen so far.
+func (p *PCT) demote(tid int) {
+	for tid >= len(p.prio) {
+		p.prio = append(p.prio, unseen)
+	}
+	p.floor--
+	p.prio[tid] = p.floor
+}
+
+// Yield implements Yielder: tid is demoted below the floor, as the running
+// thread is at a change point. No change point is used up.
+func (p *PCT) Yield(tid int) { p.demote(tid) }
 
 // Stay implements Stayer: tid keeps running until the next change point
 // that has not fired, provided it is the highest-priority thread of

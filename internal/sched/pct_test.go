@@ -1,6 +1,9 @@
 package sched
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestPCTDeterministicPerSeed(t *testing.T) {
 	a := NewPCT(3, 3, 1000)
@@ -59,4 +62,54 @@ func TestPCTDemotionChangesChoice(t *testing.T) {
 	if len(seen) < 2 {
 		t.Error("expected at least one priority demotion to switch threads")
 	}
+}
+
+// TestPCTYieldDemotes checks the fairness rule: a thread that yields
+// drops below every other thread, as at a change point, without using a
+// change point up, and yields rotate the top among spinning threads.
+func TestPCTYieldDemotes(t *testing.T) {
+	s := NewPCT(7, 1, 1000) // no change points: only yields move the top
+	run := []int{4, 5, 6}
+	seen := map[int]bool{}
+	for i := int64(0); i < 3; i++ {
+		top := s.Pick(run, i)
+		if seen[top] {
+			t.Fatalf("step %d: %d is on top again before every thread had its turn", i, top)
+		}
+		seen[top] = true
+		s.Yield(top)
+		if got := s.Pick(run, i); got == top {
+			t.Fatalf("step %d: %d still on top after yielding", i, top)
+		}
+	}
+	if k := s.Stay(s.Pick(run, 3), run, 4); k != math.MaxInt64 {
+		t.Fatalf("Stay after yields = %d, want the decision to hold for good", k)
+	}
+
+	// A thread that yields before PCT has seen it ranks below the floor.
+	u := NewPCT(7, 1, 1000)
+	u.Yield(9)
+	if got := u.Pick([]int{2, 9}, 0); got != 2 {
+		t.Fatalf("picked %d, want 2 over the yielded 9", got)
+	}
+}
+
+// TestFlightRecorderForwardsYield checks that a flight recorder around
+// PCT passes yields through, so a recorded run keeps the plain schedule,
+// and that one around a scheduler without priorities ignores them.
+func TestFlightRecorderForwardsYield(t *testing.T) {
+	plain, inner := NewSearchPCT(3), NewSearchPCT(3)
+	f := NewFlightRecorder(inner, 0)
+	run := []int{0, 1, 2}
+	for i := int64(0); i < 200; i++ {
+		want, got := plain.Pick(run, i), f.Pick(run, i)
+		if want != got {
+			t.Fatalf("step %d: flight picked %d, plain PCT %d", i, got, want)
+		}
+		if i%5 == 0 {
+			plain.Yield(want)
+			f.Yield(got)
+		}
+	}
+	NewFlightRecorder(NewRandom(1), 0).Yield(0) // a no-op, and no panic
 }

@@ -46,6 +46,21 @@ type Stayer interface {
 	Advance(tid int, k int64)
 }
 
+// Yielder is an optional Scheduler extension for schedulers that keep
+// priorities. The interpreter calls Yield when thread tid rolls back: a
+// retry of a failed region is a yield that made no progress, and under a
+// fairness rule such a thread gives way (CHESS's fair scheduling,
+// Musuvathi & Qadeer, PLDI 2008). Without it a strict-priority schedule
+// keeps the spinning thread on top, the thread whose write would let the
+// retry pass never runs, and recovery ends at the retry bound. A real OS
+// preempts a spinning thread, which is what the paper relies on.
+// Schedulers with no priorities (Random, RoundRobin, SegmentReplay, whose
+// recorded picks already carry the effect) do not implement it.
+type Yielder interface {
+	// Yield demotes tid below every thread seen so far.
+	Yield(tid int)
+}
+
 // Random schedules uniformly at random among runnable threads.
 //
 // Determinism contract: the stream is bit-identical to

@@ -61,7 +61,7 @@ var refSiteGrowth = map[analysis.SiteKind]int{analysis.SiteSegfault: 2, analysis
 func refRewriteFunction(src *mir.Function, cps []analysis.Checkpoint,
 	rws []*analysis.SiteAnalysis, opts Options) mir.Function {
 
-	f := src.CloneHeader()
+	f := src.CloneHeader(0, 0)
 
 	// Per original (block, index): checkpoints to plant before it and the
 	// site rewrite to apply to it.

@@ -30,7 +30,6 @@
 package transform
 
 import (
-	"slices"
 	"strconv"
 
 	"conair/internal/analysis"
@@ -145,13 +144,21 @@ func siteGrowth(k analysis.SiteKind) int {
 func rewriteFunction(src *mir.Function, cps []analysis.Checkpoint,
 	rws []*analysis.SiteAnalysis, opts Options) mir.Function {
 
-	f := src.CloneHeader()
 	size := src.NumInstrs() + len(cps)
+	// Segfault and deadlock rewrites each add one register, and a
+	// deadlock rewrite one failure text.
+	regs, texts := 0, 0
 	for _, sa := range rws {
 		size += siteGrowth(sa.Site.Kind)
+		switch sa.Site.Kind {
+		case analysis.SiteSegfault:
+			regs++
+		case analysis.SiteDeadlock:
+			regs++
+			texts++
+		}
 	}
-	// Segfault and deadlock rewrites each add one register.
-	f.RegNames = slices.Grow(f.RegNames, len(rws))
+	f := src.CloneHeader(regs, texts)
 
 	nOrig := len(src.Blocks)
 	newBlocks := make([]mir.Block, nOrig, nOrig+2*len(rws))
