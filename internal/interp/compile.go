@@ -27,12 +27,23 @@ import (
 //     quantum, while its dispatch switch handles only the scheduling-
 //     relevant rest. Binary operators with a register left operand are
 //     specialized per operator, so the hot arithmetic never calls
-//     mir.BinOp.Eval.
+//     mir.BinOp.Eval;
+//   - a loop latch — an add-immediate, a compare-with-immediate of its
+//     result and a plain branch on the comparison, in one block — is
+//     fused into one superinstruction (cAddEqBr to cAddGeBr, see
+//     fuseLatches) that retires all three in one dispatch and counts as
+//     three instructions. Only the add's slot is rewritten: the compare
+//     and the branch keep their own slots and opcodes.
 //
 // Source instructions map 1:1 onto code slots, and neither form changes
 // observable behaviour: the scheduler's stream advances one decision per
 // executed instruction (a one-thread superblock quantum advances it in
-// bulk with sched.Random.Skip; see runLoop).
+// bulk with sched.Random.Skip; see runLoop). The fused latch keeps the
+// mapping too. Control enters a block only at its head, so nothing jumps
+// to the compare or the branch; they are reached only by stepping past
+// the add, and that is exactly what a snapshot, StepOnce or a budget too
+// small for all three does: execLocal then retires the add alone, and
+// the compare and the branch run from their own slots as before.
 
 // cop enumerates compiled opcodes. The scheduling-irrelevant ones come
 // first: every opcode below cLoadG is sbEligible, and execLocal runs it.
@@ -91,6 +102,16 @@ const (
 	cJmp
 	cBr // a plain branch on a register; a constant one lowers to cJmp
 
+	// A fused loop latch, one opcode per comparison in mir.BinOp order
+	// (cAddEqBr+cop(cmp-mir.BinEq)): dst = regs[a] + bImm, then
+	// regs[aux] = dst <cmp> aImm, then a branch on it to thenPC/elsePC.
+	cAddEqBr
+	cAddNeBr
+	cAddLtBr
+	cAddLeBr
+	cAddGtBr
+	cAddGeBr
+
 	// Scheduling-relevant opcodes, dispatched by runLoop's switch.
 	cLoadG
 	cStoreG
@@ -142,7 +163,8 @@ type carg struct {
 //	                       doubles as the timedlock timeout (cTimedLock);
 //	aux                  — global, slot or callee index, or a checkpoint's
 //	                       counter; doubles as the wait/chsend timeout
-//	                       (their b slot is occupied);
+//	                       (their b slot is occupied) and a fused latch's
+//	                       compare destination, whose immediate is aImm;
 //	thenPC/elsePC        — absolute flat branch targets; for call, spawn
 //	                       and cas they double as the offset and length of
 //	                       the arguments in fcode.args (fcode.argsOf);
@@ -356,6 +378,13 @@ func (fc *fcode) argsOf(in *cinstr) []carg {
 }
 
 func compileFunc(mod *mir.Module, fi int) fcode {
+	fc := lowerFunc(mod, fi)
+	fuseLatches(fc.code)
+	return fc
+}
+
+// lowerFunc lowers every instruction of function fi to its own slot.
+func lowerFunc(mod *mir.Module, fi int) fcode {
 	f := &mod.Functions[fi]
 	offs := f.BlockOffsets()
 	fc := fcode{code: make([]cinstr, 0, f.NumInstrs()), blockStart: offs}
@@ -365,6 +394,27 @@ func compileFunc(mod *mir.Module, fi int) fcode {
 		}
 	}
 	return fc
+}
+
+// fuseLatches rewrites the head of every loop latch in code: a cAddRI at
+// pc, a compare-with-immediate at pc+1 that reads the add's dst, and a
+// plain cBr at pc+2 on the compare's dst, all in one block. The add's slot
+// becomes the fused opcode of the compare's operator; it keeps the add's
+// dst, aReg and bImm, takes the compare's dst in aux and its immediate in
+// aImm, and the branch's targets. The compare and branch slots are left
+// as they are (see the file comment). A site-tagged branch is a cBrSite
+// and never fuses: it closes recovery episodes on the dispatch switch.
+func fuseLatches(code []cinstr) {
+	for pc := 0; pc+2 < len(code); pc++ {
+		add, cmp, br := &code[pc], &code[pc+1], &code[pc+2]
+		if add.op != cAddRI || cmp.op < cEqRI || cmp.op > cGeRI || cmp.aReg != add.dst ||
+			br.op != cBr || br.aReg != cmp.dst || add.blk != br.blk {
+			continue
+		}
+		add.op = cAddEqBr + (cmp.op - cEqRI)
+		add.aux, add.aImm = cmp.dst, cmp.bImm
+		add.thenPC, add.elsePC = br.thenPC, br.elsePC
+	}
 }
 
 // lower translates in, an instruction of f in block blk, into its

@@ -249,3 +249,57 @@ func TestCompileAllocs(t *testing.T) {
 		t.Errorf("Compile made %.0f allocations for %d functions, want at most %.0f", large, nf+1, limit)
 	}
 }
+
+// isLatch reports whether ins opens with a loop latch in source form: an
+// add of a register and an immediate, a comparison of its result with an
+// immediate, and a branch without a site on that comparison.
+func isLatch(ins []mir.Instr) bool {
+	if len(ins) < 3 {
+		return false
+	}
+	add, cmp, br := &ins[0], &ins[1], &ins[2]
+	return add.Op == mir.OpBin && add.Bin == mir.BinAdd &&
+		add.A.Kind == mir.OperandReg && add.B.Kind == mir.OperandImm &&
+		cmp.Op == mir.OpBin && cmp.Bin >= mir.BinEq && cmp.Bin <= mir.BinGe &&
+		cmp.A.Kind == mir.OperandReg && cmp.A.Reg == add.Dst && cmp.B.Kind == mir.OperandImm &&
+		br.Op == mir.OpBr && br.Site == 0 && br.A.Kind == mir.OperandReg && br.A.Reg == cmp.Dst
+}
+
+// checkLatches checks m's compiled code against its source and its
+// unfused lowering: the first slot of every latch within one block
+// (isLatch) holds the fused opcode with the add's, the compare's and the
+// branch's operands, and every other slot, the latch's compare and branch
+// included, is exactly the unfused lowering. It returns how many latches
+// were fused.
+func checkLatches(t *testing.T, name string, m *mir.Module) int {
+	t.Helper()
+	p, q := Compile(m), &Program{mod: m, funcs: make([]fcode, len(m.Functions))}
+	for fi := range q.funcs {
+		q.funcs[fi] = lowerFunc(m, fi)
+	}
+	q.numberCheckpoints()
+	fused := 0
+	for fi := range m.Functions {
+		f := &m.Functions[fi]
+		code, unfused := p.funcs[fi].code, q.funcs[fi].code
+		offs := f.BlockOffsets()
+		for b := range f.Blocks {
+			ins := f.Blocks[b].Instrs
+			for i := range ins {
+				pc := int(offs[b]) + i
+				want := unfused[pc]
+				if isLatch(ins[i:]) {
+					fused++
+					cmp, br := &ins[i+1], &ins[i+2]
+					want.op = cAddEqBr + cop(cmp.Bin-mir.BinEq)
+					want.aux, want.aImm = cmp.Dst, cmp.B.Imm
+					want.thenPC, want.elsePC = offs[br.Aux], offs[br.Else]
+				}
+				if got := code[pc]; got != want {
+					t.Fatalf("%s func %d pc %d: compiled %+v, want %+v", name, fi, pc, got, want)
+				}
+			}
+		}
+	}
+	return fused
+}

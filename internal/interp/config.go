@@ -45,9 +45,10 @@ type Config struct {
 	// Sched picks the next thread; required. Use sched.NewRandom(seed)
 	// for the repeated-run experiments.
 	Sched sched.Scheduler
-	// MaxSteps aborts the run with a hang failure after this many executed
-	// instructions (0 means the DefaultMaxSteps cutoff). It is the
-	// stand-in for "the program stopped responding".
+	// MaxSteps aborts the run with a hang failure once its virtual time
+	// (Stats.Steps: executed instructions plus fast-forwarded sleeps)
+	// reaches this many steps (0 means the DefaultMaxSteps cutoff). It is
+	// the stand-in for "the program stopped responding".
 	MaxSteps int64
 	// CollectOutput retains output events in the result (on by default in
 	// Run helpers; costs memory on long runs).

@@ -196,6 +196,30 @@ done:
 // in both register-left shapes: go test ./internal/interp -bench BinOps
 func BenchmarkBinOps(b *testing.B) { benchRun(b, binOpsSrc, defaultCfg) }
 
+// workloadLoopSrc is the <p>_hot loop of internal/bugs/workload.go, where
+// nearly every instruction of a recovery run retires: a multiply, an add
+// and the loop latch (add-immediate, lt-immediate, br), which compiles to
+// one fused slot.
+const workloadLoopSrc = `
+func main() {
+entry:
+  %acc = const 1
+  %i = const 0
+  jmp loop
+loop:
+  %t1 = mul %acc, 3
+  %acc = add %t1, %i
+  %i = add %i, 1
+  %c = lt %i, 20000
+  br %c, loop, done
+done:
+  ret 0
+}`
+
+// BenchmarkWorkloadLoop measures the fused latch on the workloads' hot
+// loop: go test ./internal/interp -bench WorkloadLoop
+func BenchmarkWorkloadLoop(b *testing.B) { benchRun(b, workloadLoopSrc, defaultCfg) }
+
 // The Reference variants run the same programs through RunReference — the
 // pre-compilation execution path kept as a test-only oracle — so the
 // compiled loop's speedup is measurable from one binary:

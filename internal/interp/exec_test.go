@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"conair/internal/mir"
@@ -257,5 +258,73 @@ func TestExecLocalUnknownOperator(t *testing.T) {
 	}
 	if want := []mir.Word{0, 0, 0, 0}; !ref.Completed || !reflect.DeepEqual(outputs(ref), want) {
 		t.Fatalf("RunReference: completed=%v outputs %v, want %v", ref.Completed, outputs(ref), want)
+	}
+}
+
+// latchModule builds a main whose loop block is one latch: %i steps by 1
+// and is compared with 2 by rel, and the branch loops while the
+// comparison holds. With sameDst the comparison overwrites %i.
+func latchModule(rel mir.BinOp, sameDst bool) *mir.Module {
+	b := mir.NewBuilder("latch" + rel.String())
+	f := b.Func("main")
+	f.Const("i", 0)
+	loop := f.Label("loop")
+	i := f.Bin("i", mir.BinAdd, f.R("i"), mir.Imm(1))
+	dst := "c"
+	if sameDst {
+		dst = "i"
+	}
+	c := f.Bin(dst, rel, i, mir.Imm(2))
+	done := f.NewBlock("done")
+	f.Br(c, loop, done)
+	f.SetBlock(done)
+	f.Output("i", f.R("i"))
+	f.Ret(mir.Imm(0))
+	return b.MustModule()
+}
+
+// TestLatchBudgetSplit pins the fused latch against its three source
+// instructions run one per call of execLocal: for every relation, both
+// destination shapes and every start value of %i, a call from the latch
+// with budget 1, 2, 3 or 10 reports the same count and leaves the same pc
+// and registers. Budgets below 3 must split the latch, retiring the add
+// alone.
+func TestLatchBudgetSplit(t *testing.T) {
+	for rel := mir.BinEq; rel <= mir.BinGe; rel++ {
+		for _, sameDst := range []bool{false, true} {
+			m := latchModule(rel, sameDst)
+			main := m.Main()
+			code, unfused := Compile(m).funcs[main].code, lowerFunc(m, main).code
+			latchPC := int(m.Functions[main].BlockOffsets()[1])
+			if op, want := code[latchPC].op, cAddEqBr+cop(rel-mir.BinEq); op != want {
+				t.Fatalf("%v: latch compiled to op %d, want %d", rel, op, want)
+			}
+			if unfused[latchPC].op != cAddRI {
+				t.Fatalf("%v: unfused latch head is op %d, want cAddRI", rel, unfused[latchPC].op)
+			}
+			nregs := m.Functions[main].NumRegs()
+			iReg := code[latchPC].dst
+			for start := mir.Word(-1); start <= 3; start++ {
+				for _, budget := range []int64{1, 2, 3, 10} {
+					name := fmt.Sprintf("%v sameDst=%v start %d budget %d", rel, sameDst, start, budget)
+					fr := &frame{fn: main, pc: latchPC, regs: make([]mir.Word, nregs)}
+					fr.regs[iReg] = start
+					want := &frame{fn: main, pc: latchPC, regs: slices.Clone(fr.regs)}
+					n := execLocal(code, fr, budget)
+					var wantN int64
+					for wantN < budget {
+						k := execLocal(unfused, want, 1)
+						if k == 0 {
+							break
+						}
+						wantN += k
+					}
+					if n != wantN || fr.pc != want.pc || !slices.Equal(fr.regs, want.regs) {
+						t.Fatalf("%s: fused ran %d to pc %d with regs %v, unfused %d to pc %d with regs %v",
+							name, n, fr.pc, fr.regs, wantN, want.pc, want.regs)
+					}
+				}
+			}
+		}
 	}
 }

@@ -1092,6 +1092,51 @@ func execLocal(code []cinstr, fr *frame, budget int64) int64 {
 				pc = int(in.elsePC)
 			}
 			continue
+		// A fused latch retires its add, compare and branch at once when
+		// the budget has room for all three, and only the add otherwise:
+		// the compare and the branch then run from their own slots.
+		case cAddEqBr:
+			v := regs[in.aReg] + in.bImm
+			regs[in.dst] = v
+			if budget-n >= 3 {
+				pc, n = latch(in, regs, v == in.aImm), n+2
+				continue
+			}
+		case cAddNeBr:
+			v := regs[in.aReg] + in.bImm
+			regs[in.dst] = v
+			if budget-n >= 3 {
+				pc, n = latch(in, regs, v != in.aImm), n+2
+				continue
+			}
+		case cAddLtBr:
+			v := regs[in.aReg] + in.bImm
+			regs[in.dst] = v
+			if budget-n >= 3 {
+				pc, n = latch(in, regs, v < in.aImm), n+2
+				continue
+			}
+		case cAddLeBr:
+			v := regs[in.aReg] + in.bImm
+			regs[in.dst] = v
+			if budget-n >= 3 {
+				pc, n = latch(in, regs, v <= in.aImm), n+2
+				continue
+			}
+		case cAddGtBr:
+			v := regs[in.aReg] + in.bImm
+			regs[in.dst] = v
+			if budget-n >= 3 {
+				pc, n = latch(in, regs, v > in.aImm), n+2
+				continue
+			}
+		case cAddGeBr:
+			v := regs[in.aReg] + in.bImm
+			regs[in.dst] = v
+			if budget-n >= 3 {
+				pc, n = latch(in, regs, v >= in.aImm), n+2
+				continue
+			}
 		default:
 			fr.pc = pc
 			return n
@@ -1100,6 +1145,17 @@ func execLocal(code []cinstr, fr *frame, budget int64) int64 {
 	}
 	fr.pc = pc
 	return n
+}
+
+// latch retires a fused latch's compare, whose result is c, and branch:
+// it stores c in the compare's destination and returns the branch target.
+func latch(in *cinstr, regs []mir.Word, c bool) int {
+	if c {
+		regs[in.aux] = 1
+		return int(in.thenPC)
+	}
+	regs[in.aux] = 0
+	return int(in.elsePC)
 }
 
 // div and mod are mir.BinOp.Eval's division: zero for a zero divisor.

@@ -55,7 +55,11 @@ func (e *Episode) Duration() int64 {
 
 // Stats aggregates run counters.
 type Stats struct {
-	// Steps is the total number of executed instructions.
+	// Steps is the run's virtual time: one step per executed instruction,
+	// plus the steps skipped when no thread can run and the scheduler
+	// fast-forwards to the next sleeper's or timed wait's wake-up, plus
+	// whatever VM.AdvanceSteps charges. It is not a count of retired
+	// instructions.
 	Steps int64
 	// Checkpoints counts dynamic reexecution-point executions (Table 5's
 	// "Dynamic" column).

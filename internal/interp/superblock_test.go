@@ -25,6 +25,14 @@ var sbAllowed = map[cop]bool{
 	cYield:   true,
 	cJmp:     true,
 	cBr:      true, // only when site == 0, checked separately
+	// The fused loop latch: an add, a compare and a plain br, all three
+	// eligible on their own (TestCompileFusesLatches).
+	cAddEqBr: true,
+	cAddNeBr: true,
+	cAddLtBr: true,
+	cAddLeBr: true,
+	cAddGtBr: true,
+	cAddGeBr: true,
 }
 
 func init() {

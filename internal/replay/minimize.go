@@ -12,6 +12,7 @@ package replay
 import (
 	"fmt"
 
+	"conair/internal/interp"
 	"conair/internal/mir"
 	"conair/internal/sched"
 )
@@ -103,7 +104,9 @@ func Minimize(mod *mir.Module, rec *Recording, opt MinimizeOptions) (*Minimized,
 	}
 
 	// probe replays a candidate stream under the step watchdog and reports
-	// whether the original failure key reproduces.
+	// whether the original failure key reproduces; last keeps the run of
+	// the last stream it accepted.
+	var last *interp.Result
 	probe := func(segs []sched.Segment) bool {
 		m.Probes++
 		if reg := metricsRegistry.Load(); reg != nil {
@@ -112,7 +115,11 @@ func Minimize(mod *mir.Module, rec *Recording, opt MinimizeOptions) (*Minimized,
 		cand := *rec
 		cand.Segments = segs
 		r, _ := Run(mod, &cand, RunOptions{MaxSteps: probeSteps})
-		return FingerprintOf(r).SameFailure(rec.Fingerprint)
+		if !FingerprintOf(r).SameFailure(rec.Fingerprint) {
+			return false
+		}
+		last = r
+		return true
 	}
 
 	cur := sched.MergeSegments(rec.Segments)
@@ -177,21 +184,31 @@ func Minimize(mod *mir.Module, rec *Recording, opt MinimizeOptions) (*Minimized,
 		}
 	}
 
-	// Final authoritative run under the recording's own step budget (not
-	// the probe watchdog) to stamp the minimized artifact's fingerprint.
+	// Stamp the minimized artifact's fingerprint from a run of cur under
+	// the recording's own step budget, not the probe watchdog. The last
+	// accepted probe replayed cur: when it failed before either bound, and
+	// not by a hang, no bound took part and it is that run.
 	out := *rec
 	out.Segments = cur
 	out.Minimized = true
-	r, _ := Run(mod, &out, RunOptions{})
-	out.Fingerprint = FingerprintOf(r)
-	if !out.Fingerprint.SameFailure(rec.Fingerprint) {
-		// The watchdogged probe accepted a stream whose failure only
-		// manifests under the tighter step bound (possible only when the
-		// original failure was itself a step-limit hang). Keep the artifact
-		// honest by pinning the probe budget into it.
-		out.MaxSteps = probeSteps
-		r, _ = Run(mod, &out, RunOptions{})
+	bound := rec.MaxSteps
+	if bound <= 0 {
+		bound = interp.DefaultMaxSteps
+	}
+	if last.Failure.Kind != mir.FailHang && last.Stats.Steps < min(probeSteps, bound) {
+		out.Fingerprint = FingerprintOf(last)
+	} else {
+		r, _ := Run(mod, &out, RunOptions{})
 		out.Fingerprint = FingerprintOf(r)
+		if !out.Fingerprint.SameFailure(rec.Fingerprint) {
+			// The watchdogged probe accepted a stream whose failure only
+			// manifests under the tighter step bound (possible only when
+			// the original failure was itself a step-limit hang). Keep the
+			// artifact honest by pinning the probe budget into it.
+			out.MaxSteps = probeSteps
+			r, _ = Run(mod, &out, RunOptions{})
+			out.Fingerprint = FingerprintOf(r)
+		}
 	}
 
 	m.Rec = &out

@@ -203,6 +203,66 @@ func TestMinimizeMirgenTemplates(t *testing.T) {
 	t.Logf("minimized %d/50 template failures", minimized)
 }
 
+// spinSrc hangs at any step limit: its worker spins on a flag nobody
+// sets, and main joins the worker.
+const spinSrc = `
+global flag = 0
+
+func spin() {
+entry:
+  jmp loop
+loop:
+  %f = loadg @flag
+  br %f, done, loop
+done:
+  ret 0
+}
+
+func main() {
+entry:
+  %t = spawn spin()
+  join %t
+  ret 0
+}`
+
+// TestMinimizeStampsOwnRun pins the minimized artifact's fingerprint to a
+// run of its stream under its own step bound, on both of Minimize's
+// paths: the 13 programs' light forced builds fail before any bound, and
+// their fingerprint comes from the last accepted probe; the spinning
+// program hangs at the bound, and its probes, which run under a larger
+// watchdog, must not stamp it.
+func TestMinimizeStampsOwnRun(t *testing.T) {
+	spin, err := mir.Parse(spinSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, hang := replay.Record(spin, interp.Config{Sched: sched.NewRandom(0), MaxSteps: 5000}, replay.Meta{})
+	if hang.Fingerprint.FailKind != mir.FailHang {
+		t.Fatalf("spin: recorded %s, want a hang", hang.Fingerprint.FailureKey())
+	}
+	check := func(name string, mod *mir.Module, rec *replay.Recording) {
+		min, err := replay.Minimize(mod, rec, replay.MinimizeOptions{ProbeBudget: 512})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := replay.Verify(mod, min.Rec); err != nil {
+			t.Errorf("%s (%s): minimized artifact: %v", name, rec.Fingerprint.FailureKey(), err)
+		}
+	}
+	check("spin", spin, hang)
+	for _, bug := range append(bugs.All(), bugs.Corpus()...) {
+		mod := bug.Program(bugs.Config{Light: true, ForceBug: true})
+		rec := recordFailure(mod, 64, randCfg)
+		if rec == nil {
+			rec = recordFailure(mod, 64, pctCfg)
+		}
+		if rec == nil {
+			t.Fatalf("%s: no failing schedule in 64 random and 64 PCT seeds", bug.Name)
+		}
+		check(bug.Name, mod, rec)
+	}
+}
+
 // TestMinimizeRejectsCompletedRun pins the minimizer's precondition.
 func TestMinimizeRejectsCompletedRun(t *testing.T) {
 	mod := mirgen.Gen(mirgen.Config{Seed: 1})
