@@ -12,13 +12,14 @@ import (
 )
 
 // benchDoc is the machine-readable output of -json: the selected sections'
-// raw rows plus process throughput. Perf-trajectory snapshots
-// (BENCH_*.json) are these documents, one per PR, regenerated with:
+// raw rows plus the work that produced them. Snapshots (BENCH_*.json) are
+// these documents, regenerated with:
 //
-//	go run ./cmd/conair-bench -all -quick -json > BENCH_N.json
+//	go run ./cmd/conair-bench -all -quick -workers 1 -json -progress=false > BENCH_N.json
 //
-// Section data is deterministic (same flags → same bytes); only the perf
-// block varies with the machine.
+// Section data and the perf block's run and step counts are deterministic
+// (same flags → same bytes, at any worker count); only wallSeconds varies
+// with the machine.
 type benchDoc struct {
 	Schema   int            `json:"schema"`
 	Config   benchConfig    `json:"config"`
@@ -49,13 +50,14 @@ type benchMachine struct {
 }
 
 type benchPerf struct {
+	// WallSeconds is informational: it depends on the machine and its
+	// load. Speed claims are made with perfbench, not from this field.
 	WallSeconds float64 `json:"wallSeconds"`
 	// Runs and Steps are totals over every interpreter run the sweep
-	// executed; RunsPerSec and StepsPerSec are the headline throughput.
-	Runs        int64   `json:"runs"`
-	Steps       int64   `json:"steps"`
-	RunsPerSec  float64 `json:"runsPerSec"`
-	StepsPerSec float64 `json:"stepsPerSec"`
+	// executed (steps are virtual steps). They are deterministic and do
+	// not depend on the worker count.
+	Runs  int64 `json:"runs"`
+	Steps int64 `json:"steps"`
 }
 
 // runJSON regenerates the selected sections and writes the document to w.
@@ -94,15 +96,10 @@ func runJSON(w io.Writer, sel selection) bool {
 		}
 	}
 
-	elapsed := time.Since(start).Seconds()
 	doc.Perf = benchPerf{
-		WallSeconds: elapsed,
+		WallSeconds: time.Since(start).Seconds(),
 		Runs:        reg.Counter("interp_runs_total").Value() - runs0,
 		Steps:       reg.Counter("interp_steps_total").Value() - steps0,
-	}
-	if elapsed > 0 {
-		doc.Perf.RunsPerSec = float64(doc.Perf.Runs) / elapsed
-		doc.Perf.StepsPerSec = float64(doc.Perf.Steps) / elapsed
 	}
 	if sel.metrics {
 		doc.Metrics = reg.Snapshot()

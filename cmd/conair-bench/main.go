@@ -13,8 +13,9 @@
 //
 // Seeded runs fan out across a worker pool (-workers, default GOMAXPROCS)
 // with deterministic results: the same flags produce the same tables at
-// any worker count. -json emits a machine-readable document including
-// throughput (runs/sec, steps/sec) for perf-trajectory tracking.
+// any worker count. -json emits a machine-readable document with the
+// sections' rows and the runs and steps that produced them, which are
+// deterministic too.
 //
 // Measured "time" is deterministic interpreter steps; the workloads are
 // scaled ~10x down from the paper's dynamic volumes (see DESIGN.md), so
@@ -59,7 +60,7 @@ func main() {
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "parallel-engine worker count (results are identical at any count)")
 	all := flag.Bool("all", false, "regenerate everything")
 	csvOut := flag.Bool("csv", false, "emit CSV instead of aligned tables")
-	jsonOut := flag.Bool("json", false, "emit one JSON document with table data and throughput (runs/sec, steps/sec)")
+	jsonOut := flag.Bool("json", false, "emit one JSON document with table data and the runs and steps spent")
 	progress := flag.Bool("progress", true, "print per-section progress (runs, runs/sec) to stderr")
 	metrics := flag.Bool("metrics", false, "dump the full metrics registry to stderr after the run (and into -json output)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file (pprof format)")

@@ -12,8 +12,7 @@ import (
 // in write order, and hands each run on to next — the telemetry hook
 // under -serve — with the written path, so /runs reports the file and the
 // flight flush does not write it again. The engine never hands a hook a
-// run its caller cancelled, nor a recording of a run its watchdog
-// stopped, so every file replays.
+// recording of an interrupted run, so every file replays.
 func recordHook(dir string, next runner.RunHook) runner.RunHook {
 	var seq atomic.Int64
 	return func(info runner.RunInfo) {

@@ -16,10 +16,12 @@ import (
 )
 
 // TestRecordHook drives -record's hook, chained to a telemetry server as
-// under -record -serve, with failing, completing and caller-cancelled
-// runs. It writes the failing runs only, every file verifies,
-// replay_recordings_written_total counts exactly the files, /runs reports
-// each file's path, and the flight flush writes none of them again.
+// under -record -serve, with failing, completing and interrupted runs.
+// It writes the failing runs only, every file verifies,
+// replay_recordings_written_total counts exactly the files, /runs lists
+// every run and reports each file's path, and the flight flush writes
+// none of them again. An interrupted run reaches /runs as a hang, but
+// where it stopped depends on wall-clock time, so it has no file.
 func TestRecordHook(t *testing.T) {
 	reg := obs.NewRegistry()
 	replay.SetMetricsRegistry(reg)
@@ -50,8 +52,8 @@ func TestRecordHook(t *testing.T) {
 	var cancel atomic.Bool
 	cancel.Store(true)
 	clean := b.Program(bugs.Config{})
-	if r := e.RunJob(clean, interp.Config{Interrupt: &cancel}, replay.Meta{Label: "cancelled"}); !r.Interrupted() {
-		t.Fatalf("pre-cancelled run = %+v, want the interrupt stop", r.Failure)
+	if r := e.RunJob(clean, interp.Config{Interrupt: &cancel}, replay.Meta{Label: "interrupted"}); !r.Interrupted() {
+		t.Fatalf("pre-interrupted run = %+v, want the interrupt stop", r.Failure)
 	}
 
 	entries, err := os.ReadDir(dir)
@@ -83,8 +85,8 @@ func TestRecordHook(t *testing.T) {
 	}
 
 	runs, total, _ := srv.Runs.List()
-	if total != int64(len(results)) {
-		t.Errorf("/runs counts %d runs, want %d (the cancelled run is not one)", total, len(results))
+	if total != int64(len(results))+1 {
+		t.Errorf("/runs counts %d runs, want %d (the interrupted run is one)", total, len(results)+1)
 	}
 	withPath := 0
 	for _, r := range runs {

@@ -103,7 +103,7 @@ func CrossCheckCorpus(b *bugs.Bug, budget int64) error {
 	}
 	found := false
 	for seed := int64(0); seed < budget; seed++ {
-		sanitizePCT(san, searchMod, seed, expMaxSteps, nil)
+		sanitizePCT(san, searchMod, seed, expMaxSteps)
 		for _, r := range san.Reports() {
 			if r.Kind == sanitizer.KindDeadlock {
 				return fmt.Errorf("%s, schedule %d: spurious deadlock prediction (%s,%s)",
@@ -123,7 +123,7 @@ func CrossCheckCorpus(b *bugs.Bug, budget int64) error {
 
 	// Leg 2: the modelled upstream fix soaks clean.
 	for seed := int64(0); seed < budget; seed++ {
-		r := sanitizePCT(san, p.clean, seed, expMaxSteps, nil)
+		r := sanitizePCT(san, p.clean, seed, expMaxSteps)
 		if !r.Completed {
 			return fmt.Errorf("%s fixed twin, schedule %d: failed: %v", b.Name, seed, r.Failure)
 		}

@@ -21,9 +21,8 @@ func init() {
 	// (or a scrape of the serve endpoint backed by this registry) is
 	// self-documenting the first time they appear.
 	for name, help := range map[string]string{
-		"sanitizer_fastpath_hits_total":         "accesses resolved on the owned-cell epoch fast path (no foreign clock entry consulted)",
-		"sanitizer_vc_joins_total":              "full vector-clock join operations (spawn/join edges plus release-clock acquisitions)",
-		"sanitize_search_seeds_cancelled_total": "PCT search seeds skipped or interrupted after a lower seed flagged",
+		"sanitizer_fastpath_hits_total": "accesses resolved on the owned-cell epoch fast path (no foreign clock entry consulted)",
+		"sanitizer_vc_joins_total":      "full vector-clock join operations (spawn/join edges plus release-clock acquisitions)",
 	} {
 		reg.SetHelp(name, help)
 	}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"conair/internal/bugs"
 	"conair/internal/core"
@@ -49,73 +48,21 @@ func pctCfg(seed, maxSteps int64) interp.Config {
 // over one program shape is allocation-free after the first seed.
 var sanPool = sync.Pool{New: func() any { return sanitizer.New(nil) }}
 
-// SanitizeSearch runs mod under PCT schedule seeds 0..budget-1, returning
-// the first schedule seed whose sanitized run produced reports together
-// with those reports, or (-1, nil) when the whole budget stayed clean.
-//
-// Seeds fan out over the engine's worker pool, with deterministic
-// first-hit semantics: the lowest flagging seed wins regardless of
-// completion order. The engine dispatches seeds in ascending order, so
-// when a seed flags, every lower seed is already in flight and runs to
-// completion uninterrupted — only higher seeds are cancelled (via
-// interp.Config.Interrupt) or skipped, and a later hit at a lower seed
-// simply lowers the watermark. The winning seed's run is therefore always
-// a complete deterministic run, and its reports are identical to what the
-// sequential walk returns. With a single worker the engine degenerates to
-// exactly that sequential walk. A cancelled seed is not a failure: the
-// engine reports it to no run hook, so it is neither counted in /runs nor
-// written by -record.
+// SanitizeSearch runs mod under PCT schedule seeds 0..budget-1 in order,
+// returning the first schedule seed whose sanitized run produced reports
+// together with those reports, or (-1, nil) when the whole budget stayed
+// clean. The walk stops at the hit, so its runs do not depend on the
+// engine's pool size; callers fan out over programs instead.
 func SanitizeSearch(mod *mir.Module, budget, maxSteps int64) (int64, []sanitizer.Report) {
-	n := int(budget)
-	if n <= 0 {
-		return -1, nil
-	}
-	reports := make([][]sanitizer.Report, n)
-	cancels := make([]atomic.Bool, n)
-	// best is the lowest flagging seed so far; n means "none yet".
-	var best atomic.Int64
-	best.Store(int64(n))
-	cancelled := reg.Counter("sanitize_search_seeds_cancelled_total")
-	eng.All(n, func(i int) bool {
-		if best.Load() < int64(i) {
-			// A lower seed already flagged; this seed cannot win.
-			cancelled.Inc()
-			return false
-		}
-		san := sanPool.Get().(*sanitizer.Sanitizer)
-		sanitizePCT(san, mod, int64(i), maxSteps, &cancels[i])
+	san := sanPool.Get().(*sanitizer.Sanitizer)
+	defer sanPool.Put(san)
+	for seed := int64(0); seed < budget; seed++ {
+		sanitizePCT(san, mod, seed, maxSteps)
 		if rs := san.Reports(); len(rs) > 0 {
 			// Copy out: san goes back to the pool and the next Reset
 			// recycles its report storage.
-			reports[i] = append([]sanitizer.Report(nil), rs...)
+			return seed, append([]sanitizer.Report(nil), rs...)
 		}
-		sanPool.Put(san)
-		if best.Load() < int64(i) {
-			// Lost to a lower seed, possibly after being interrupted
-			// mid-run; the (possibly partial) verdict is discarded.
-			reports[i] = nil
-			cancelled.Inc()
-			return false
-		}
-		if reports[i] == nil {
-			return true
-		}
-		for {
-			cur := best.Load()
-			if int64(i) >= cur {
-				break
-			}
-			if best.CompareAndSwap(cur, int64(i)) {
-				for j := i + 1; j < n; j++ {
-					cancels[j].Store(true)
-				}
-				break
-			}
-		}
-		return false
-	})
-	if w := best.Load(); w < int64(n) {
-		return w, reports[w]
 	}
 	return -1, nil
 }
@@ -125,13 +72,11 @@ func SanitizeSearch(mod *mir.Module, budget, maxSteps int64) (int64, []sanitizer
 // and sweep loops. san must come from sanPool (or New) and its reports
 // are only valid until the caller's next Reset. The run goes through the
 // engine's job path under its seed, so a recording of it names the
-// schedule it replays. cancel, when non-nil, is the caller's Interrupt
-// flag.
-func sanitizePCT(san *sanitizer.Sanitizer, mod *mir.Module, seed, maxSteps int64, cancel *atomic.Bool) *interp.Result {
+// schedule it replays.
+func sanitizePCT(san *sanitizer.Sanitizer, mod *mir.Module, seed, maxSteps int64) *interp.Result {
 	san.Reset(mod)
 	cfg := pctCfg(seed, maxSteps)
 	cfg.Sanitizer = san
-	cfg.Interrupt = cancel
 	r := eng.RunJob(mod, cfg, replay.Meta{Label: mod.Name + "-sanitize", Seed: seed})
 	san.RecordMetrics(reg)
 	return r
@@ -235,7 +180,7 @@ func CrossCheckTemplate(genCfg mirgen.Config, budget int64) error {
 	defer sanPool.Put(san)
 	found := false
 	for seed := int64(0); seed < budget; seed++ {
-		sanitizePCT(san, mod, seed, maxSteps, nil)
+		sanitizePCT(san, mod, seed, maxSteps)
 		for _, r := range san.Reports() {
 			if err := matchesInfo(r, info); err != nil {
 				return fmt.Errorf("%v template, schedule %d: false positive: %v", info.Kind, seed, err)
@@ -245,7 +190,7 @@ func CrossCheckTemplate(genCfg mirgen.Config, budget int64) error {
 	}
 	if !found {
 		for seed := int64(0); seed < budget; seed++ {
-			sanitizePCT(san, h.Module, seed, maxSteps, nil)
+			sanitizePCT(san, h.Module, seed, maxSteps)
 			for _, r := range san.Reports() {
 				if err := matchesInfo(r, info); err != nil {
 					return fmt.Errorf("%v template, hardened schedule %d: false positive: %v",
@@ -266,7 +211,7 @@ func CrossCheckTemplate(genCfg mirgen.Config, budget int64) error {
 	cleanCfg.InjectBug = false
 	cleanMod := mirgen.Gen(cleanCfg)
 	for seed := int64(0); seed < budget; seed++ {
-		r := sanitizePCT(san, cleanMod, seed, maxSteps, nil)
+		r := sanitizePCT(san, cleanMod, seed, maxSteps)
 		if r.Failure != nil {
 			return fmt.Errorf("clean twin, schedule %d: failed: %v", seed, r.Failure)
 		}

@@ -18,9 +18,9 @@ import (
 	"conair/internal/sanitizer/sanitizertest"
 )
 
-// SanitizeSearchRef is the test-only sequential oracle for SanitizeSearch:
-// the same seed walk with a fresh Reference detector per seed, no engine,
-// no cancellation. The parallel-determinism tests pin SanitizeSearch's
+// SanitizeSearchRef is the test-only oracle for SanitizeSearch: the same
+// seed walk with a fresh Reference detector per seed and no engine.
+// TestSanitizeSearchMatchesSequentialRef pins SanitizeSearch's
 // (seed, reports) pair against it.
 func SanitizeSearchRef(mod *mir.Module, budget, maxSteps int64) (int64, []sanitizer.Report) {
 	for seed := int64(0); seed < budget; seed++ {
@@ -174,10 +174,11 @@ func TestSanitizerDifferentialMirgen(t *testing.T) {
 	}
 }
 
-// TestSanitizeSearchMatchesSequentialRef pins the parallel search's
-// first-hit determinism: with a 4-worker pool, SanitizeSearch must return
-// the same (seed, reports) pair as the sequential Reference-detector walk
-// for every benchmark, every corpus model and every template kind.
+// TestSanitizeSearchMatchesSequentialRef pins the production search,
+// pooled epoch sanitizer through the engine's job path, against the
+// Reference-detector walk: on a 4-worker engine SanitizeSearch must return
+// the same (seed, reports) pair for every benchmark, every corpus model
+// and every template kind.
 func TestSanitizeSearchMatchesSequentialRef(t *testing.T) {
 	prev := SetWorkers(4)
 	defer SetWorkers(prev)
@@ -187,11 +188,11 @@ func TestSanitizeSearchMatchesSequentialRef(t *testing.T) {
 		gotSeed, gotReports := SanitizeSearch(mod, sanitizeBudget, maxSteps)
 		wantSeed, wantReports := SanitizeSearchRef(mod, sanitizeBudget, maxSteps)
 		if gotSeed != wantSeed {
-			t.Errorf("%s: parallel search hit seed %d, sequential reference %d", name, gotSeed, wantSeed)
+			t.Errorf("%s: search hit seed %d, reference %d", name, gotSeed, wantSeed)
 			return
 		}
 		if !sameReports(gotReports, wantReports) {
-			t.Errorf("%s: winning reports differ at seed %d\nparallel:   %v\nsequential: %v",
+			t.Errorf("%s: winning reports differ at seed %d\nsearch:    %v\nreference: %v",
 				name, gotSeed, gotReports, wantReports)
 		}
 	}
@@ -234,7 +235,6 @@ func TestSanitizeSearchMetricsExposition(t *testing.T) {
 	for _, name := range []string{
 		"sanitizer_fastpath_hits_total",
 		"sanitizer_vc_joins_total",
-		"sanitize_search_seeds_cancelled_total",
 	} {
 		if !strings.Contains(buf.String(), name) {
 			t.Errorf("metrics exposition missing %s", name)
@@ -248,10 +248,10 @@ func TestSanitizeSearchMetricsExposition(t *testing.T) {
 // BenchmarkSanitizeSearch measures a full no-hit seed sweep (the search's
 // worst case: every seed in the budget runs to completion) on a
 // benchmark's failure-free light build. The epoch leg is the production
-// path — pooled sanitizer, engine fan-out; the reference leg replicates
-// the pre-epoch implementation exactly: a sequential engine walk with a
-// fresh map-based detector per seed. Both legs pay the same interpreter
-// and engine costs, so the delta is the detector.
+// path — one pooled sanitizer reset per seed; the reference leg walks the
+// same seeds through the same engine job path with a fresh map-based
+// detector per seed. Both legs pay the same interpreter and engine costs,
+// so the delta is the detector.
 func BenchmarkSanitizeSearch(b *testing.B) {
 	mod := prep(bugs.All()[0]).lightClean
 	const budget, maxSteps = 5, 20_000_000

@@ -27,6 +27,8 @@ type MinimizeOptions struct {
 	// steps, at least MinProbeSteps). Edited schedules can run arbitrarily
 	// longer than the original — e.g. when a removed switch breaks the
 	// failure and the program spins — so every probe is step-bounded.
+	// The watchdog never exceeds the recording's own step bound: a probe
+	// past it would see behaviour the recorded run could not.
 	ProbeSteps int64
 }
 
@@ -89,13 +91,15 @@ func Minimize(mod *mir.Module, rec *Recording, opt MinimizeOptions) (*Minimized,
 	if budget <= 0 {
 		budget = DefaultProbeBudget
 	}
+	bound := rec.MaxSteps
+	if bound <= 0 {
+		bound = interp.DefaultMaxSteps
+	}
 	probeSteps := opt.ProbeSteps
 	if probeSteps <= 0 {
-		probeSteps = 4 * rec.Fingerprint.Steps
-		if probeSteps < MinProbeSteps {
-			probeSteps = MinProbeSteps
-		}
+		probeSteps = max(4*rec.Fingerprint.Steps, MinProbeSteps)
 	}
+	probeSteps = min(probeSteps, bound)
 
 	m := &Minimized{
 		SwitchesBefore: sched.Switches(rec.Segments),
@@ -186,25 +190,22 @@ func Minimize(mod *mir.Module, rec *Recording, opt MinimizeOptions) (*Minimized,
 
 	// Stamp the minimized artifact's fingerprint from a run of cur under
 	// the recording's own step budget, not the probe watchdog. The last
-	// accepted probe replayed cur: when it failed before either bound, and
+	// accepted probe replayed cur: when it failed before the watchdog, and
 	// not by a hang, no bound took part and it is that run.
 	out := *rec
 	out.Segments = cur
 	out.Minimized = true
-	bound := rec.MaxSteps
-	if bound <= 0 {
-		bound = interp.DefaultMaxSteps
-	}
-	if last.Failure.Kind != mir.FailHang && last.Stats.Steps < min(probeSteps, bound) {
+	if last.Failure.Kind != mir.FailHang && last.Stats.Steps < probeSteps {
 		out.Fingerprint = FingerprintOf(last)
 	} else {
 		r, _ := Run(mod, &out, RunOptions{})
 		out.Fingerprint = FingerprintOf(r)
 		if !out.Fingerprint.SameFailure(rec.Fingerprint) {
 			// The watchdogged probe accepted a stream whose failure only
-			// manifests under the tighter step bound (possible only when
-			// the original failure was itself a step-limit hang). Keep the
-			// artifact honest by pinning the probe budget into it.
+			// manifests under the watchdog, tighter than the recording's
+			// bound (possible only when the original failure was itself a
+			// step-limit hang). Keep the artifact honest by pinning the
+			// probe budget into it.
 			out.MaxSteps = probeSteps
 			r, _ = Run(mod, &out, RunOptions{})
 			out.Fingerprint = FingerprintOf(r)

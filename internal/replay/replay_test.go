@@ -229,8 +229,8 @@ entry:
 // run of its stream under its own step bound, on both of Minimize's
 // paths: the 13 programs' light forced builds fail before any bound, and
 // their fingerprint comes from the last accepted probe; the spinning
-// program hangs at the bound, and its probes, which run under a larger
-// watchdog, must not stamp it.
+// program hangs at its bound, which also caps the probe watchdog, and a
+// hang is stamped by a run of its own, never by a probe.
 func TestMinimizeStampsOwnRun(t *testing.T) {
 	spin, err := mir.Parse(spinSrc)
 	if err != nil {
@@ -260,6 +260,32 @@ func TestMinimizeStampsOwnRun(t *testing.T) {
 			t.Fatalf("%s: no failing schedule in 64 random and 64 PCT seeds", bug.Name)
 		}
 		check(bug.Name, mod, rec)
+	}
+}
+
+// TestMinimizeWithinRecordedBound: the probe watchdog never exceeds the
+// recording's own step bound. FFT's and ZSNES's light forced builds under
+// a 5,000-step bound hang at it on Random seeds 0-3; given more steps they
+// would end otherwise, so a watchdog past the bound makes the first probe
+// miss the failure and Minimize refuse the recording. Every recording
+// must minimize, and every minimized artifact must verify.
+func TestMinimizeWithinRecordedBound(t *testing.T) {
+	for _, name := range []string{"FFT", "ZSNES"} {
+		mod := bugs.ByName(name).Program(bugs.Config{Light: true, ForceBug: true})
+		for seed := int64(0); seed < 4; seed++ {
+			_, rec := replay.Record(mod, interp.Config{Sched: sched.NewRandom(seed), MaxSteps: 5000}, replay.Meta{Seed: seed})
+			if !rec.Fingerprint.Failed {
+				t.Fatalf("%s seed %d: run completed within 5,000 steps; the test needs a failure", name, seed)
+			}
+			min, err := replay.Minimize(mod, rec, replay.MinimizeOptions{ProbeBudget: 512})
+			if err != nil {
+				t.Errorf("%s seed %d (%s): %v", name, seed, rec.Fingerprint.FailureKey(), err)
+				continue
+			}
+			if err := replay.Verify(mod, min.Rec); err != nil {
+				t.Errorf("%s seed %d: minimized artifact: %v", name, seed, err)
+			}
+		}
 	}
 }
 

@@ -18,10 +18,14 @@
 //
 // RunHook is the one route from a finished run to its report and its
 // file: the live run registry (internal/obs/serve) and conair-bench
-// -record both install themselves there. A run its caller cancelled
-// through Config.Interrupt is not a failure and never reaches the hook; a
-// run the engine's own watchdog stopped does, as a hang without a
-// recording.
+// -record both install themselves there. Every run reaches it; a run the
+// engine's watchdog stopped arrives as a hang without a recording.
+//
+// A search for the first seed with some outcome (AllComplete, and the
+// sanitizer and Figure 2 searches in internal/experiments) walks its
+// seeds in order on one worker and stops at the hit, so the runs it makes
+// do not depend on the pool size; the parallelism is in the Map over
+// programs or patterns around it.
 package runner
 
 import (
@@ -51,21 +55,23 @@ type Engine struct {
 	Reg *obs.Registry
 	// Stop, when non-nil, is the graceful-drain flag: once it reads true
 	// no further jobs are dispatched; jobs already running finish
-	// normally. A stopped batch's results are partial — boolean verdicts
-	// (All, AllComplete) from a stopped batch must not be trusted as
-	// exhaustive. SIGINT handling in conair-bench sets it.
+	// normally. A stopped batch's results are partial — AllComplete's
+	// verdict from a stopped engine must not be trusted as exhaustive.
+	// SIGINT handling in conair-bench sets it.
 	Stop *atomic.Bool
 	// JobTimeout, when positive, arms a per-run wall-clock watchdog on
 	// every interpreter job the engine executes (AllComplete, RunJob): the
 	// run is interrupted cooperatively via interp.Config.Interrupt — the
 	// caller's flag when it supplied one — and comes back as a hang
-	// failure instead of wedging a worker forever.
+	// failure instead of wedging a worker forever. The watchdog is the
+	// engine's only setter of that flag.
 	JobTimeout time.Duration
 	// RunHook, when non-nil, is called after every interpreter job the
 	// engine executes (AllComplete, RunJob) with the run's provenance,
 	// result, latency, and — when FlightLimit is set — its schedule
-	// recording. It is not called for a run its caller cancelled through
-	// Config.Interrupt. The hook runs on worker goroutines and must be
+	// recording. A run stopped through Config.Interrupt reaches it as a
+	// hang without a recording, because where the stop landed depends on
+	// wall-clock time. The hook runs on worker goroutines and must be
 	// safe for concurrent use; it observes results, never alters them.
 	RunHook RunHook
 	// FlightLimit, when positive, arms a bounded flight recorder on every
@@ -127,20 +133,8 @@ func (e Engine) workers() int {
 // order. fn must be safe for concurrent invocation on distinct indices.
 func Map[T any](e Engine, n int, fn func(i int) T) []T {
 	out := make([]T, n)
-	e.each(n, func(i int) bool {
-		out[i] = fn(i)
-		return true
-	})
+	e.each(n, func(i int) { out[i] = fn(i) })
 	return out
-}
-
-// All runs pred(0..n-1) across the pool and reports whether every call
-// returned true. A false result cancels jobs that have not started yet —
-// the boolean is deterministic either way, so the early exit never changes
-// an observable outcome, only the work done to reach it.
-func (e Engine) All(n int, pred func(i int) bool) bool {
-	ok := e.each(n, pred)
-	return ok
 }
 
 // workerObs is one worker's metric handles.
@@ -181,7 +175,7 @@ func newInstr(reg *obs.Registry, w, n int) *instr {
 // run executes one job under instrumentation (worker is the pool slot).
 // The accounting is deferred so a job that panics still leaves the queue
 // and still charges its worker for the time it burned.
-func (in *instr) run(worker, i int, fn func(i int) bool) bool {
+func (in *instr) run(worker, i int, fn func(i int)) {
 	start := time.Now()
 	defer func() {
 		ns := time.Since(start).Nanoseconds()
@@ -192,15 +186,14 @@ func (in *instr) run(worker, i int, fn func(i int) bool) bool {
 		in.workers[worker].jobs.Inc()
 		in.workers[worker].busy.Add(ns)
 	}()
-	return fn(i)
+	fn(i)
 }
 
-// each is the pool core: an atomic job cursor drained by w workers.
-// Returning false from fn stops the dispatch of new jobs; each reports
-// whether every executed fn returned true.
-func (e Engine) each(n int, fn func(i int) bool) bool {
+// each is the pool core: an atomic job cursor drained by w workers. The
+// Stop flag and a panicking fn stop the dispatch of new jobs.
+func (e Engine) each(n int, fn func(i int)) {
 	if n <= 0 {
-		return true
+		return
 	}
 	w := e.workers()
 	if w > n {
@@ -209,8 +202,8 @@ func (e Engine) each(n int, fn func(i int) bool) bool {
 	var in *instr
 	if e.Reg != nil {
 		in = newInstr(e.Reg, w, n)
-		// Jobs that never run — cancelled by an early exit, the Stop flag,
-		// or a panic — must still leave the queue-depth gauge. One deferred
+		// Jobs that never run — skipped after the Stop flag or a panic —
+		// must still leave the queue-depth gauge. One deferred
 		// reconciliation covers every exit path (including a re-raised
 		// panic); on a full batch settled == n and this is a no-op.
 		defer func() { in.depth.Add(-(int64(n) - in.settled.Load())) }()
@@ -219,21 +212,16 @@ func (e Engine) each(n int, fn func(i int) bool) bool {
 	if w == 1 {
 		// Sequential fast path: no goroutines, same semantics.
 		if in != nil {
-			call = func(i int) bool { return in.run(0, i, fn) }
+			call = func(i int) { in.run(0, i, fn) }
 		}
-		for i := 0; i < n; i++ {
-			if e.stopped() {
-				return false
-			}
-			if !call(i) {
-				return false
-			}
+		for i := 0; i < n && !e.stopped(); i++ {
+			call(i)
 		}
-		return true
+		return
 	}
 	var (
 		cursor    atomic.Int64
-		failed    atomic.Bool
+		panicked  atomic.Bool
 		panicOnce sync.Once
 		panicVal  any
 	)
@@ -249,23 +237,18 @@ func (e Engine) each(n int, fn func(i int) bool) bool {
 			defer func() {
 				if p := recover(); p != nil {
 					panicOnce.Do(func() { panicVal = p })
-					failed.Store(true)
+					panicked.Store(true)
 				}
 			}()
-			for !failed.Load() && !e.stopped() {
+			for !panicked.Load() && !e.stopped() {
 				i := int(cursor.Add(1)) - 1
 				if i >= n {
 					return
 				}
-				ok := false
 				if in != nil {
-					ok = in.run(worker, i, fn)
+					in.run(worker, i, fn)
 				} else {
-					ok = fn(i)
-				}
-				if !ok {
-					failed.Store(true)
-					return
+					fn(i)
 				}
 			}
 		}(k)
@@ -274,7 +257,6 @@ func (e Engine) each(n int, fn func(i int) bool) bool {
 	if panicVal != nil {
 		panic(panicVal)
 	}
-	return !failed.Load() && !e.stopped()
 }
 
 // RunJob executes one interpreter run with the engine's hardening
@@ -282,27 +264,19 @@ func (e Engine) each(n int, fn func(i int) bool) bool {
 // (FlightLimit) and panic containment. A panic inside the interpreter
 // comes back as a failed result of kind mir.FailPanic whose message
 // carries the panic value and stack — the pool and the remaining jobs are
-// unaffected. A run stopped by the caller's Interrupt flag, not by the
-// watchdog, is returned to the caller but not reported to RunHook.
+// unaffected.
 func (e Engine) RunJob(mod *mir.Module, cfg interp.Config, meta replay.Meta) (res *interp.Result) {
 	start := time.Now()
 	schedName := "random"
 	if cfg.Sched != nil {
 		schedName = cfg.Sched.Name()
 	}
-	// timedOut tells the watchdog's stop from the caller's: only the
-	// watchdog sets it, before it raises the shared flag.
-	var timedOut *atomic.Bool
 	if e.JobTimeout > 0 {
 		if cfg.Interrupt == nil {
 			cfg.Interrupt = new(atomic.Bool)
 		}
 		flag := cfg.Interrupt
-		timedOut = new(atomic.Bool)
-		t := time.AfterFunc(e.JobTimeout, func() {
-			timedOut.Store(true)
-			flag.Store(true)
-		})
+		t := time.AfterFunc(e.JobTimeout, func() { flag.Store(true) })
 		defer t.Stop()
 	}
 	var flight *replay.FlightCapture
@@ -317,9 +291,6 @@ func (e Engine) RunJob(mod *mir.Module, cfg interp.Config, meta replay.Meta) (re
 			}}
 		}
 		stopped := res.Interrupted()
-		if stopped && (timedOut == nil || !timedOut.Load()) {
-			return // cancelled by the caller: not a failure
-		}
 		var rec *replay.Recording
 		truncated := false
 		if flight != nil && !stopped {
@@ -359,11 +330,18 @@ func SeedConfig(seed, maxSteps int64) interp.Config {
 	return interp.Config{Sched: sched.NewRandom(seed), MaxSteps: maxSteps}
 }
 
-// AllComplete runs mod under seeds 0..runs-1 and reports whether every run
-// completed. A failing seed cancels not-yet-started runs; the verdict is
-// identical to the sequential sweep's.
+// AllComplete runs mod under seeds 0..runs-1 in order and reports whether
+// every run completed. It stops at the first incomplete run, so the runs
+// it makes are the same at any pool size. Once the Stop flag is set it
+// runs no further seed and reports false: the verdict is not exhaustive.
 func (e Engine) AllComplete(mod *mir.Module, runs int, maxSteps int64) bool {
-	return e.All(runs, func(i int) bool {
-		return e.RunJob(mod, SeedConfig(int64(i), maxSteps), replay.Meta{Seed: int64(i), Label: mod.Name}).Completed
-	})
+	for i := range runs {
+		if e.stopped() {
+			return false
+		}
+		if !e.RunJob(mod, SeedConfig(int64(i), maxSteps), replay.Meta{Seed: int64(i), Label: mod.Name}).Completed {
+			return false
+		}
+	}
+	return true
 }

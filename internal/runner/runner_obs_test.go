@@ -1,7 +1,7 @@
 package runner
 
 // Telemetry-surface tests: the engine_queue_depth gauge's three drain
-// paths (normal completion, early exit, Stop) must each return the gauge
+// paths (normal completion, Stop, panic) must each return the gauge
 // to zero, and the RunHook/flight-recorder feed must observe runs without
 // perturbing them.
 
@@ -35,21 +35,6 @@ func TestQueueDepthReturnsToZeroAfterCompletion(t *testing.T) {
 	}
 }
 
-// TestQueueDepthReturnsToZeroAfterEarlyExit: a failing predicate cancels
-// not-yet-started jobs; the cancelled jobs must still leave the queue.
-func TestQueueDepthReturnsToZeroAfterEarlyExit(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		reg := obs.NewRegistry()
-		e := Engine{Workers: workers, Reg: reg}
-		if e.All(10_000, func(i int) bool { return i != 37 }) {
-			t.Fatalf("workers=%d: failing batch reported success", workers)
-		}
-		if d := queueDepth(reg); d != 0 {
-			t.Errorf("workers=%d: queue depth %d after early exit, want 0", workers, d)
-		}
-	}
-}
-
 // TestQueueDepthReturnsToZeroAfterStopDrain: the graceful-drain flag skips
 // queued jobs; they too must leave the queue-depth gauge.
 func TestQueueDepthReturnsToZeroAfterStopDrain(t *testing.T) {
@@ -73,7 +58,7 @@ func TestQueueDepthReturnsToZeroAfterStopDrain(t *testing.T) {
 }
 
 // TestQueueDepthReturnsToZeroAfterPanicDrain: a panicking job stops
-// dispatch and re-raises from the caller; the jobs it cancelled must
+// dispatch and re-raises from the caller; the jobs it skipped must
 // still drain from the gauge.
 func TestQueueDepthReturnsToZeroAfterPanicDrain(t *testing.T) {
 	for _, workers := range []int{1, 4} {

@@ -31,24 +31,6 @@ func TestMapEmpty(t *testing.T) {
 	}
 }
 
-func TestAllReportsFailureAndCancels(t *testing.T) {
-	e := Engine{Workers: 4}
-	if !e.All(50, func(i int) bool { return true }) {
-		t.Fatal("all-true batch reported failure")
-	}
-	var executed atomic.Int64
-	ok := e.All(10_000, func(i int) bool {
-		executed.Add(1)
-		return i != 3
-	})
-	if ok {
-		t.Fatal("batch with failing job reported success")
-	}
-	if n := executed.Load(); n == 10_000 {
-		t.Error("failure did not cancel pending jobs")
-	}
-}
-
 func TestMapCoversEveryIndex(t *testing.T) {
 	hit := make([]atomic.Bool, 257)
 	Map(Engine{Workers: 8}, len(hit), func(i int) bool { hit[i].Store(true); return true })
@@ -95,13 +77,37 @@ func normalize(r *interp.Result) *interp.Result {
 	return &cp
 }
 
+// TestAllCompleteMatchesSequentialVerdict: AllComplete walks its seeds in
+// order and stops at the first incomplete run, so the verdict and the runs
+// it makes are the same at any pool size.
 func TestAllCompleteMatchesSequentialVerdict(t *testing.T) {
 	b := bugs.ByName("HawkNL")
 	forced := b.Program(bugs.Config{Light: true, ForceBug: true})
-	want := Engine{Workers: 1}.AllComplete(forced, 16, 0)
-	got := Engine{Workers: 4}.AllComplete(forced, 16, 0)
+	verdict := func(workers int) (bool, []int64) {
+		hook, infos := collectHook()
+		ok := Engine{Workers: workers, RunHook: hook}.AllComplete(forced, 16, 0)
+		var seeds []int64
+		for i, info := range infos() {
+			if info.Seed != int64(i) {
+				t.Fatalf("workers=%d: run %d has seed %d, want seeds in order", workers, i, info.Seed)
+			}
+			if !info.Result.Completed && i != len(infos())-1 {
+				t.Fatalf("workers=%d: seed %d failed but the walk went on", workers, i)
+			}
+			seeds = append(seeds, info.Seed)
+		}
+		return ok, seeds
+	}
+	want, wantSeeds := verdict(1)
+	got, gotSeeds := verdict(4)
 	if got != want {
 		t.Errorf("parallel verdict %v, sequential %v", got, want)
+	}
+	if !reflect.DeepEqual(gotSeeds, wantSeeds) {
+		t.Errorf("parallel engine ran seeds %v, sequential %v", gotSeeds, wantSeeds)
+	}
+	if want || len(wantSeeds) == 16 {
+		t.Errorf("verdict %v after %d seeds: the test needs a forced failure before seed 15", want, len(wantSeeds))
 	}
 }
 
@@ -234,34 +240,23 @@ func TestJobTimeoutWatchdog(t *testing.T) {
 	}
 }
 
-// TestCallerCancelledRunNotReported: a run its caller cancelled through
-// Config.Interrupt comes back to the caller as the interrupt hang, but it
-// is not a failure, so the hook never sees it.
-func TestCallerCancelledRunNotReported(t *testing.T) {
-	called := false
-	e := Engine{FlightLimit: DefaultFlightLimit, RunHook: func(RunInfo) { called = true }}
-	var cancel atomic.Bool
-	cancel.Store(true)
-	res := e.RunJob(spinModule(), interp.Config{Sched: sched.NewRandom(1), Interrupt: &cancel}, replay.Meta{Label: "spin"})
-	if res.Failure == nil || res.Failure.Kind != mir.FailHang || !res.Interrupted() {
-		t.Fatalf("result = %+v, want the interrupt hang", res)
-	}
-	if called {
-		t.Error("the run hook saw a run its caller cancelled")
-	}
-}
-
 // TestStopDrainsPool: once the graceful-drain flag is set, no further jobs
-// are dispatched and the batch reports incompleteness.
+// are dispatched and AllComplete reports an incomplete verdict.
 func TestStopDrainsPool(t *testing.T) {
 	var stop atomic.Bool
 	stop.Store(true)
 	var executed atomic.Int64
 	e := Engine{Workers: 4, Stop: &stop}
-	if e.All(1000, func(i int) bool { executed.Add(1); return true }) {
-		t.Error("stopped batch reported a complete verdict")
-	}
+	Map(e, 1000, func(i int) int { executed.Add(1); return i })
 	if n := executed.Load(); n != 0 {
 		t.Errorf("%d jobs dispatched after stop", n)
+	}
+	hook, infos := collectHook()
+	e.RunHook = hook
+	if e.AllComplete(okModule(), 16, 0) {
+		t.Error("stopped engine reported a complete verdict")
+	}
+	if n := len(infos()); n != 0 {
+		t.Errorf("%d runs executed after stop", n)
 	}
 }
