@@ -325,9 +325,11 @@ func removedPct[T int | int64](off, on T) float64 {
 // dynamicByClass runs the hardened module and splits checkpoint
 // executions by the class of sites each checkpoint serves.
 func dynamicByClass(h *core.Hardened, seed int64) (deadlock, nonDeadlock int64) {
-	r := interp.RunModule(h.Module, runner.SeedConfig(seed, expMaxSteps))
+	vm := interp.New(h.Module, runner.SeedConfig(seed, expMaxSteps))
+	vm.Run()
+	execs := vm.CheckpointExecs()
 	for _, cp := range h.Report.Analysis.Checkpoints {
-		n := r.Stats.CheckpointExecs[cp.ID]
+		n := execs[cp.ID]
 		if cp.ServesDeadlock {
 			deadlock += n
 		}

@@ -39,7 +39,7 @@ func diffCompare(t *testing.T, name string, m *mir.Module, seeds []int64) {
 		cfgB := interp.Config{
 			Sched: sched.NewRandom(seed), MaxSteps: diffMaxSteps, CollectOutput: true,
 		}
-		got := interp.RunModule(m, cfgA)
+		got := interp.RunCounted(m, cfgA)
 		want := interp.RunReference(m, cfgB)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s seed %d: compiled and reference results differ\ncompiled:  %+v\nreference: %+v",
@@ -150,7 +150,7 @@ var schedDiffTracer = obs.NewTracer(schedDiffTracerCap)
 // schedRun is the observable outcome of one run under a scheduler.
 type schedRun struct {
 	sched   sched.Scheduler
-	res     *interp.Result
+	res     interp.Counted
 	picks   []schedPick
 	state   any // the scheduler's observables; see schedState
 	next    int // the scheduler's next Intn after the run
@@ -185,7 +185,7 @@ func runSched(t *testing.T, m *mir.Module, mk func() sched.Scheduler, san, ref b
 	if ref {
 		r.res = interp.RunReference(m, cfg)
 	} else {
-		r.res = interp.RunModule(m, cfg)
+		r.res = interp.RunCounted(m, cfg)
 	}
 	if d := tr.Dropped(); d != 0 {
 		t.Fatalf("tracer dropped %d events; raise schedDiffTracerCap", d)

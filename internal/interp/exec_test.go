@@ -123,12 +123,12 @@ func TestExecLocalBinOps(t *testing.T) {
 			cfg := Config{Sched: sched.NewRandom(1), CollectOutput: true}
 			ref := RunReference(m, cfg)
 			cfg.Sched = sched.NewRandom(1)
-			run := RunModule(m, cfg)
+			run := RunCounted(m, cfg)
 			if !reflect.DeepEqual(run, ref) {
 				t.Fatalf("%s: Run and RunReference differ\nRun:       %+v\nReference: %+v", name, run, ref)
 			}
-			if !reflect.DeepEqual(outputs(ref), want) {
-				t.Fatalf("%s: RunReference outputs %v, want %v", name, outputs(ref), want)
+			if !reflect.DeepEqual(outputs(&ref.Result), want) {
+				t.Fatalf("%s: RunReference outputs %v, want %v", name, outputs(&ref.Result), want)
 			}
 		}
 	}
@@ -226,11 +226,11 @@ func TestExecLocalOps(t *testing.T) {
 	cfg := Config{Sched: sched.NewRandom(1), CollectOutput: true}
 	ref := RunReference(m, cfg)
 	cfg.Sched = sched.NewRandom(1)
-	if run := RunModule(m, cfg); !reflect.DeepEqual(run, ref) {
+	if run := RunCounted(m, cfg); !reflect.DeepEqual(run, ref) {
 		t.Fatalf("Run and RunReference differ\nRun:       %+v\nReference: %+v", run, ref)
 	}
-	if !ref.Completed || !reflect.DeepEqual(outputs(ref), want) {
-		t.Fatalf("RunReference: completed=%v outputs %v, want %v", ref.Completed, outputs(ref), want)
+	if !ref.Completed || !reflect.DeepEqual(outputs(&ref.Result), want) {
+		t.Fatalf("RunReference: completed=%v outputs %v, want %v", ref.Completed, outputs(&ref.Result), want)
 	}
 }
 
@@ -253,11 +253,11 @@ func TestExecLocalUnknownOperator(t *testing.T) {
 	cfg := Config{Sched: sched.NewRandom(1), CollectOutput: true}
 	ref := RunReference(m, cfg)
 	cfg.Sched = sched.NewRandom(1)
-	if run := RunModule(m, cfg); !reflect.DeepEqual(run, ref) {
+	if run := RunCounted(m, cfg); !reflect.DeepEqual(run, ref) {
 		t.Fatalf("Run and RunReference differ\nRun:       %+v\nReference: %+v", run, ref)
 	}
-	if want := []mir.Word{0, 0, 0, 0}; !ref.Completed || !reflect.DeepEqual(outputs(ref), want) {
-		t.Fatalf("RunReference: completed=%v outputs %v, want %v", ref.Completed, outputs(ref), want)
+	if want := []mir.Word{0, 0, 0, 0}; !ref.Completed || !reflect.DeepEqual(outputs(&ref.Result), want) {
+		t.Fatalf("RunReference: completed=%v outputs %v, want %v", ref.Completed, outputs(&ref.Result), want)
 	}
 }
 

@@ -160,8 +160,8 @@ type VM struct {
 	sbInstrs int64
 
 	// ckptExecs counts executions per checkpoint counter (Program.ckptSites),
-	// in words of the first arena chunk; result() turns it into
-	// Stats.CheckpointExecs.
+	// in words of the first arena chunk; CheckpointExecs maps it to site
+	// ids on demand.
 	ckptExecs []int64
 }
 
@@ -1215,7 +1215,6 @@ func (vm *VM) result() *Result {
 		Stats:     vm.stats,
 	}
 	r.Stats.Steps = vm.step
-	r.Stats.CheckpointExecs = vm.checkpointExecs()
 	// Surface episodes still open at program end as unrecovered.
 	for _, t := range vm.threads {
 		for _, e := range t.episodes {
@@ -1239,9 +1238,11 @@ func (vm *VM) result() *Result {
 	return r
 }
 
-// checkpointExecs returns the executions per checkpoint site id of every
-// checkpoint that ran, or nil when none did.
-func (vm *VM) checkpointExecs() map[int]int64 {
+// CheckpointExecs returns the executions so far per checkpoint site id of
+// every checkpoint that ran, or nil when none did. Table 6 splits dynamic
+// reexecution points by the site class they serve with it. The map is
+// built on each call, so runs that do not ask pay nothing for it.
+func (vm *VM) CheckpointExecs() map[int]int64 {
 	var m map[int]int64
 	for i, n := range vm.ckptExecs {
 		if n == 0 {

@@ -24,10 +24,34 @@ import (
 // one scheduling rule is the compiled path's: a rollback yields to a
 // sched.Yielder.
 
+// Counted is a run's Result with the executions of each checkpoint site,
+// which VM.CheckpointExecs reports apart from the Result. The
+// differential tests compare both.
+type Counted struct {
+	Result
+	CheckpointExecs map[int]int64
+}
+
+// RunCounted runs mod compiled, as RunModule does, and adds the VM's
+// per-site checkpoint counts.
+func RunCounted(mod *mir.Module, cfg Config) Counted {
+	vm := New(mod, cfg)
+	r := vm.Run()
+	return Counted{*r, vm.CheckpointExecs()}
+}
+
+// refVM is a VM run by the reference interpreter. ckpts counts checkpoint
+// executions per site id, independently of the compiled path's dense
+// counters.
+type refVM struct {
+	*VM
+	ckpts map[int]int64
+}
+
 // RunReference executes the module with the reference (pre-compilation)
 // interpreter. It is deliberately slow and exists only in test builds.
-func RunReference(mod *mir.Module, cfg Config) *Result {
-	vm := New(mod, cfg)
+func RunReference(mod *mir.Module, cfg Config) Counted {
+	vm := &refVM{VM: New(mod, cfg)}
 	max := vm.cfg.maxSteps()
 	for !vm.done && vm.failure == nil {
 		if vm.step >= max {
@@ -46,11 +70,7 @@ func RunReference(mod *mir.Module, cfg Config) *Result {
 		vm.refExec(vm.threads[tid])
 		vm.step++
 	}
-	// refExec counts checkpoints in vm.stats' own map, independently of
-	// the compiled path's dense counters, which result() reads.
-	r := vm.result()
-	r.Stats.CheckpointExecs = vm.stats.CheckpointExecs
-	return r
+	return Counted{*vm.result(), vm.ckpts}
 }
 
 // refPick is the scheduling step as it was before the runnable-set cache
@@ -154,7 +174,7 @@ func eval(fr *frame, o mir.Operand) mir.Word {
 // refExec runs exactly one instruction of t, dispatching on the original
 // source instruction. Branch targets go through blockStart; everything
 // else is the historical exec body unchanged.
-func (vm *VM) refExec(t *thread) {
+func (vm *refVM) refExec(t *thread) {
 	fr := t.top()
 	fc := &vm.prog.funcs[fr.fn]
 	pos := vm.posOf(fr, &fc.code[fr.pc])
@@ -440,10 +460,10 @@ func (vm *VM) refExec(t *thread) {
 		jb.pc = fr.pc + 1
 		jb.regionCtr = t.regionCtr
 		vm.stats.Checkpoints++
-		if vm.stats.CheckpointExecs == nil {
-			vm.stats.CheckpointExecs = map[int]int64{}
+		if vm.ckpts == nil {
+			vm.ckpts = map[int]int64{}
 		}
-		vm.stats.CheckpointExecs[int(in.Site)]++
+		vm.ckpts[int(in.Site)]++
 		if vm.sink != nil {
 			vm.sink.Record(obs.Event{
 				Step: vm.step, Kind: obs.KindCheckpoint,

@@ -64,9 +64,6 @@ type Stats struct {
 	// Checkpoints counts dynamic reexecution-point executions (Table 5's
 	// "Dynamic" column).
 	Checkpoints int64
-	// CheckpointExecs counts executions per checkpoint id — Table 6
-	// splits dynamic reexecution points by the site class they serve.
-	CheckpointExecs map[int]int64
 	// Rollbacks counts executed rollback longjmps.
 	Rollbacks int64
 	// CompFrees and CompUnlocks count compensation actions at rollbacks.

@@ -48,19 +48,19 @@ type schedPick struct {
 
 // runModule executes m under cfg with Run or, when stepped, with a
 // StepOnce loop: one instruction per call, so no superblock is batched.
-func runModule(m *mir.Module, cfg interp.Config, stepped bool) *interp.Result {
+func runModule(m *mir.Module, cfg interp.Config, stepped bool) interp.Counted {
 	if !stepped {
-		return interp.RunModule(m, cfg)
+		return interp.RunCounted(m, cfg)
 	}
 	vm := interp.New(m, cfg)
 	for vm.StepOnce() {
 	}
-	return vm.Finish()
+	return interp.Counted{Result: *vm.Finish(), CheckpointExecs: vm.CheckpointExecs()}
 }
 
 // runTraced executes m once with a dedicated tracer and returns the
 // Result plus the full schedule-decision stream.
-func runTraced(t *testing.T, m *mir.Module, seed int64, stepped bool) (*interp.Result, []schedPick) {
+func runTraced(t *testing.T, m *mir.Module, seed int64, stepped bool) (interp.Counted, []schedPick) {
 	t.Helper()
 	tr := obs.NewTracer(parityTracerCap)
 	r := runModule(m, interp.Config{
@@ -180,7 +180,7 @@ func TestSuperblockParityMirgen(t *testing.T) {
 
 // plainRun is the observable outcome of one sink-free run.
 type plainRun struct {
-	res   *interp.Result
+	res   interp.Counted
 	next  int // the scheduler's next Intn(1<<30) after the run
 	segs  []sched.Segment
 	intns []int64
@@ -385,7 +385,7 @@ done:
 
 // edgeRun is the observable outcome of one traced, flight-recorded run.
 type edgeRun struct {
-	res   *interp.Result
+	res   interp.Counted
 	picks []schedPick
 	next  int // the scheduler's next Intn(1<<30) after the run
 	segs  []sched.Segment
@@ -436,7 +436,7 @@ func runEdge(t *testing.T, m *mir.Module, s sched.Scheduler, c plainCase, steppe
 
 // edgeCompare runs m with Run and with StepOnce under fresh schedulers
 // from mk and fails on the first divergence.
-func edgeCompare(t *testing.T, name string, m *mir.Module, mk func() sched.Scheduler, c plainCase) *interp.Result {
+func edgeCompare(t *testing.T, name string, m *mir.Module, mk func() sched.Scheduler, c plainCase) interp.Counted {
 	t.Helper()
 	batched := runEdge(t, m, mk(), c, false)
 	stepped := runEdge(t, m, mk(), c, true)

@@ -30,15 +30,6 @@ func randCfg(seed int64) interp.Config {
 	return interp.Config{Sched: sched.NewRandom(seed), MaxSteps: testMaxSteps}
 }
 
-// normalize strips nil-vs-empty encoding details before DeepEqual.
-func normalize(r *interp.Result) *interp.Result {
-	cp := *r
-	if len(cp.Stats.CheckpointExecs) == 0 {
-		cp.Stats.CheckpointExecs = nil
-	}
-	return &cp
-}
-
 // roundTrip records one run of mod under cfg, replays it through an
 // encode/decode cycle, and requires the replayed Result to DeepEqual the
 // recorded one with an identical fingerprint and zero divergences.
@@ -58,7 +49,7 @@ func roundTrip(t *testing.T, mod *mir.Module, cfg interp.Config, label string) *
 	if d := sr.Diverged(); d > 0 {
 		t.Fatalf("%s: replay diverged on %d decisions", label, d)
 	}
-	if !reflect.DeepEqual(normalize(got), normalize(orig)) {
+	if !reflect.DeepEqual(got, orig) {
 		t.Fatalf("%s: replayed Result differs from recorded run\n got %+v\nwant %+v",
 			label, got, orig)
 	}

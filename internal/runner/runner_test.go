@@ -61,20 +61,10 @@ func TestParallelMatchesSequentialRuns(t *testing.T) {
 	par := runSeeds(Engine{Workers: 4}, mod, seeds)
 
 	for i := range seeds {
-		if !reflect.DeepEqual(normalize(seq[i]), normalize(par[i])) {
+		if !reflect.DeepEqual(seq[i], par[i]) {
 			t.Errorf("seed %d: parallel result differs from sequential", seeds[i])
 		}
 	}
-}
-
-// normalize strips map-typed stats (per-checkpoint counters compare fine
-// with DeepEqual, but nil-vs-empty is an encoding detail, not a result).
-func normalize(r *interp.Result) *interp.Result {
-	cp := *r
-	if len(cp.Stats.CheckpointExecs) == 0 {
-		cp.Stats.CheckpointExecs = nil
-	}
-	return &cp
 }
 
 // TestAllCompleteMatchesSequentialVerdict: AllComplete walks its seeds in

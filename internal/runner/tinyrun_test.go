@@ -30,10 +30,12 @@ func runTiny(tb testing.TB, e Engine, mod *mir.Module, seed int64) {
 }
 
 // TestRunJobTinyAllocs guards the per-run allocation cost of a tiny run:
-// the scheduler is one allocation and the first frame-arena chunk is
-// sized to the program's frames, not a fixed 8 KB chunk.
+// the scheduler is one allocation, the first frame-arena chunk is sized
+// to the program's frames, not a fixed 8 KB chunk, and the result carries
+// no per-site checkpoint map. The run makes 47 allocations, 49 under the
+// race detector.
 func TestRunJobTinyAllocs(t *testing.T) {
-	const maxAllocs, maxBytes = 51, 10 << 10
+	const maxAllocs, maxBytes = 49, 10 << 10
 	mod := tinyModule(t)
 	e := Engine{Workers: 1}
 	runTiny(t, e, mod, 7) // compile once, outside the measurement

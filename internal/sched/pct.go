@@ -36,7 +36,10 @@ type PCT struct {
 const unseen = math.MinInt
 
 // NewPCT returns a PCT scheduler with depth d (the number of priority
-// change points) spread over an expected run of maxSteps steps.
+// change points) spread over an expected run of maxSteps steps. It draws
+// the d−1 change points now and one priority per thread as Pick first
+// sees it. Seeding is lazy, so up to eight such draws build 16 register
+// words of the generator, not all 607.
 func NewPCT(seed int64, d int, maxSteps int64) *PCT {
 	p := &PCT{}
 	p.src.seed(seed)

@@ -38,14 +38,16 @@ func TestSeedMultiplierCube(t *testing.T) {
 	}
 }
 
-// skipMatchesDraws checks that Skip(n) after `pre` draws leaves the
-// stream where n discarded math/rand draws would.
+// skipMatchesDraws checks that `pre` draws match math/rand's, and that
+// Skip(n) after them leaves the stream where n discarded math/rand draws
+// would.
 func skipMatchesDraws(t *testing.T, seed int64, pre int, n int64) {
 	t.Helper()
 	got, want := newSource(seed), rand.NewSource(seed)
 	for i := 0; i < pre; i++ {
-		got.Int63()
-		want.Int63()
+		if g, w := got.Int63(), want.Int63(); g != w {
+			t.Fatalf("seed %d: draw %d = %d, math/rand = %d", seed, i, g, w)
+		}
 	}
 	got.Skip(n)
 	for i := int64(0); i < n; i++ {
@@ -65,15 +67,43 @@ func TestSkipMatchesDraws(t *testing.T) {
 			skipMatchesDraws(t, 42, pre, n)
 		}
 	}
+	// For every seed: draws up to each edge of the lazily built first
+	// block, then short skips; and every skip length up to just past two
+	// blocks straight after seeding.
+	for _, seed := range sourceSeeds {
+		for _, pre := range lazyEdges() {
+			for _, n := range []int64{0, 1, seedChunk - 1, seedChunk, seedChunk + 1, 61, rngTap, rngLen} {
+				skipMatchesDraws(t, seed, pre, n)
+			}
+		}
+		for n := int64(0); n <= 1300; n++ {
+			skipMatchesDraws(t, seed, 0, n)
+		}
+	}
+}
+
+// lazyEdges returns the draw counts at which the lazily built first block
+// changes state: every chunk edge ±1, the ends of the three ranges grow
+// builds differently (273 and 334), and the block's end.
+func lazyEdges() []int {
+	var edges []int
+	for e := 0; e <= rngLen+seedChunk; e += seedChunk {
+		edges = append(edges, max(e-1, 0), e, e+1)
+	}
+	edges = append(edges, rngTap-1, rngTap, rngLen-rngTap-1, rngLen-rngTap, rngLen-1, rngLen)
+	slices.Sort(edges)
+	return slices.Compact(edges)
 }
 
 func FuzzSource(f *testing.F) {
 	for _, seed := range sourceSeeds {
-		f.Add(seed, uint16(0))
-		f.Add(seed, uint16(rngLen))
+		f.Add(seed, uint16(0), uint16(0))
+		f.Add(seed, uint16(1), uint16(rngLen))
+		f.Add(seed, uint16(rngTap), uint16(seedChunk))
+		f.Add(seed, uint16(rngLen), uint16(1))
 	}
-	f.Fuzz(func(t *testing.T, seed int64, n uint16) {
-		skipMatchesDraws(t, seed, int(n%rngLen), int64(n))
+	f.Fuzz(func(t *testing.T, seed int64, pre, n uint16) {
+		skipMatchesDraws(t, seed, int(pre%(2*rngLen)), int64(n))
 	})
 }
 
@@ -135,6 +165,17 @@ func TestNewRandomAllocs(t *testing.T) {
 	_ = sink
 }
 
+// TestNewSearchPCTAllocs pins NewSearchPCT to four allocations: the PCT
+// with its source, two for the change points and one for their fired
+// flags.
+func TestNewSearchPCTAllocs(t *testing.T) {
+	var sink *PCT
+	if a := testing.AllocsPerRun(100, func() { sink = NewSearchPCT(7) }); a != 4 {
+		t.Fatalf("NewSearchPCT allocates %v times per call, want 4", a)
+	}
+	_ = sink
+}
+
 func BenchmarkNewRandom(b *testing.B) {
 	b.ReportAllocs()
 	var sink *Random
@@ -144,19 +185,45 @@ func BenchmarkNewRandom(b *testing.B) {
 	_ = sink
 }
 
-// BenchmarkSeed compares seeding alone: the laned Mersenne seeding of the
-// package-local source against math/rand's Schrage seeding.
+// BenchmarkNewSearchPCT builds the sanitizer search's PCT scheduler: a
+// seed and its two change-point draws.
+func BenchmarkNewSearchPCT(b *testing.B) {
+	b.ReportAllocs()
+	var sink *PCT
+	for i := 0; i < b.N; i++ {
+		sink = NewSearchPCT(int64(i))
+	}
+	_ = sink
+}
+
+// BenchmarkSeed compares seeding plus the first draw, and seeding plus a
+// whole first block — drawn, or skipped up to its last draw as a
+// one-thread quantum would — for the package-local source (lazy Mersenne
+// seeding) and math/rand (Schrage seeding of the whole register), which
+// draws where source skips.
 func BenchmarkSeed(b *testing.B) {
-	b.Run("source", func(b *testing.B) {
-		var s source
-		for i := 0; i < b.N; i++ {
-			s.seed(int64(i))
-		}
-	})
-	b.Run("math-rand", func(b *testing.B) {
-		s := rand.NewSource(0)
-		for i := 0; i < b.N; i++ {
-			s.Seed(int64(i))
-		}
-	})
+	for _, c := range []struct {
+		name        string
+		skip, draws int
+	}{{"first-draw", 0, 1}, {"full-block", 0, rngLen}, {"skipped-block", rngLen - 1, 1}} {
+		b.Run(c.name+"/source", func(b *testing.B) {
+			var s source
+			for i := 0; i < b.N; i++ {
+				s.seed(int64(i))
+				s.Skip(int64(c.skip))
+				for j := 0; j < c.draws; j++ {
+					s.Int63()
+				}
+			}
+		})
+		b.Run(c.name+"/math-rand", func(b *testing.B) {
+			s := rand.NewSource(0)
+			for i := 0; i < b.N; i++ {
+				s.Seed(int64(i))
+				for j := 0; j < c.skip+c.draws; j++ {
+					s.Int63()
+				}
+			}
+		})
+	}
 }

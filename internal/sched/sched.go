@@ -72,6 +72,11 @@ type Yielder interface {
 // stream sits at the same position afterwards, and every later decision
 // is unchanged (pinned by TestSourceMatchesMathRand, the superblock
 // parity tests and the golden experiment fingerprints).
+//
+// Seeding is lazy: NewRandom stores the seed, and the first draws build
+// the generator's first block a short chunk at a time, so a run pays for
+// the register words its draws need — all 607 once it has drawn 334
+// values or skipped past them.
 type Random struct {
 	// src is held by value: NewRandom is one allocation, and the hot
 	// draw is a field load, not an interface call.
